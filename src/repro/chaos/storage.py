@@ -136,12 +136,6 @@ class FaultyBackend:
 
     # -- clean passthrough -----------------------------------------------------
 
-    def make_index(self):
-        return self.inner.make_index()
-
-    def reset_index(self) -> None:
-        self.inner.reset_index()
-
     def answers(self) -> list[AnswerRecord]:
         return self.inner.answers()
 

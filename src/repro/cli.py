@@ -6,8 +6,8 @@ Three commands covering the library's three hats:
   domains (folk_remedies / travel / culinary) against a simulated
   crowd, printing the mined rules and ground-truth score; with
   ``--save-cache`` the collected answers persist to JSON,
-  ``--adversary-mix`` / ``--quarantine`` / ``--trust-model`` plant
-  adversaries and enable the quality-control loop
+  ``--adversary-mix`` / ``--quarantine`` plant adversaries and
+  enable the quality-control loop
   (``docs/robustness.md``), and ``--checkpoint`` makes the session
   durable — checkpointed every ``--checkpoint-every`` questions and
   resumable after a crash with ``--resume``
@@ -158,8 +158,6 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             thresholds=thresholds,
             budget=args.budget,
             quarantine=args.quarantine,
-            trust_model=args.trust_model,
-            gold_rate=args.gold_rate,
             reestimate_every=args.reestimate_every,
             checkpoint_every=args.checkpoint_every if storage is not None else 0,
             seed=args.seed + 3,
@@ -500,22 +498,9 @@ def build_parser() -> argparse.ArgumentParser:
         "trust, quarantine low-trust members and purge their evidence",
     )
     mine.add_argument(
-        "--trust-model", choices=("latent", "gold"), default="latent",
-        help="trust source behind --quarantine: 'latent' (default) "
-        "jointly estimates member ability and rule truth from the "
-        "answer matrix, no gold spent; 'gold' is the legacy "
-        "aggregate-referenced probe loop (poisonable by collusion)",
-    )
-    mine.add_argument(
-        "--gold-rate", type=float, default=0.0, metavar="P",
-        help="fraction of questions spent on gold probes (re-asking "
-        "already-settled rules to score answer quality); requires "
-        "--quarantine and --trust-model gold",
-    )
-    mine.add_argument(
         "--reestimate-every", type=int, default=10, metavar="N",
         help="answers between latent-trust re-estimations "
-        "(--trust-model latent)",
+        "(with --quarantine)",
     )
     mine.add_argument(
         "--checkpoint", metavar="PATH", default=None,

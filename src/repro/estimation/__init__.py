@@ -7,6 +7,7 @@ consistency-based spammer screening.
 
 from repro.estimation.aggregate import (
     Aggregator,
+    CompositeTrust,
     DynamicTrustAggregator,
     MeanAggregator,
     TrimmedMeanAggregator,
@@ -36,6 +37,7 @@ from repro.estimation.welford import StreamingMeanCov
 __all__ = [
     "Aggregator",
     "Assessment",
+    "CompositeTrust",
     "ConsistencyChecker",
     "Decision",
     "DynamicTrustAggregator",

@@ -3,20 +3,24 @@
 The paper treats the answer aggregator as a *black box*: given the
 answers collected for a rule, decide the current estimate (and hence,
 downstream, the significance classification). The default box is the
-plain sample mean; this module provides it and two robust variants
-used in the spammer-robustness experiments:
+plain sample mean; this module provides it and the robust and
+trust-weighted variants used in the spammer-robustness experiments:
 
 - :class:`MeanAggregator` — plain mean/covariance (O(1), streaming);
 - :class:`TrimmedMeanAggregator` — drop the most extreme answers
   componentwise before averaging, which bounds the influence of a
   minority of spammers;
 - :class:`WeightedAggregator` — per-member trust weights (e.g. from an
-  external worker-quality system).
+  external worker-quality system);
+- :class:`DynamicTrustAggregator` — live trust weights re-read from a
+  trust source at every summary; :class:`CompositeTrust` multiplies
+  several sources into one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,6 +163,41 @@ class DynamicTrustAggregator(Aggregator):
 
     def __repr__(self) -> str:
         return f"DynamicTrustAggregator({self.trust_source!r})"
+
+
+@dataclass
+class CompositeTrust:
+    """Product of several trust sources, for the weighted aggregator.
+
+    Used when consistency screening (``screen_spammers``) and the
+    latent-ability quality loop (``quarantine``) run together: a member
+    must convince *both* to keep full weight. The version is the sum of
+    the sources' versions, so any source moving invalidates cached
+    summaries.
+    """
+
+    sources: tuple = ()
+    _fallbacks: dict = field(default_factory=dict, repr=False)
+
+    def trust(self, member_id: str) -> float:
+        value = 1.0
+        for source in self.sources:
+            value *= source.trust(member_id)
+        return value
+
+    @property
+    def version(self) -> int:
+        total = 0
+        for idx, source in enumerate(self.sources):
+            version = getattr(source, "version", None)
+            if version is None:
+                # No change signal: force invalidation, like the
+                # aggregator's own fallback path.
+                self._fallbacks[idx] = self._fallbacks.get(idx, 0) + 1
+                total += self._fallbacks[idx]
+            else:
+                total += int(version)
+        return total
 
 
 class WeightedAggregator(Aggregator):

@@ -142,7 +142,6 @@ def e8r_robustness(scale: str = "full") -> tuple[ExperimentConfig, dict[str, dic
         _base(scale),
         name="e8r_robustness",
         quarantine=False,
-        gold_rate=0.0,
     )
     fractions = (0.0, 0.1, 0.3, 0.5)
     variants: dict[str, dict] = {}

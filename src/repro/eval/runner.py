@@ -78,8 +78,6 @@ class ExperimentConfig:
     adversary_mix: tuple[tuple[str, float], ...] = ()
     # quality control (forwarded to the miner)
     quarantine: bool = False
-    trust_model: str = "latent"
-    gold_rate: float = 0.0
     trust_floor: float = 0.45
     quarantine_min_answers: int = 4
     reestimate_every: int = 10
@@ -300,8 +298,6 @@ def _miner_config(config: ExperimentConfig, rng: np.random.Generator) -> CrowdMi
         expand_generalizations=config.expand_generalizations,
         expand_splits=config.expand_splits,
         quarantine=config.quarantine,
-        trust_model=config.trust_model,
-        gold_rate=config.gold_rate,
         trust_floor=config.trust_floor,
         quarantine_min_answers=config.quarantine_min_answers,
         reestimate_every=config.reestimate_every,

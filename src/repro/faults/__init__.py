@@ -1,4 +1,4 @@
-"""Robustness layer: adversarial answers, fault injection, quality control.
+"""Robustness layer: adversarial answers, fault injection, latent trust.
 
 Everything the happy-path miner assumes — honest-but-noisy members,
 answers that parse, members that stay — is broken somewhere in here, on
@@ -8,12 +8,11 @@ purpose. The package splits into:
   (collusion rings, drifting noise, lazy extremes, garbled text);
 - :mod:`repro.faults.injector` — transport/membership faults on the
   dispatch timeline (crashes, churn waves, duplicate deliveries);
-- :mod:`repro.faults.quality` — the legacy defence: gold probes,
-  outlier scores, trust weights and quarantine (reference-based, so
-  poisonable — see EXPERIMENTS.md E8-R);
-- :mod:`repro.faults.latent` — the gold-free defence: joint
-  latent-ability / rule-truth estimation over the full answer matrix
-  (Dawid–Skene-style), the miner's default trust model.
+- :mod:`repro.faults.latent` — the defence: joint latent-ability /
+  rule-truth estimation over the full answer matrix (Dawid–Skene-style),
+  which weights members and decides quarantine when the miner runs with
+  ``quarantine=True``. It needs no gold reference, so colluders have
+  none to poison (EXPERIMENTS.md E8-R).
 
 :func:`build_adversarial_crowd` assembles a crowd with a declared
 adversary mix; :func:`parse_adversary_mix` reads the CLI's
@@ -40,14 +39,12 @@ from repro.faults.adversaries import (
 )
 from repro.faults.injector import FaultInjector, FaultPlan, periodic_plan
 from repro.faults.latent import LatentAbilityModel, MemberAbility
-from repro.faults.quality import CompositeTrust, MemberQuality, QualityController
 from repro.synth.population import Population
 
 __all__ = [
     "ADVERSARY_ROLES",
     "CollusionRing",
     "ColludingSpammerModel",
-    "CompositeTrust",
     "DriftingAnswerModel",
     "FaultInjector",
     "FaultPlan",
@@ -55,8 +52,6 @@ __all__ = [
     "LatentAbilityModel",
     "LazyExtremesModel",
     "MemberAbility",
-    "MemberQuality",
-    "QualityController",
     "build_adversarial_crowd",
     "garbage_text",
     "parse_adversary_mix",

@@ -9,7 +9,8 @@ tested against:
 - :class:`CollusionRing` / :class:`ColludingSpammerModel` — a group of
   spammers sharing one fabricated stats profile, so their lies agree
   with each other (majority voting and plain averaging cannot expose
-  them; gold probes can);
+  them; the per-member coherence anchor of :mod:`repro.faults.latent`
+  can);
 - :class:`DriftingAnswerModel` — a worker whose noise grows with every
   question answered (fatigue / disengagement), starting out honest and
   ending up useless;

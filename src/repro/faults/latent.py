@@ -1,15 +1,16 @@
 """Latent-ability worker trust: joint member/truth estimation, no gold.
 
-The gold-probe quality loop (:mod:`repro.faults.quality`) scores each
-member against the *crowd aggregate* of a settled rule. That reference
-is exactly what a collusion ring poisons: once enough fabricated rules
-settle, honest members fail probes on them, get quarantined, and their
-purged evidence amplifies the colluders — the measured net-negative
-regime of EXPERIMENTS.md E8-R. The cure, standard in the
-truth-inference literature (Dawid–Skene and its continuous-response
-descendants), is to stop trusting any single reference and instead
-*jointly* estimate per-member ability and per-rule latent truth from
-the full answer matrix. There is no gold to poison: a member is judged
+A gold-probe quality loop scores each member against the *crowd
+aggregate* of a settled rule. That reference is exactly what a
+collusion ring poisons: once enough fabricated rules settle, honest
+members fail probes on them, get quarantined, and their purged
+evidence amplifies the colluders — the net-negative regime the
+historical gold rows of EXPERIMENTS.md E8-R measured. The cure,
+standard in the truth-inference literature (Dawid–Skene and its
+continuous-response descendants), is to stop trusting any single
+reference and instead *jointly* estimate per-member ability and
+per-rule latent truth from the full answer matrix. There is no gold
+to poison: a member is judged
 by how well their answers fit the truth implied by *everyone's*
 answers under the fitted ability weights, and colluders lose that
 argument as long as they are not the self-consistent majority.
@@ -72,11 +73,10 @@ self-consistent *around the anchored truths* earns precision, pulls
 the truths further toward itself, and grows the other group's relative
 residuals — without a single gold question spent or poisoned.
 
-:class:`LatentAbilityModel` implements the same trust-source protocol
-as :class:`~repro.faults.quality.QualityController` (``trust`` +
-``version`` for :class:`~repro.estimation.aggregate
-.DynamicTrustAggregator`, plus the quarantine surface), so the miner
-swaps it in behind ``CrowdMinerConfig(trust_model="latent")``.
+:class:`LatentAbilityModel` implements the trust-source protocol
+(``trust`` + ``version`` for :class:`~repro.estimation.aggregate
+.DynamicTrustAggregator`) plus the quarantine surface; the miner
+installs it behind ``CrowdMinerConfig(quarantine=True)``.
 Everything is a deterministic pure function of the observed answer
 stream — no randomness — so seeded sessions replay byte-identically.
 
@@ -184,13 +184,13 @@ class LatentAbilityModel:
         is loose — the bias term mainly *explains* honest offsets so
         they do not inflate the member's noise scale.
     malformed_tolerance:
-        Malformed-answer *rate* forgiven entirely (mirrors the gold
-        loop's outlier tolerance; a member who only ever sends garbage
-        must still lose trust despite having no parsed answers to fit).
+        Malformed-answer *rate* forgiven entirely (a member who only
+        ever sends garbage must still lose trust despite having no
+        parsed answers to fit).
     severity:
         Trust decay speed past the tolerances — the same
         ``1 / (1 + severity · excess)`` shape as the other trust
-        sources, so :class:`~repro.faults.quality.CompositeTrust`
+        sources, so :class:`~repro.estimation.aggregate.CompositeTrust`
         composes them naturally.
     prior_tau / prior_strength:
         ``prior_tau`` is the prior per-rule difficulty (absolute

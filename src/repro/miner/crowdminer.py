@@ -32,18 +32,20 @@ import numpy as np
 
 from repro._util import as_rng, check_fraction, check_positive
 from repro.core.itemset import Itemset
-from repro.core.measures import RuleStats
 from repro.core.order import generalizations
 from repro.core.rule import Rule
 from repro.crowd.crowd import SimulatedCrowd
 from repro.crowd.questions import AnyAnswer, ClosedAnswer, MalformedAnswer, OpenAnswer
 from repro.errors import BudgetExhaustedError, ConfigurationError, CrowdExhaustedError
-from repro.estimation.aggregate import Aggregator, DynamicTrustAggregator
+from repro.estimation.aggregate import (
+    Aggregator,
+    CompositeTrust,
+    DynamicTrustAggregator,
+)
 from repro.estimation.consistency import ConsistencyChecker
 from repro.estimation.samples import EstimateSummary
 from repro.estimation.significance import Decision, SignificanceTest, Thresholds
 from repro.faults.latent import LatentAbilityModel
-from repro.faults.quality import CompositeTrust, QualityController
 from repro.miner.open_policy import AdaptiveOpenPolicy, OpenClosedPolicy
 from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
 from repro.miner.state import MiningState, RuleOrigin
@@ -96,11 +98,6 @@ class QuestionProposal:
     rule: Rule | None
     context: Itemset | None
     kb_version: int
-    #: Gold probe: a closed question about an already-settled rule,
-    #: asked to *score the member* against the settled aggregate rather
-    #: than to collect evidence. Gold answers never enter the knowledge
-    #: base and are never stale (the rule being resolved is the point).
-    gold: bool = False
 
 
 @dataclass(slots=True)
@@ -162,44 +159,25 @@ class CrowdMinerConfig:
         (:class:`~repro.estimation.aggregate.DynamicTrustAggregator`).
         Mutually exclusive with a custom ``aggregator``.
     quarantine:
-        Enable the answer quality-control loop: trust weights discount
-        low-quality members, and members falling below ``trust_floor``
-        are quarantined — no longer routed to, their evidence purged
-        from the knowledge base. Which trust model scores members is
-        chosen by ``trust_model``. Composes with ``screen_spammers``
-        (trust is the product of both sources); mutually exclusive
-        with a custom ``aggregator``. With no adversaries present
-        every member keeps trust exactly 1.0 and the session is
+        Enable the answer quality-control loop: the latent-ability
+        model (:class:`~repro.faults.latent.LatentAbilityModel`)
+        jointly re-estimates member ability and rule truth from the
+        full answer matrix, trust weights discount low-quality
+        members, and members falling below ``trust_floor`` are
+        quarantined — no longer routed to, their evidence purged from
+        the knowledge base. Composes with ``screen_spammers`` (trust
+        is the product of both sources); mutually exclusive with a
+        custom ``aggregator``. With no adversaries present every
+        member keeps trust exactly 1.0 and the session is
         byte-identical to one with the loop disabled.
-    trust_model:
-        ``"latent"`` (default) — the gold-free latent-ability model
-        (:class:`~repro.faults.latent.LatentAbilityModel`): member
-        ability and rule truth are jointly re-estimated from the full
-        answer matrix every ``reestimate_every`` counted answers, so
-        there is no aggregate reference for colluders to poison.
-        ``"gold"`` — the legacy gold-probe loop
-        (:class:`~repro.faults.quality.QualityController`): counted
-        answers are screened for outliers against the rule's running
-        aggregate and gold probes (see ``gold_rate``) score members
-        against settled rules — which colluders can poison once their
-        fabricated rules settle (EXPERIMENTS.md E8-R); kept for
-        comparison experiments.
-    gold_rate:
-        Probability that a question slot becomes a gold probe: the
-        member is re-asked a rule whose classification is already
-        settled on enough direct evidence, and their answer is scored
-        against that aggregate instead of being counted. Costs budget
-        (the probe is a real question) — the price of quality control.
-        Requires ``trust_model="gold"``; 0 disables probing without
-        perturbing the random stream.
     reestimate_every:
         Counted answers between latent-model re-estimations
         (answer-count driven, so deterministic from seeds — replay
-        stays byte-identical). Only read when ``trust_model="latent"``.
+        stays byte-identical).
     trust_floor / quarantine_min_answers:
         Quarantine triggers when a member's trust falls below
-        ``trust_floor`` with at least ``quarantine_min_answers`` scored
-        answers (see the two trust-model classes).
+        ``trust_floor`` with at least ``quarantine_min_answers``
+        observed answers.
     checkpoint_every:
         Questions between automatic whole-session checkpoints, when a
         storage backend is attached (0 = never checkpoint
@@ -230,8 +208,6 @@ class CrowdMinerConfig:
     contextual_open_fraction: float = 0.0
     screen_spammers: bool = False
     quarantine: bool = False
-    trust_model: str = "latent"
-    gold_rate: float = 0.0
     reestimate_every: int = 10
     trust_floor: float = 0.45
     quarantine_min_answers: int = 4
@@ -247,29 +223,13 @@ class CrowdMinerConfig:
                 f"got {self.checkpoint_every!r}"
             )
         check_fraction(self.contextual_open_fraction, "contextual_open_fraction")
-        check_fraction(self.gold_rate, "gold_rate")
         check_positive(self.reestimate_every, "reestimate_every")
         check_fraction(self.trust_floor, "trust_floor")
         check_positive(self.quarantine_min_answers, "quarantine_min_answers")
-        if self.trust_model not in ("latent", "gold"):
-            raise ConfigurationError(
-                f"unknown trust_model {self.trust_model!r}; "
-                "expected 'latent' or 'gold'"
-            )
         if (self.screen_spammers or self.quarantine) and self.aggregator is not None:
             raise ConfigurationError(
                 "screen_spammers/quarantine install their own trust-weighted "
                 "aggregator; pass one or the other"
-            )
-        if self.gold_rate > 0.0 and not self.quarantine:
-            raise ConfigurationError(
-                "gold_rate without quarantine would spend budget on probes "
-                "nobody scores; enable quarantine"
-            )
-        if self.gold_rate > 0.0 and self.trust_model != "gold":
-            raise ConfigurationError(
-                "gold_rate is only read by the gold-probe loop; "
-                "set trust_model='gold' (the latent model needs no probes)"
             )
 
     def build_test(self) -> SignificanceTest:
@@ -319,7 +279,6 @@ class CrowdMiner:
         if bind_obs is not None:
             bind_obs(self.obs)
         self.consistency: ConsistencyChecker | None = None
-        self.quality: QualityController | None = None
         self.latent: LatentAbilityModel | None = None
         aggregator = config.aggregator
         trust_sources: list = []
@@ -327,19 +286,12 @@ class CrowdMiner:
             self.consistency = ConsistencyChecker()
             trust_sources.append(self.consistency)
         if config.quarantine:
-            if config.trust_model == "gold":
-                self.quality = QualityController(
-                    trust_floor=config.trust_floor,
-                    min_answers=config.quarantine_min_answers,
-                )
-                trust_sources.append(self.quality)
-            else:
-                self.latent = LatentAbilityModel(
-                    trust_floor=config.trust_floor,
-                    min_answers=config.quarantine_min_answers,
-                    reestimate_every=config.reestimate_every,
-                )
-                trust_sources.append(self.latent)
+            self.latent = LatentAbilityModel(
+                trust_floor=config.trust_floor,
+                min_answers=config.quarantine_min_answers,
+                reestimate_every=config.reestimate_every,
+            )
+            trust_sources.append(self.latent)
         if len(trust_sources) == 1:
             aggregator = DynamicTrustAggregator(trust_sources[0])
         elif trust_sources:
@@ -349,7 +301,6 @@ class CrowdMiner:
             aggregator=aggregator,
             lattice_pruning=config.lattice_pruning,
             obs=self.obs,
-            index=None if storage is None else storage.make_index(),
         )
         for rule in config.seed_rules:
             self.state.add_rule(rule, RuleOrigin.SEED)
@@ -459,15 +410,6 @@ class CrowdMiner:
         knowledge-base version so :meth:`ingest_answer` can detect
         answers made stale while in flight.
         """
-        # Gold probes ride in regular question slots. The coin is only
-        # flipped when probing is actually configured, so a disabled
-        # quality loop leaves the random stream — and hence question
-        # selection — untouched.
-        if self.quality is not None and self.config.gold_rate > 0.0:
-            if self._rng.random() < self.config.gold_rate:
-                gold = self._pick_gold(member_id)
-                if gold is not None:
-                    return gold
         with self.obs.timer("miner.select"):
             closed_rule = self.config.strategy.select(self.state, member_id, self._rng)
         ask_open = self.config.open_policy.choose_open(
@@ -501,36 +443,6 @@ class CrowdMiner:
                 kb_version=self.state.version,
             )
         return None
-
-    def _pick_gold(self, member_id: str) -> QuestionProposal | None:
-        """A gold-probe proposal for ``member_id``, or ``None``.
-
-        Gold rules are taken from settled, directly-evidenced rules
-        with the test's minimum direct sample count — their aggregate
-        is the best ground truth the session owns — and restricted to
-        rules this member has not answered (their old answer is already
-        *in* that aggregate, which would let them grade their own
-        exam).
-        """
-        candidates = [
-            k
-            for k in self.state.rules()
-            if k.is_resolved
-            and not k.inferred
-            and k.samples.n >= self.config.min_samples
-            and not k.samples.has_answer_from(member_id)
-        ]
-        if not candidates:
-            return None
-        knowledge = candidates[int(self._rng.integers(len(candidates)))]
-        return QuestionProposal(
-            member_id=member_id,
-            kind=QuestionKind.CLOSED,
-            rule=knowledge.rule,
-            context=None,
-            kb_version=self.state.version,
-            gold=True,
-        )
 
     def pose(self, proposal: QuestionProposal) -> AnyAnswer:
         """Put the proposed question to the crowd and return the raw answer.
@@ -606,11 +518,6 @@ class CrowdMiner:
         The knowledge-base version stamp makes the common case free:
         an unchanged version proves nothing relevant happened.
         """
-        if proposal.gold:
-            # A gold probe's rule is settled *by construction*; the
-            # answer is wanted for scoring regardless of what the
-            # knowledge base did meanwhile.
-            return False
         if proposal.kind is not QuestionKind.CLOSED:
             return False
         if proposal.kb_version == self.state.version:
@@ -634,10 +541,9 @@ class CrowdMiner:
           under ``answers.malformed`` and dropped. One garbage line
           from one member must never raise out of the session. When
           the quality loop is on, the garbage also counts as a
-          quality strike (an unparseable reply is indistinguishable
-          from a maximal outlier), so a member who *only* sends
-          garbage still ends up quarantined instead of holding a
-          routing slot forever.
+          strike against the member, so one who *only* sends garbage
+          still ends up quarantined instead of holding a routing slot
+          forever.
         - **rejected** — the member was quarantined while this answer
           was in flight; counted under ``quality.rejected``. Their
           evidence was purged, so late answers must not re-enter.
@@ -647,132 +553,55 @@ class CrowdMiner:
         """
         if isinstance(answer, MalformedAnswer):
             self.obs.count("answers.malformed")
-            if self.quality is not None:
-                self.quality.record_answer(proposal.member_id, float("inf"))
-                self._maybe_quarantine(proposal.member_id)
-            elif self.latent is not None:
+            if self.latent is not None:
                 self.latent.observe_malformed(proposal.member_id)
                 self._maybe_reestimate()
             return None
-        guard = self.trust_guard
-        if guard is not None and guard.is_quarantined(proposal.member_id):
+        latent = self.latent
+        if latent is not None and latent.is_quarantined(proposal.member_id):
             self.obs.count("quality.rejected")
             return None
-        if proposal.gold:
-            assert isinstance(answer, ClosedAnswer)
-            return self._ingest_gold(proposal, answer)
         if proposal.kind is QuestionKind.CLOSED:
             assert isinstance(answer, ClosedAnswer)
             return self._ingest_closed(proposal, answer)
         assert isinstance(answer, OpenAnswer)
         return self._ingest_open(proposal, answer)
 
-    def _ingest_gold(
-        self, proposal: QuestionProposal, answer: ClosedAnswer
-    ) -> QuestionEvent:
-        """Score a gold-probe answer; it never becomes evidence.
-
-        The expected stats are the settled rule's current aggregate
-        (the same clamped point estimate reporting uses). The probe
-        still spends budget and is logged like any closed question —
-        dispatch accounting cannot tell probes apart, by design.
-        """
-        assert self.quality is not None and proposal.rule is not None
-        knowledge = self.state.knowledge(proposal.rule)
-        mean = self.state.summary_for(knowledge).mean
-        support = float(min(1.0, max(0.0, mean[0])))
-        confidence = float(min(1.0, max(0.0, mean[1])))
-        expected = RuleStats(support, max(support, confidence))
-        error = self.quality.record_gold(proposal.member_id, answer.stats, expected)
-        self.obs.count("quality.gold")
-        if error > self.quality.gold_tolerance:
-            self.obs.count("quality.gold_failed")
-        self._maybe_quarantine(proposal.member_id)
-        event = QuestionEvent(
-            index=self._questions,
-            kind=QuestionKind.CLOSED,
-            member_id=proposal.member_id,
-            rule=proposal.rule,
-            stats=answer.stats,
-        )
-        self._finish_step(event)
-        return event
-
-    def _outlier_z(self, rule: Rule, stats: RuleStats) -> float | None:
-        """The answer's distance from the rule's aggregate, in sample SDs.
-
-        ``None`` while the aggregate is too thin to judge against. The
-        per-component sample variance is floored by the significance
-        test's ``variance_floor`` so a unanimous crowd does not turn
-        every honest wobble into infinite z.
-        """
-        knowledge = self.state.knowledge(rule)
-        summary = self.state.summary_for(knowledge)
-        if summary.n < self.config.min_samples:
-            return None
-        sample_var = np.diag(summary.mean_cov) * summary.n
-        sd = np.sqrt(np.maximum(sample_var, self.config.variance_floor))
-        delta = np.abs(np.array(stats.as_tuple()) - summary.mean)
-        return float(np.max(delta / sd))
-
-    @property
-    def trust_guard(self) -> QualityController | LatentAbilityModel | None:
-        """The active quarantine guard — gold or latent — or ``None``.
-
-        Both models share the quarantine surface
-        (``is_quarantined`` / ``quarantined`` / ``trust``), so callers
-        that only need that surface stay trust-model agnostic.
-        """
-        return self.quality if self.quality is not None else self.latent
-
     def _maybe_reestimate(self) -> None:
         """Run a latent re-estimation when one is due, then react to it.
 
         The cadence is answer-count driven (every ``reestimate_every``
         counted observations), so it is a pure function of the answer
-        stream — replay stays byte-identical. When the fit moves some
-        member's trust, members whose posterior ability now warrants
-        exile are quarantined (in sorted order, deterministically) and
+        stream — replay stays byte-identical. After every fit, members
+        whose posterior ability warrants exile are quarantined (in
+        sorted order, deterministically). The sweep runs even when no
+        trust moved: a member whose trust fell below the floor before
+        they reached ``quarantine_min_answers`` only becomes eligible
+        later, and a member who sends nothing but garbage never moves
+        trust again. When trust moved or someone was quarantined,
         every evidenced rule is re-assessed under the shifted weights —
         rules settled on newly-distrusted answers reopen through the
         regular purge/reopen machinery.
         """
-        assert self.latent is not None
-        if not self.latent.due():
+        latent = self.latent
+        assert latent is not None
+        if not latent.due():
             return
         with self.obs.timer("quality.estimate"):
-            changed = self.latent.reestimate()
+            changed = latent.reestimate()
         self.obs.count("quality.reestimates")
-        for _, ability in self.latent.abilities():
+        for _, ability in latent.abilities():
             self.obs.observe(
                 "quality.ability", ability.sigma, edges=ABILITY_BUCKETS
             )
-        if not changed:
-            return
-        for member_id in self.latent.quarantine_candidates():
-            self.latent.mark_quarantined(member_id)
+        quarantined = latent.quarantine_candidates()
+        for member_id in quarantined:
+            latent.mark_quarantined(member_id)
             self.crowd.quarantine(member_id)
             self.state.purge_member(member_id)
             self.obs.count("quality.quarantined")
-        self.state.reassess_trust_shift()
-
-    def _maybe_quarantine(self, member_id: str) -> None:
-        """Exile ``member_id`` if their quality record now warrants it.
-
-        Quarantine is the full loop closing: routing stops
-        (:meth:`~repro.crowd.crowd.SimulatedCrowd.quarantine`), trust
-        pins to zero, and every observation the member contributed is
-        released from the knowledge base
-        (:meth:`~repro.miner.state.MiningState.purge_member`) —
-        re-opening any rule that was settled on their say-so.
-        """
-        assert self.quality is not None
-        if not self.quality.should_quarantine(member_id):
-            return
-        self.quality.mark_quarantined(member_id)
-        self.crowd.quarantine(member_id)
-        self.state.purge_member(member_id)
-        self.obs.count("quality.quarantined")
+        if changed or quarantined:
+            self.state.reassess_trust_shift()
 
     def _ingest_closed(
         self, proposal: QuestionProposal, answer: ClosedAnswer
@@ -787,21 +616,12 @@ class CrowdMiner:
         origin = self.state.knowledge(rule).origin
         if self.consistency is not None:
             self.consistency.record(member_id, rule, answer.stats)
-        if self.quality is not None:
-            # Scored against the aggregate *before* this answer joins
-            # it — an answer must not soften its own z-score.
-            self.quality.record_answer(
-                member_id, self._outlier_z(rule, answer.stats)
-            )
         if self.latent is not None:
             # Only counted closed answers enter the matrix: open
-            # answers are volunteer-biased by construction, and gold
-            # does not exist in this mode.
+            # answers are volunteer-biased by construction.
             self.latent.observe_answer(member_id, rule, answer.stats)
         self.state.record_answer(rule, member_id, answer.stats, origin)
-        if self.quality is not None:
-            self._maybe_quarantine(member_id)
-        elif self.latent is not None:
+        if self.latent is not None:
             self._maybe_reestimate()
         self.obs.count("miner.closed")
         self._expand_confirmed()

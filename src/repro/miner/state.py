@@ -185,12 +185,6 @@ class MiningState:
     obs:
         Instrumentation receiving the knowledge-base counters and
         timers (``kb.*``); a private instance when not given.
-    index:
-        The item→rules inverted index implementation to use; the plain
-        in-process :class:`RuleIndex` when not given. Storage backends
-        supply their own (``SQLiteRuleIndex`` serves the same queries
-        from indexed SQL tables) via
-        :meth:`~repro.storage.backend.StorageBackend.make_index`.
     """
 
     def __init__(
@@ -199,14 +193,13 @@ class MiningState:
         aggregator: Aggregator | None = None,
         lattice_pruning: bool = True,
         obs: Instrumentation | None = None,
-        index=None,
     ) -> None:
         self.test = test
         self.aggregator = aggregator or MeanAggregator()
         self.lattice_pruning = bool(lattice_pruning)
         self.obs = obs or Instrumentation()
         self._rules: dict[Rule, RuleKnowledge] = {}
-        self._index = index if index is not None else RuleIndex()
+        self._index = RuleIndex()
         self._known: set[Rule] = set()
         self._unresolved: dict[Rule, RuleKnowledge] = {}
         # A rule re-entering the unresolved set lands at the dict's
@@ -240,22 +233,20 @@ class MiningState:
 
     # -- persistence ------------------------------------------------------------
 
-    def rebuild_index(self, index=None) -> None:
+    def rebuild_index(self) -> None:
         """Repopulate the inverted index from the rules, discovery order.
 
-        The index is derived state: checkpoints drop it (its SQL form
-        lives outside the pickle, and a crashed process's index is not
-        trusted anyway) and resume rebuilds it here — either into the
-        default in-process :class:`RuleIndex` or into the implementation
-        a storage backend supplies.
+        The index is derived state: checkpoints drop it (it is a pure
+        function of the rules, so storing it would only grow the
+        payload) and resume rebuilds it here.
         """
-        self._index = index if index is not None else RuleIndex()
+        self._index = RuleIndex()
         for rule in self._rules:
             self._index.add(rule)
 
     def __getstate__(self) -> dict:
-        # The index may hold a live database connection; drop it and
-        # rebuild on load (see rebuild_index).
+        # The index is derived state; drop it and rebuild on load (see
+        # rebuild_index).
         state = self.__dict__.copy()
         state["_index"] = None
         return state

@@ -34,9 +34,10 @@ adds:
 - validation-gate counters ``answers.malformed`` (unparseable answers
   dropped at ingest) and ``quality.rejected`` (answers from
   quarantined members dropped at ingest);
-- quality-loop counters ``quality.gold`` (gold probes answered),
-  ``quality.gold_failed`` (probes outside the gold tolerance) and
-  ``quality.quarantined`` (members quarantined);
+- quality-loop counters ``quality.reestimates`` (latent-model fits)
+  and ``quality.quarantined`` (members quarantined), the timer
+  ``quality.estimate`` and the histogram ``quality.ability``
+  (posterior relative noise scales after each fit);
 - evidence-release counters ``kb.members_purged`` and
   ``kb.answers_purged`` plus the timer ``kb.purge``;
 - dispatcher fault-surface counters ``dispatch.crashed`` (in-flight

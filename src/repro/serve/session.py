@@ -63,6 +63,29 @@ class ServeError(ReproError):
 #: Session ids double as checkpoint file stems; keep them path-safe.
 _SESSION_ID = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
+#: Every field a session spec may carry. Anything else is refused: a
+#: misspelt or retired field would otherwise be silently ignored and the
+#: client would get a session it did not ask for.
+_SPEC_FIELDS = frozenset(
+    {
+        "id",
+        "members",
+        "n_members",
+        "support",
+        "confidence",
+        "budget",
+        "seed",
+        "seed_rules",
+        "checkpoint_every",
+        "quarantine",
+        "reestimate_every",
+        "contextual_open_fraction",
+        "timeout",
+        "max_retries",
+        "max_outstanding",
+    }
+)
+
 #: Travelling outcome counters of one serve session (see
 #: :meth:`ServeSession.stats`). Every issue — reissues of timed-out
 #: questions included, exactly as in the dispatcher's books — meets
@@ -438,7 +461,6 @@ class ServeSession:
                 continue
             if (
                 proposal.kind is QuestionKind.CLOSED
-                and not proposal.gold
                 and proposal.rule is not None
                 and self.miner.state.knowledge(proposal.rule).samples.has_answer_from(
                     member_id
@@ -699,13 +721,25 @@ class SessionManager:
 
         Required: ``members`` (list of ids) *or* ``n_members`` (ids
         ``w0..wN-1``), ``support``, ``confidence``. Optional: ``id``,
-        ``budget``, ``seed``, ``checkpoint_every``, ``quarantine``,
-        ``trust_model``, ``reestimate_every``, ``timeout``,
-        ``max_retries``, ``seed_rules`` (list of rule keys),
-        ``contextual_open_fraction``.
+        ``budget``, ``seed``, ``checkpoint_every``, ``quarantine`` (a
+        JSON boolean), ``reestimate_every``, ``timeout``,
+        ``max_retries``, ``max_outstanding`` (questions in flight
+        before fetches get 429; 0, the default, means unbounded),
+        ``seed_rules`` (list of rule keys),
+        ``contextual_open_fraction``. Any other field, or a
+        non-boolean ``quarantine``, raises :class:`ServeError`.
         """
         if not isinstance(doc, dict):
             raise ServeError("session spec must be a JSON object")
+        unknown = set(doc) - _SPEC_FIELDS
+        if unknown:
+            raise ServeError(
+                "unknown session spec field(s): "
+                + ", ".join(sorted(map(str, unknown)))
+            )
+        quarantine = doc.get("quarantine", False)
+        if not isinstance(quarantine, bool):
+            raise ServeError(f"quarantine must be a boolean, got {quarantine!r}")
         session_id = doc.get("id")
         if session_id is None:
             self._auto_id += 1
@@ -739,8 +773,7 @@ class SessionManager:
                     float(doc["support"]), float(doc["confidence"])
                 ),
                 budget=int(doc.get("budget", 1_000)),
-                quarantine=bool(doc.get("quarantine", False)),
-                trust_model=doc.get("trust_model", "latent"),
+                quarantine=quarantine,
                 reestimate_every=int(doc.get("reestimate_every", 10)),
                 contextual_open_fraction=float(
                     doc.get("contextual_open_fraction", 0.0)

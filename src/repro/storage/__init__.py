@@ -6,20 +6,19 @@ package is the durability layer closing that gap (ROADMAP:
 "Persistent, resumable knowledge base on a columnar/SQL backend"):
 
 - :class:`StorageBackend` — the pluggable persistence protocol, with
-  two implementations: :class:`MemoryBackend` (today's behavior, the
-  default: everything in process memory, optionally mirrored to a
-  single pickle file) and :class:`SQLiteBackend` (a WAL-mode SQLite
-  database holding the answer log, the checkpoint history and the
-  item→rules inverted index as indexed SQL tables);
+  two implementations: :class:`MemoryBackend` (the default:
+  everything in process memory, optionally mirrored to a single pickle
+  file) and :class:`SQLiteBackend` (a WAL-mode SQLite database holding
+  the answer log and the checkpoint history);
 - a **write-ahead answer log** — every ingested question/answer lands
   in the backend as it happens, giving an auditable trail that
   survives the process;
 - **whole-session checkpoints** (:func:`capture_session` /
   :func:`load_session`) — a checkpoint captures everything
   replay-determinism needs (KB rules/samples/decisions, RNG streams,
-  EventClock time, dispatcher in-flight books, quality/latent-trust
-  state), so a run killed at any round and resumed produces a final
-  summary byte-identical to the uninterrupted run.
+  EventClock time, dispatcher in-flight books, latent-trust state),
+  so a run killed at any round and resumed produces a final summary
+  byte-identical to the uninterrupted run.
 
 See ``docs/persistence.md`` for the schema, the checkpoint format and
 the resume semantics.
@@ -53,7 +52,7 @@ from repro.storage.records import (
     summary_from_doc,
     summary_to_doc,
 )
-from repro.storage.sqlite import SQLiteBackend, SQLiteRuleIndex
+from repro.storage.sqlite import SQLiteBackend
 
 __all__ = [
     "AnswerRecord",
@@ -62,7 +61,6 @@ __all__ = [
     "CorruptStoreError",
     "MemoryBackend",
     "SQLiteBackend",
-    "SQLiteRuleIndex",
     "StorageBackend",
     "StorageError",
     "capture_session",

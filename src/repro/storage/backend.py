@@ -1,22 +1,20 @@
 """The pluggable storage protocol and the in-memory reference backend.
 
-A :class:`StorageBackend` owns three things for one mining session:
+A :class:`StorageBackend` owns two things for one mining session:
 
 - the **write-ahead answer log** — one :class:`AnswerRecord` per
   question the miner finishes, appended as it happens;
 - the **checkpoint history** — opaque session payloads (pickles built
-  by :mod:`repro.storage.checkpoint`) with their bookkeeping counts;
-- the **rule index factory** — the item→rules inverted index the
-  knowledge base should use, so a backend can push the hot lattice
-  scans into its own query engine
-  (:class:`~repro.storage.sqlite.SQLiteRuleIndex` does, over indexed
-  SQL tables).
+  by :mod:`repro.storage.checkpoint`) with their bookkeeping counts.
 
-:class:`MemoryBackend` is today's behavior and the default: everything
-lives in process memory and the index is the plain Python
-:class:`~repro.miner.state.RuleIndex`. Given a ``path`` it additionally
-mirrors its state to a single pickle file on every checkpoint (written
-atomically via rename), which is all a kill-and-resume run needs.
+The knowledge base's lattice index is not a storage concern: every
+session uses the in-memory :class:`~repro.miner.state.RuleIndex`,
+which checkpoints drop and resume rebuilds from the rules.
+
+:class:`MemoryBackend` is the default: everything lives in process
+memory. Given a ``path`` it additionally mirrors its state to a single
+pickle file on every checkpoint (written atomically via rename), which
+is all a kill-and-resume run needs.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from typing import Protocol, runtime_checkable
 
 from repro.errors import ReproError
 from repro.io import PersistenceError
-from repro.miner.state import RuleIndex
 
 
 class StorageError(ReproError):
@@ -90,14 +87,6 @@ class CheckpointInfo:
 class StorageBackend(Protocol):
     """What the miner, the runner and the CLI need from persistence."""
 
-    def make_index(self) -> RuleIndex:
-        """A fresh rule index for the knowledge base to populate."""
-        ...
-
-    def reset_index(self) -> None:
-        """Drop any persisted index state (it is rebuilt on restore)."""
-        ...
-
     def append_answer(self, record: AnswerRecord) -> None:
         """Append one record to the write-ahead answer log."""
         ...
@@ -146,7 +135,7 @@ class StorageBackend(Protocol):
 
 
 class MemoryBackend:
-    """Process-memory storage — today's behavior, the default.
+    """Process-memory storage, the default.
 
     Parameters
     ----------
@@ -211,14 +200,6 @@ class MemoryBackend:
         backend._checkpoints = list(doc["checkpoints"])
         backend._next_id = int(doc["next_id"])
         return backend
-
-    # -- index ---------------------------------------------------------------
-
-    def make_index(self) -> RuleIndex:
-        return RuleIndex()
-
-    def reset_index(self) -> None:
-        pass  # the Python index lives inside the session state
 
     # -- answer log ----------------------------------------------------------
 

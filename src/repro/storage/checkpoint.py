@@ -13,9 +13,8 @@ and the knowledge base alike) keep their identity on load.
 
 What is deliberately rebuilt rather than stored:
 
-- the knowledge base's inverted index — reconstructed from the rules
-  in discovery order on load (and re-pointed at the backend's index
-  implementation, so a SQLite session resumes onto SQL scans);
+- the knowledge base's inverted index — reconstructed in memory from
+  the rules, in discovery order, on load;
 - the event closures of pending arrivals/timeouts — re-armed on a
   fresh clock in original schedule order, so same-instant ties keep
   breaking exactly as they would have in the uninterrupted run.
@@ -96,11 +95,9 @@ def restore_session(
 ) -> "tuple[CrowdMiner, Dispatcher | ShardedDispatcher | None]":
     """Rebuild a live session from a checkpoint payload.
 
-    Attaches ``storage`` to the restored miner and re-points the
-    knowledge base at the backend's index implementation (resetting any
-    persisted index state first — it is rebuilt, not trusted, across a
-    crash). Returns the miner and, for dispatched sessions, a live
-    dispatcher with every pending arrival/timeout re-armed.
+    Attaches ``storage`` to the restored miner. Returns the miner and,
+    for dispatched sessions, a live dispatcher with every pending
+    arrival/timeout re-armed.
 
     The payload's checksum seal is verified *before* unpickling; a
     damaged payload raises :class:`CorruptStoreError` (resume with
@@ -120,12 +117,9 @@ def restore_session(
         )
     miner: "CrowdMiner" = doc["miner"]
     miner.storage = storage
-    if storage is not None:
-        storage.reset_index()
-        miner.state.rebuild_index(storage.make_index())
-        bind_obs = getattr(storage, "bind_obs", None)
-        if bind_obs is not None:
-            bind_obs(miner.obs)
+    bind_obs = getattr(storage, "bind_obs", None)
+    if bind_obs is not None:
+        bind_obs(miner.obs)
     dispatcher = None
     if doc["dispatch"] is not None:
         dispatcher = _restore_dispatcher(doc["dispatch"], miner)
@@ -170,9 +164,8 @@ def load_session(
     timer) — which exists only *inside* the payload, hence the manual
     timer arithmetic. Pass ``rollback=False`` for read-only inspection
     (``repro kb`` peeking at a store another process is writing): the
-    answer log is left untouched, the backend is *not* attached to the
-    restored miner (so nothing — not even an index rebuild — writes to
-    it), and the knowledge base keeps the in-process Python index.
+    answer log is left untouched and the backend is *not* attached to
+    the restored miner, so nothing writes to it.
 
     Integrity: the latest checkpoint's checksum is verified before
     anything is unpickled. When it fails and ``repair=False``, a

@@ -1,11 +1,11 @@
 """The SQLite storage backend (WAL mode).
 
-One database file holds a whole session: the write-ahead answer log,
-the checkpoint history (opaque pickled payloads plus bookkeeping
-columns), and the knowledge base's item→rules inverted index as two
-indexed tables — so the hot lattice scans run as SQL aggregate queries
-instead of Python loops, and a saved knowledge base is inspectable
-with any SQLite shell.
+One database file holds a whole session: the write-ahead answer log
+and the checkpoint history (opaque pickled payloads plus bookkeeping
+columns), so a saved session is inspectable with any SQLite shell.
+The knowledge base's lattice index is not stored: it is derived state,
+rebuilt in memory from the checkpointed rules on resume
+(``docs/persistence.md``).
 
 Concurrency/durability posture: ``journal_mode=WAL`` with
 ``synchronous=NORMAL``. Answer-log appends open a deferred transaction
@@ -17,18 +17,7 @@ log atomic: a SIGKILL at any instant leaves either the previous or
 the new checkpoint readable (never a torn one), and the committed
 answer log never runs *behind* the committed checkpoint. Answers after
 the last checkpoint may be lost in a crash, but those are precisely
-the entries resume rolls back anyway (``truncate_answers``). The index
-tables are *not* relied on across a crash: resume resets and rebuilds
-them from the restored session state (``docs/persistence.md``).
-
-Determinism: both index queries return candidates ``ORDER BY`` the
-insertion id, i.e. discovery order. The Python
-:class:`~repro.miner.state.RuleIndex` yields candidates in hash/posting
-order instead — every knowledge-base consumer of these queries is
-order-independent in observable outcome (membership tests, early
-returns that all set the same decision, and commutative decision
-propagation), which ``tests/storage/test_sqlite_equivalence.py`` pins
-by replaying randomized sessions against the reference implementation.
+the entries resume rolls back anyway (``truncate_answers``).
 """
 
 from __future__ import annotations
@@ -37,7 +26,6 @@ import os
 import sqlite3
 from pathlib import Path
 
-from repro.core.rule import Rule
 from repro.storage.backend import AnswerRecord, CheckpointInfo, StorageError
 
 #: Schema version stamped into the ``meta`` table.
@@ -63,96 +51,7 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     answers_logged INTEGER NOT NULL,
     payload        BLOB NOT NULL
 );
-CREATE TABLE IF NOT EXISTS index_rules (
-    id        INTEGER PRIMARY KEY,
-    body_size INTEGER NOT NULL
-);
-CREATE TABLE IF NOT EXISTS rule_items (
-    item    TEXT NOT NULL,
-    rule_id INTEGER NOT NULL,
-    PRIMARY KEY (item, rule_id)
-) WITHOUT ROWID;
-CREATE INDEX IF NOT EXISTS rule_items_by_rule ON rule_items (rule_id);
 """
-
-
-class SQLiteRuleIndex:
-    """Item→rules inverted index over rule bodies, in SQL.
-
-    Drop-in for :class:`~repro.miner.state.RuleIndex`: same three
-    methods, same candidate semantics (bodies only; callers still apply
-    the side-wise generalization order). Rules are add-only, so the
-    tables only ever grow within a session; rule ids are discovery
-    order, and :class:`Rule` objects stay in a Python id→rule map —
-    only the *scan* moves into the database.
-
-    - generalization candidates (body ⊆ probe): rules whose match
-      count against the probe's items equals their body size;
-    - specialization candidates (body ⊇ probe): rules matching *all*
-      of the probe's items.
-    """
-
-    __slots__ = ("_conn", "_rules", "_ids")
-
-    def __init__(self, conn: sqlite3.Connection) -> None:
-        self._conn = conn
-        self._rules: list[Rule] = []  # position == rule id
-        self._ids: dict[Rule, int] = {}
-
-    def add(self, rule: Rule) -> None:
-        """Index ``rule`` under every item of its body."""
-        if rule in self._ids:
-            return
-        rule_id = len(self._rules)
-        self._rules.append(rule)
-        self._ids[rule] = rule_id
-        body = rule.body
-        self._conn.execute(
-            "INSERT INTO index_rules (id, body_size) VALUES (?, ?)",
-            (rule_id, len(body)),
-        )
-        self._conn.executemany(
-            "INSERT INTO rule_items (item, rule_id) VALUES (?, ?)",
-            [(item, rule_id) for item in body],
-        )
-
-    def _probe(self, items: tuple[str, ...]) -> str:
-        return ",".join("?" for _ in items)
-
-    def generalization_candidates(self, rule: Rule):
-        """Known rules whose body is a subset of ``rule``'s body."""
-        items = rule.body.items
-        if not items:
-            return
-        rows = self._conn.execute(
-            f"""
-            SELECT r.id FROM index_rules r
-            JOIN rule_items ri ON ri.rule_id = r.id
-            WHERE ri.item IN ({self._probe(items)})
-            GROUP BY r.id HAVING COUNT(*) = r.body_size
-            ORDER BY r.id
-            """,
-            items,
-        ).fetchall()
-        for (rule_id,) in rows:
-            yield self._rules[rule_id]
-
-    def specialization_candidates(self, rule: Rule):
-        """Known rules whose body is a superset of ``rule``'s body."""
-        items = rule.body.items
-        if not items:
-            return
-        rows = self._conn.execute(
-            f"""
-            SELECT rule_id FROM rule_items
-            WHERE item IN ({self._probe(items)})
-            GROUP BY rule_id HAVING COUNT(*) = ?
-            ORDER BY rule_id
-            """,
-            (*items, len(items)),
-        ).fetchall()
-        for (rule_id,) in rows:
-            yield self._rules[rule_id]
 
 
 class SQLiteBackend:
@@ -162,8 +61,7 @@ class SQLiteBackend:
     ----------
     path:
         Database file (created when missing). ``":memory:"`` gives a
-        private in-memory database — handy for tests and for using the
-        SQL index without durability.
+        private in-memory database — handy for tests.
     fresh:
         Start a new session store: any existing tables at ``path`` are
         dropped first. ``fresh=False`` opens the existing store for
@@ -207,9 +105,7 @@ class SQLiteBackend:
             self._conn.execute("PRAGMA journal_mode=WAL")
             self._conn.execute("PRAGMA synchronous=NORMAL")
             if fresh:
-                for table in (
-                    "meta", "answers", "checkpoints", "index_rules", "rule_items"
-                ):
+                for table in ("meta", "answers", "checkpoints"):
                     self._conn.execute(f"DROP TABLE IF EXISTS {table}")
             self._conn.executescript(_SCHEMA)
             self._conn.execute(
@@ -249,17 +145,6 @@ class SQLiteBackend:
                 self.pre_commit_hook()
             self._conn.execute("COMMIT")
             self._in_tx = False
-
-    # -- index ---------------------------------------------------------------
-
-    def make_index(self) -> SQLiteRuleIndex:
-        self._writable()  # the index's add() inserts rows
-        return SQLiteRuleIndex(self._conn)
-
-    def reset_index(self) -> None:
-        self._writable()
-        self._conn.execute("DELETE FROM index_rules")
-        self._conn.execute("DELETE FROM rule_items")
 
     # -- answer log ----------------------------------------------------------
 

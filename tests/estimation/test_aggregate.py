@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import Rule, RuleStats
 from repro.estimation import (
+    CompositeTrust,
     MeanAggregator,
     RuleSamples,
     TrimmedMeanAggregator,
@@ -120,3 +121,32 @@ class TestVersionTokens:
         # No change signal → every read is a fresh version, so cached
         # summaries keyed on it can never be (wrongly) reused.
         assert agg.version != agg.version
+
+
+class TestCompositeTrust:
+    class _FixedSource:
+        def __init__(self, value):
+            self.value = value
+            self.version = 0
+
+        def trust(self, member_id):
+            return self.value
+
+    def test_trust_is_product(self):
+        composite = CompositeTrust(
+            (self._FixedSource(0.5), self._FixedSource(0.5))
+        )
+        assert composite.trust("m1") == 0.25
+
+    def test_version_sums_sources(self):
+        a, b = self._FixedSource(1.0), self._FixedSource(1.0)
+        composite = CompositeTrust((a, b))
+        before = composite.version
+        a.version += 3
+        assert composite.version == before + 3
+
+    def test_versionless_source_forces_invalidation(self):
+        source = self._FixedSource(1.0)
+        del source.version
+        composite = CompositeTrust((source,))
+        assert composite.version < composite.version  # strictly increasing

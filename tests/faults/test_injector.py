@@ -104,8 +104,6 @@ class TestFaultMatrix:
             FAULTS["all"],
             budget=120,
             quarantine=True,
-            trust_model="gold",
-            gold_rate=0.15,
         )
         assert_books_balance(result.dispatch)
         counters = miner.obs.snapshot().counters

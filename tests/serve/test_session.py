@@ -275,6 +275,8 @@ class TestSessionManager:
             {"budget": 0},
             {"seed_rules": ["not a rule key"]},
             {"timeout": -1},
+            {"trust_model": "gold"},
+            {"quarantine": "false"},
         ],
     )
     def test_bad_specs_rejected(self, spec_patch):

@@ -150,22 +150,6 @@ class TestRestoreEdges:
         assert dispatcher is None
         assert restored.run().fingerprint() == sync_fingerprint
 
-    def test_resume_repoints_the_index_at_the_backend(self, tmp_path):
-        from repro.storage.sqlite import SQLiteRuleIndex
-
-        path = tmp_path / "session.db"
-        storage = open_backend(path, "sqlite")
-        miner = make_miner(storage=storage, checkpoint_every=40)
-        miner.run(max_questions=60)
-        del miner
-        storage.close()
-        resumed = open_backend(path, "sqlite", resume=True)
-        miner, _, _ = load_session(resumed)
-        # The pickled state dropped its index; load_session rebuilds it
-        # inside the backend so lattice scans run as SQL again.
-        assert isinstance(miner.state._index, SQLiteRuleIndex)
-        resumed.close()
-
     def test_garbage_payload_is_a_storage_error(self):
         with pytest.raises(StorageError):
             restore_session(b"not a pickle")

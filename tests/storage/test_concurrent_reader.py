@@ -15,7 +15,7 @@ import threading
 import pytest
 
 from repro.serve import Scenario, drive_inprocess, run_session_inprocess
-from repro.storage import StorageError, load_session, open_backend
+from repro.storage import AnswerRecord, StorageError, load_session, open_backend
 
 SCENARIO = Scenario(n_members=8, transactions_per_member=40, budget=80)
 
@@ -105,9 +105,9 @@ class TestReadonlySurface:
             with pytest.raises(StorageError):
                 view.truncate_answers(0)
             with pytest.raises(StorageError):
-                view.reset_index()
+                view.append_answer(AnswerRecord(0, "w0", "open", None, None, None))
             with pytest.raises(StorageError):
-                view.make_index()
+                view.drop_checkpoint(view.checkpoints()[0].checkpoint_id)
         finally:
             view.close()
 
