@@ -164,21 +164,12 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         ),
         storage=storage,
     )
-    use_dispatch = (
-        args.shards > 1
-        or args.in_flight > 1
-        or args.latency != "0"
-        or args.timeout is not None
-    )
-    if use_dispatch:
+    # Any dispatch option away from its default leaves the synchronous
+    # ping-pong loop for the dispatcher.
+    if (args.shards, args.in_flight, args.latency, args.timeout) != (1, 1, "0", None):
         import math
 
-        from repro.dispatch import (
-            DispatchConfig,
-            Dispatcher,
-            ShardedDispatcher,
-            parse_latency,
-        )
+        from repro.dispatch import DispatchConfig, Dispatcher, parse_latency
 
         dispatch_config = DispatchConfig(
             window=args.in_flight,
@@ -187,13 +178,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             seed=args.seed + 4,
         )
-        if args.shards > 1:
-            dispatcher = ShardedDispatcher(
-                miner, dispatch_config, shards=args.shards
-            )
-        else:
-            dispatcher = Dispatcher(miner, dispatch_config)
-        result = dispatcher.run()
+        result = Dispatcher(miner, dispatch_config, shards=args.shards).run()
     else:
         result = miner.run()
     if storage is not None:

@@ -45,6 +45,7 @@ from repro.crowd.questions import (
     OpenAnswer,
     OpenQuestion,
 )
+from repro.crowd.rotation import Rotation
 from repro.errors import CrowdExhaustedError
 from repro.synth.array_population import ArrayPopulation
 
@@ -108,7 +109,7 @@ class ArrayCrowd:
         self._rng = rng
         self.stats = CrowdStats()
         self._tokens = 0
-        self._rr_cursor = 0
+        self._rotation = Rotation()
         # Sparse per-member state: populated only for questioned members.
         self._answered: dict[int, int] = {}
         self._member_rngs: dict[int, np.random.Generator] = {}
@@ -127,7 +128,8 @@ class ArrayCrowd:
                 if count >= self.patience:
                     self._active[k] = False
         self._n_active = int(self._active.sum())
-        self._avail_gen = 0
+        #: Bumped whenever the available set shrinks (partition cache key).
+        self.availability_generation = 0
         self._avail_idx: np.ndarray | None = None
         self._pools: OrderedDict[int, dict] = OrderedDict()
 
@@ -171,16 +173,11 @@ class ArrayCrowd:
         """True when ``member_id`` may still be routed a question."""
         return bool(self._active[self._index(member_id)])
 
-    @property
-    def availability_generation(self) -> int:
-        """Bumped whenever the available set shrinks (partition cache key)."""
-        return self._avail_gen
-
     def _deactivate(self, index: int) -> None:
         if self._active[index]:
             self._active[index] = False
             self._n_active -= 1
-            self._avail_gen += 1
+            self.availability_generation += 1
             self._avail_idx = None
 
     def _answerable(self, index: int) -> bool:
@@ -249,32 +246,18 @@ class ArrayCrowd:
         """Round-robin over available members; same contract as
         :meth:`SimulatedCrowd.next_member`."""
         idx = self._avail_indices()
-        m = idx.size
-        if m == 0:
-            raise CrowdExhaustedError("every crowd member has left the session")
-        if exclude:
-            positions: set[int] = set()
-            for mid in exclude:
-                try:
-                    k = self._index(mid)
-                except KeyError:
-                    continue
-                if self._active[k]:
-                    # ``idx`` is sorted and id order equals index order,
-                    # so searchsorted gives the availability-list position.
-                    positions.add(int(np.searchsorted(idx, k)))
-            free = m - len(positions)
-            if free == 0:
-                return None
-            pos = self._rr_cursor % free
-            for p in sorted(positions):
-                if p <= pos:
-                    pos += 1
-            index = int(idx[pos])
-        else:
-            index = int(idx[self._rr_cursor % m])
-        self._rr_cursor += 1
-        return self._id(index)
+        busy: set[int] = set()
+        for mid in exclude:
+            try:
+                k = self._index(mid)
+            except KeyError:
+                continue
+            if self._active[k]:
+                # ``idx`` is sorted and id order equals index order,
+                # so searchsorted gives the availability-list position.
+                busy.add(int(np.searchsorted(idx, k)))
+        pos = self._rotation.turn(idx.size, busy)
+        return None if pos is None else self._id(int(idx[pos]))
 
     def partitions(self, shards: int) -> list["CrowdPartition"]:
         """Interleaved scheduling partitions (see ``SimulatedCrowd``)."""
@@ -441,7 +424,7 @@ class ArrayCrowd:
             "rng_state": self._rng.bit_generator.state,
             "stats": self.stats,
             "tokens": self._tokens,
-            "rr_cursor": self._rr_cursor,
+            "rr_cursor": self._rotation.cursor,
             "answered": self._answered,
             "member_rngs": self._member_rngs,
             "volunteered": self._volunteered,
@@ -460,7 +443,8 @@ class ArrayCrowd:
         self._rng = _generator_from_state(state["rng_state"])
         self.stats = state["stats"]
         self._tokens = state["tokens"]
-        self._rr_cursor = state["rr_cursor"]
+        self._rotation = Rotation()
+        self._rotation.cursor = state["rr_cursor"]
         self._answered = state["answered"]
         self._member_rngs = state["member_rngs"]
         self._volunteered = state["volunteered"]

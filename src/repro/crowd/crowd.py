@@ -36,6 +36,7 @@ from repro.crowd.questions import (
     OpenAnswer,
     OpenQuestion,
 )
+from repro.crowd.rotation import MemberRotation
 from repro.errors import CrowdExhaustedError
 from repro.synth.population import Population
 
@@ -85,29 +86,27 @@ class SimulatedCrowd:
         ids = [m.member_id for m in members]
         if len(set(ids)) != len(ids):
             raise ValueError("member ids must be unique")
+        # Members announce their own departure through the
+        # ``on_unavailable`` hook, so scheduling never rescans the crowd.
+        unhooked = [m.member_id for m in members if not hasattr(m, "on_unavailable")]
+        if unhooked:
+            raise TypeError(
+                f"members {unhooked} have no on_unavailable hook to report "
+                "their departure"
+            )
         self._members: dict[str, SimulatedMember] = {m.member_id: m for m in members}
         self._order: list[str] = list(ids)
-        self._rr_cursor = 0
         self._rng = as_rng(seed)
         self.stats = CrowdStats()
         #: Members the quality-control layer has barred from routing.
         self._quarantined: set[str] = set()
         #: Monotonic delivery-token counter for in-flight answers.
         self._tokens = 0
-        # Incremental availability index. Members announce their own
-        # departure through the ``on_unavailable`` hook, so scheduling
-        # never rescans the whole crowd. Member types without the hook
-        # (e.g. interactive stream members) force the legacy full-scan
-        # path — correct for any duck-typed member, just O(n).
-        self._hooked = all(isinstance(m, SimulatedMember) for m in members)
-        self._avail: dict[str, None] = {}
-        self._avail_gen = 0
-        self._avail_list: list[str] | None = None
-        self._avail_pos: dict[str, int] | None = None
-        if self._hooked:
-            for m in members:
-                m.on_unavailable = self._member_left
-            self._avail = {m.member_id: None for m in members if m.is_available}
+        for m in members:
+            m.on_unavailable = self._member_left
+        self._rotation = MemberRotation(m.member_id for m in members if m.is_available)
+        #: Bumped whenever the available set shrinks (partition cache key).
+        self.availability_generation = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -161,51 +160,20 @@ class SimulatedCrowd:
 
     def available_members(self) -> list[str]:
         """Ids of members still willing to answer (and not quarantined)."""
-        if self._hooked:
-            # The dict was seeded in crowd order and only ever shrinks,
-            # so its key order equals the legacy filtered scan.
-            return list(self._avail)
-        return [
-            mid
-            for mid in self._order
-            if mid not in self._quarantined and self._members[mid].is_available
-        ]
+        return self._rotation.members()
 
     def available_count(self) -> int:
-        """How many members are still willing to answer — O(1) when indexed."""
-        if self._hooked:
-            return len(self._avail)
-        return len(self.available_members())
+        """How many members are still willing to answer — O(1)."""
+        return len(self._rotation)
 
     def is_member_available(self, member_id: str) -> bool:
         """True when ``member_id`` may still be routed a question."""
-        if self._hooked:
-            return member_id in self._avail
-        return (
-            member_id not in self._quarantined
-            and self._members[member_id].is_available
-        )
-
-    @property
-    def availability_generation(self) -> int:
-        """Bumped whenever the available set shrinks; -1 = not tracked.
-
-        Crowd partitions key their cached candidate lists on this, so
-        a negative value (legacy scan path) disables caching.
-        """
-        return self._avail_gen if self._hooked else -1
+        return member_id in self._rotation
 
     def _member_left(self, member_id: str) -> None:
-        """Availability hook: drop a departed member from the index."""
-        if member_id in self._avail:
-            del self._avail[member_id]
-            self._avail_gen += 1
-            self._avail_list = None
-            self._avail_pos = None
-
-    def _refresh_avail(self) -> None:
-        self._avail_list = list(self._avail)
-        self._avail_pos = {mid: i for i, mid in enumerate(self._avail_list)}
+        """Availability hook: drop a departed member from the rotation."""
+        if self._rotation.discard(member_id):
+            self.availability_generation += 1
 
     # -- quality control and faults -------------------------------------------
 
@@ -219,8 +187,7 @@ class SimulatedCrowd:
         if member_id not in self._members:
             raise KeyError(f"unknown member {member_id!r}")
         self._quarantined.add(member_id)
-        if self._hooked:
-            self._member_left(member_id)
+        self._member_left(member_id)
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""
@@ -250,9 +217,10 @@ class SimulatedCrowd:
         """Round-robin scheduling over available members.
 
         Mirrors the multi-user setting: members take turns being
-        "active in the system" and the miner serves whoever is next.
-        Raises :class:`~repro.errors.CrowdExhaustedError` when everyone
-        has left.
+        "active in the system" and the miner serves whoever is next
+        (:mod:`repro.crowd.rotation`). Raises
+        :class:`~repro.errors.CrowdExhaustedError` when everyone has
+        left.
 
         ``exclude`` skips members without ending their turn rotation —
         the dispatcher passes the set of members already holding an
@@ -261,47 +229,7 @@ class SimulatedCrowd:
         everyone-left exhaustion above; with an empty ``exclude`` the
         return value is never ``None``.
         """
-        if not self._hooked:
-            return self._next_member_scan(exclude)
-        m = len(self._avail)
-        if m == 0:
-            raise CrowdExhaustedError("every crowd member has left the session")
-        if self._avail_list is None:
-            self._refresh_avail()
-        assert self._avail_list is not None and self._avail_pos is not None
-        if exclude:
-            positions = {self._avail_pos.get(mid) for mid in exclude}
-            positions.discard(None)
-            free = m - len(positions)
-            if free == 0:
-                return None
-            # ``candidates[cursor % free]`` of the legacy path, without
-            # materializing the candidate list: map the index into the
-            # full availability list, skipping excluded positions.
-            pos = self._rr_cursor % free
-            for p in sorted(positions):  # type: ignore[type-var]
-                if p <= pos:
-                    pos += 1
-            member_id = self._avail_list[pos]
-        else:
-            member_id = self._avail_list[self._rr_cursor % m]
-        self._rr_cursor += 1
-        return member_id
-
-    def _next_member_scan(self, exclude: Collection[str] = ()) -> str | None:
-        """Legacy full-scan scheduling for crowds with hookless members."""
-        available = self.available_members()
-        if not available:
-            raise CrowdExhaustedError("every crowd member has left the session")
-        if exclude:
-            candidates = [mid for mid in available if mid not in exclude]
-            if not candidates:
-                return None
-        else:
-            candidates = available
-        member_id = candidates[self._rr_cursor % len(candidates)]
-        self._rr_cursor += 1
-        return member_id
+        return self._rotation.next(exclude)
 
     def partitions(self, shards: int) -> list["CrowdPartition"]:
         """Split the crowd into ``shards`` interleaved scheduling views.

@@ -1,42 +1,39 @@
 """Scheduling views over a slice of a crowd.
 
-A :class:`CrowdPartition` is what one shard of the sharded dispatcher
+A :class:`CrowdPartition` is what one lane of a sharded dispatcher
 schedules against: a fixed, interleaved subset of the crowd's members
-with its own round-robin cursor. Questions still go through the owning
-crowd (statistics, tokens, and answer content are crowd-global); the
-partition only decides *who in this shard answers next*.
+with its own round-robin rotation. Questions still go through the
+owning crowd (statistics, tokens, and answer content are crowd-global);
+the partition only decides *who in this lane answers next*.
 
-The candidate list is cached and keyed on the crowd's availability
-generation, so steady-state scheduling costs O(1) per pick instead of
-rescanning the partition. Crowds that cannot track availability
-incrementally report a negative generation, which disables the cache.
+The rotation is synced to the crowd's availability generation, so
+steady-state scheduling costs O(1) per pick; the partition is rescanned
+only after someone in the crowd left.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 
-from repro.errors import CrowdExhaustedError
+from repro.crowd.rotation import MemberRotation
 
 
 class CrowdPartition:
-    """One shard's scheduling view over ``member_ids`` of ``crowd``.
+    """One lane's scheduling view over ``member_ids`` of ``crowd``.
 
     The partition mirrors the crowd's scheduling protocol
     (:meth:`next_member`, :meth:`available_members`,
-    :meth:`available_count`) restricted to its own members, with
-    identical round-robin and exclusion semantics. A partition built
-    over the full crowd order with a fresh cursor schedules exactly
-    like the crowd itself — the shards=1 equivalence contract.
+    :meth:`available_count`) restricted to its own members, with the
+    crowd's rotation rule (:mod:`repro.crowd.rotation`). A partition
+    built over the full crowd order with a fresh cursor schedules
+    exactly like the crowd itself.
     """
 
     def __init__(self, crowd, member_ids: Sequence[str]) -> None:
         self.crowd = crowd
         self._ids: list[str] = list(member_ids)
-        self._rr_cursor = 0
-        self._cache_gen: int | None = None
-        self._avail_list: list[str] | None = None
-        self._avail_pos: dict[str, int] | None = None
+        self.rotation = MemberRotation(self._ids)
+        self._generation: int | None = None
 
     def __len__(self) -> int:
         return len(self._ids)
@@ -46,27 +43,24 @@ class CrowdPartition:
         """The partition's members, in crowd order (a copy)."""
         return list(self._ids)
 
-    def _refresh(self) -> None:
-        gen = self.crowd.availability_generation
-        if gen >= 0 and gen == self._cache_gen and self._avail_list is not None:
-            return
-        self._avail_list = [
-            mid for mid in self._ids if self.crowd.is_member_available(mid)
-        ]
-        self._avail_pos = {mid: i for i, mid in enumerate(self._avail_list)}
-        self._cache_gen = gen if gen >= 0 else None
+    def _synced(self) -> MemberRotation:
+        """The rotation, less whoever left the crowd since the last look."""
+        generation = self.crowd.availability_generation
+        if generation != self._generation:
+            is_available = self.crowd.is_member_available
+            for member_id in self.rotation.members():
+                if not is_available(member_id):
+                    self.rotation.discard(member_id)
+            self._generation = generation
+        return self.rotation
 
     def available_members(self) -> list[str]:
         """Available members of this partition, in crowd order."""
-        self._refresh()
-        assert self._avail_list is not None
-        return list(self._avail_list)
+        return self._synced().members()
 
     def available_count(self) -> int:
         """How many of this partition's members can still answer."""
-        self._refresh()
-        assert self._avail_list is not None
-        return len(self._avail_list)
+        return len(self._synced())
 
     def next_member(self, exclude: Collection[str] = ()) -> str | None:
         """Round-robin over the partition's available members.
@@ -76,25 +70,4 @@ class CrowdPartition:
         partition has left, returns ``None`` when everyone available is
         excluded (busy), and advances the cursor only on a pick.
         """
-        self._refresh()
-        assert self._avail_list is not None and self._avail_pos is not None
-        m = len(self._avail_list)
-        if m == 0:
-            raise CrowdExhaustedError(
-                "every member of this crowd partition has left the session"
-            )
-        if exclude:
-            positions = {self._avail_pos.get(mid) for mid in exclude}
-            positions.discard(None)
-            free = m - len(positions)
-            if free == 0:
-                return None
-            pos = self._rr_cursor % free
-            for p in sorted(positions):  # type: ignore[type-var]
-                if p <= pos:
-                    pos += 1
-            member_id = self._avail_list[pos]
-        else:
-            member_id = self._avail_list[self._rr_cursor % m]
-        self._rr_cursor += 1
-        return member_id
+        return self._synced().next(exclude)

@@ -142,6 +142,10 @@ class StreamMember:
         self.echo = echo
         self._exhausted = False
         self._questions_answered = 0
+        #: Fired once when the member stops being available (stream
+        #: dry or disconnected) — the crowd's availability hook, as on
+        #: :class:`~repro.crowd.member.SimulatedMember`.
+        self.on_unavailable = None
         #: Tagged lines waiting for a question of their kind.
         self._pending: dict[str, list[str]] = {"closed": [], "open": []}
 
@@ -159,7 +163,10 @@ class StreamMember:
 
     def leave(self) -> None:
         """Disconnect the member: no further lines will be read."""
-        self._exhausted = True
+        if not self._exhausted:
+            self._exhausted = True
+            if self.on_unavailable is not None:
+                self.on_unavailable(self.member_id)
 
     def _next_payload(self, kind: str) -> str:
         """The next answer line usable for a ``kind`` question.
@@ -184,7 +191,7 @@ class StreamMember:
                     break
             else:
                 return stripped  # untagged: answers any question
-        self._exhausted = True
+        self.leave()
         raise CrowdExhaustedError(
             f"answer stream for member {self.member_id} is exhausted"
         )

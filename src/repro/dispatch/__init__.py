@@ -7,13 +7,13 @@ to cope: a deterministic discrete-event clock
 models (:mod:`repro.dispatch.latency`), and a
 :class:`~repro.dispatch.dispatcher.Dispatcher` that keeps a window of
 questions in flight with timeout, retry-with-backoff and reassignment
-(:mod:`repro.dispatch.dispatcher`). See ``docs/dispatch.md`` for the
-semantics and the determinism guarantee.
+(:mod:`repro.dispatch.dispatcher`), over the whole crowd or sharded
+across crowd partitions. See ``docs/dispatch.md`` for the semantics and
+the determinism guarantee.
 """
 
 from repro.dispatch.clock import EventClock, ScheduledEvent, SchedulerClock
 from repro.dispatch.dispatcher import DispatchConfig, Dispatcher, DispatchStats
-from repro.dispatch.sharded import ShardedDispatcher
 from repro.dispatch.latency import (
     ConstantLatency,
     DroppingLatency,
@@ -40,7 +40,10 @@ __all__ = [
     "ParetoLatency",
     "ScheduledEvent",
     "SchedulerClock",
-    "ShardedDispatcher",
     "heavy_tail_latency",
     "parse_latency",
 ]
+
+#: Former name of ``Dispatcher(miner, config, shards=n)``, kept for the
+#: benchmark harness under ``perfbench/`` until it moves to ``Dispatcher``.
+ShardedDispatcher = Dispatcher

@@ -19,12 +19,34 @@ wall-clock time idle. The dispatcher closes that gap:
   recovers questions whose answers are slow or lost mid-flight, by
   reassigning them to a different member up to ``max_retries`` times.
 
-Determinism: every latency draw comes from the dispatcher's seeded
-generator, every tie on the clock breaks by schedule order, and a
-question's answer content is resolved at issue time — so one seed
-tuple (crowd, miner, dispatch) replays byte-identically. With
-``window=1`` and zero latency the dispatcher reduces *exactly* to the
-synchronous loop: same questions, same order, same knowledge base
+**Sharding.** ``Dispatcher(miner, config, shards=n)`` splits the
+scheduling side into ``n`` lanes. Lane ``i`` has its own event clock
+and latency stream and picks members only from its own
+:class:`~repro.crowd.partition.CrowdPartition` (crowd positions
+``i::n``), with up to ``window`` questions in flight. One merge loop
+fires the globally-earliest event (ties go to the lower lane), so
+every answer still reaches the single miner in one completion-order
+ingest stream — ingest stays single-writer, and the books, the
+in-flight gauge and the checkpoint are the session's, not a lane's.
+When the crowd answers closed questions in batches (``ArrayCrowd``)
+and the window is larger than 1, a partitioned lane resolves its
+window of closed proposals with one vectorized answer-model draw on a
+lane batch stream: deterministic under the session seed, but not
+byte-identical to asking one at a time.
+
+The single lane (``shards=1``, the default) is the plain dispatcher:
+the crowd itself schedules (so any crowd works, a ``CachingCrowd``
+included), latency draws come straight from ``config.seed``, and it
+never batches. Partitioned lanes derive their streams from that seed
+instead, so ``shards=2`` is a different, equally deterministic
+schedule.
+
+Determinism: every latency draw comes from a seeded generator, every
+tie on a clock breaks by schedule order, and a question's answer
+content is resolved at issue time — so one seed tuple (crowd, miner,
+dispatch, shard count) replays byte-identically. With ``window=1`` and
+zero latency the dispatcher reduces *exactly* to the synchronous loop:
+same questions, same order, same knowledge base
 (``tests/dispatch/test_equivalence.py`` pins this).
 """
 
@@ -33,6 +55,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -41,8 +64,23 @@ from repro.crowd.questions import InFlightAnswer
 from repro.dispatch.clock import EventClock, ScheduledEvent
 from repro.dispatch.latency import ConstantLatency, LatencyModel, LatencyProfile
 from repro.errors import ConfigurationError, CrowdExhaustedError
-from repro.miner.crowdminer import CrowdMiner, QuestionProposal
+from repro.miner.crowdminer import CrowdMiner, Discard, QuestionProposal
 from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
+
+#: The outcome counters, as stored in a checkpoint snapshot.
+_COUNTERS = (
+    "issued",
+    "completed",
+    "timeouts",
+    "retries",
+    "stale",
+    "late",
+    "dropped",
+    "malformed",
+    "rejected",
+    "crashed",
+    "duplicates",
+)
 
 
 @dataclass(slots=True)
@@ -52,7 +90,7 @@ class DispatchConfig:
     Attributes
     ----------
     window:
-        Maximum questions in flight at once (1 = synchronous
+        Maximum questions in flight at once, per lane (1 = synchronous
         ping-pong). Each member holds at most one in-flight question,
         so the effective window is also capped by crowd size.
     timeout:
@@ -72,7 +110,8 @@ class DispatchConfig:
         for heterogeneous crowds. Default: zero latency.
     seed:
         Randomness for latency draws — a stream of its own, so latency
-        noise never perturbs the miner's question choices.
+        noise never perturbs the miner's question choices. Sharded
+        dispatch derives each lane's streams from it.
     """
 
     window: int = 1
@@ -155,6 +194,21 @@ class DispatchStats:
         return lines
 
 
+@dataclass(eq=False, slots=True)
+class _Lane:
+    """One scheduling lane: who picks members, on which clock and draws."""
+
+    #: The crowd itself (single lane) or one of its partitions.
+    scheduler: Any
+    clock: EventClock
+    #: Latency draws for the questions this lane issues.
+    rng: np.random.Generator
+    #: Stream of batched closed answering; ``None`` = never batch.
+    batch_rng: np.random.Generator | None = None
+    #: Questions this lane has in flight (its share of the window).
+    busy: int = 0
+
+
 @dataclass(slots=True)
 class _InFlight:
     """Book-keeping for one question currently travelling."""
@@ -162,48 +216,51 @@ class _InFlight:
     proposal: QuestionProposal
     answer: InFlightAnswer
     attempt: int
+    lane: _Lane
     arrival_event: ScheduledEvent | None = None
     timeout_event: ScheduledEvent | None = None
+
+
+def _pending(event: ScheduledEvent | None) -> tuple[float, int] | None:
+    """A live event as (instant, schedule sequence number), for snapshots."""
+    if event is None or event.cancelled:
+        return None
+    return event.time, event.seq
 
 
 class Dispatcher:
     """Drives a :class:`~repro.miner.crowdminer.CrowdMiner` asynchronously.
 
-    The dispatcher owns the event clock and the latency randomness;
+    The dispatcher owns the event clocks and the latency randomness;
     the miner keeps owning question choice and the knowledge base.
     Use :meth:`run` to drain the session, or :meth:`advance_to` to
     step simulated time on a grid (quality-vs-time curves).
+    ``shards`` > 1 schedules over that many crowd partitions (see the
+    module docstring); the crowd must then offer ``partitions``.
     """
 
     def __init__(
         self,
         miner: CrowdMiner,
         config: DispatchConfig | None = None,
-        clock: EventClock | None = None,
+        shards: int = 1,
     ) -> None:
+        check_positive(shards, "shards")
         self.miner = miner
         #: The miner defers storage checkpoints through this back-ref
         #: so they land on event boundaries, never mid-delivery.
         miner.dispatcher = self
         self.config = config or DispatchConfig()
-        # Not ``clock or EventClock()``: an *empty* clock is falsy
-        # (EventClock defines __len__) and would be silently replaced —
-        # resume hands in a clock that must be kept even when no events
-        # are armed on it yet.
-        self.clock = clock if clock is not None else EventClock()
-        #: Who picks the next member to question. Defaults to the whole
-        #: crowd; the sharded dispatcher points each shard at its own
-        #: :class:`~repro.crowd.partition.CrowdPartition`.
-        self.scheduler = miner.crowd
+        self.shards = int(shards)
         self.obs = miner.obs
         self._checkpoint_requested = False
-        self._rng = as_rng(self.config.seed)
         latency = self.config.latency
         self._profile = (
             latency
             if isinstance(latency, LatencyProfile)
             else LatencyProfile(default=latency)
         )
+        self._lanes = self._make_lanes()
         self._in_flight: dict[str, _InFlight] = {}
         #: (simulated time, event) for every ingested answer, in
         #: completion order — the raw material of quality-vs-time curves.
@@ -223,10 +280,41 @@ class Dispatcher:
         self._seen_tokens: set[int] = set()
         # The miner proposed nothing askable; cleared when an ingest
         # changes the knowledge base (an open answer may create new
-        # closed candidates), so supply can recover mid-session.
+        # closed candidates), so supply can recover mid-session. One
+        # miner proposes for every lane, so one lane stalling stalls all.
         self._stalled = False
 
+    def _make_lanes(self) -> list[_Lane]:
+        crowd = self.miner.crowd
+        if self.shards == 1:
+            return [_Lane(crowd, EventClock(), as_rng(self.config.seed))]
+        partitioner = getattr(crowd, "partitions", None)
+        if partitioner is None:
+            raise ConfigurationError(
+                f"crowd of type {type(crowd).__name__} does not support "
+                "partitioning; dispatch it with shards=1"
+            )
+        batch = self.config.window > 1 and hasattr(crowd, "ask_closed_batch")
+        seeds = as_rng(self.config.seed).integers(2**63, size=(self.shards, 2))
+        return [
+            _Lane(
+                partition,
+                EventClock(),
+                np.random.default_rng(int(seeds[i, 0])),
+                np.random.default_rng(int(seeds[i, 1])) if batch else None,
+            )
+            for i, partition in enumerate(partitioner(self.shards))
+        ]
+
     # -- progress -----------------------------------------------------------------
+
+    @property
+    def clock(self) -> EventClock:
+        """The first lane's event clock — the only one when unsharded.
+
+        Fault injectors schedule their events here.
+        """
+        return self._lanes[0].clock
 
     @property
     def in_flight_count(self) -> int:
@@ -251,40 +339,87 @@ class Dispatcher:
     # -- issuing ------------------------------------------------------------------
 
     def _fill_window(self) -> None:
-        """Issue questions until the window, budget, or crowd runs out."""
-        while (
-            len(self._in_flight) < self.config.window
-            and self.budget_left > 0
-            and not self._stalled
-        ):
-            try:
-                member_id = self.scheduler.next_member(
-                    exclude=self._in_flight.keys()
-                )
-            except CrowdExhaustedError:
-                return
-            if member_id is None:  # everyone available is already busy
-                return
-            proposal = self.miner.propose_question(member_id)
-            if proposal is None:
-                self._stalled = True
-                return
-            try:
-                self._issue(proposal, attempt=0)
-            except CrowdExhaustedError:
-                # The member left between scheduling and asking; the
-                # available set shrank, so this loop terminates.
-                continue
+        """Issue questions until every lane's window, the budget, or the crowd runs out."""
+        for lane in self._lanes:
+            self._fill_lane(lane)
 
-    def _issue(self, proposal: QuestionProposal, attempt: int) -> None:
+    def _fill_lane(self, lane: _Lane) -> None:
+        window = self.config.window
+        while lane.busy < window and self.budget_left > 0 and not self._stalled:
+            batch: list[QuestionProposal] = []
+            exclude = set(self._in_flight)
+            progressed = False
+            while (
+                lane.busy + len(batch) < window
+                and self.budget_left > len(batch)
+                and not self._stalled
+            ):
+                try:
+                    member_id = lane.scheduler.next_member(exclude=exclude)
+                except CrowdExhaustedError:
+                    break
+                if member_id is None:  # everyone available is already busy
+                    break
+                proposal = self.miner.propose_question(member_id)
+                if proposal is None:
+                    self._stalled = True
+                    break
+                exclude.add(member_id)
+                if lane.batch_rng is not None and proposal.kind is QuestionKind.CLOSED:
+                    batch.append(proposal)
+                else:
+                    progressed |= self._try_issue(proposal, lane)
+            if len(batch) == 1:
+                progressed |= self._try_issue(batch[0], lane)
+            elif batch:
+                progressed |= self._issue_batch(batch, lane)
+            if not progressed:
+                return
+
+    def _try_issue(self, proposal: QuestionProposal, lane: _Lane) -> bool:
+        try:
+            self._issue(proposal, 0, lane)
+        except CrowdExhaustedError:
+            # The member left between scheduling and asking; the
+            # available set shrank, so filling still terminates.
+            return False
+        return True
+
+    def _issue(self, proposal: QuestionProposal, attempt: int, lane: _Lane) -> None:
         model = self._profile.model_for(proposal.member_id)
         in_flight = self.miner.pose_async(
-            proposal, latency=model, rng=self._rng, now=self.clock.now
+            proposal, latency=model, rng=lane.rng, now=lane.clock.now
         )
-        self._arm(proposal, in_flight, attempt)
+        self._arm(proposal, in_flight, attempt, lane)
+
+    def _issue_batch(self, proposals: list[QuestionProposal], lane: _Lane) -> bool:
+        """Resolve a window of closed proposals with one batched draw."""
+        crowd = self.miner.crowd
+        member_ids = [p.member_id for p in proposals]
+        rules = [p.rule for p in proposals]
+        try:
+            answers = crowd.ask_closed_batch(member_ids, rules, lane.batch_rng)
+        except CrowdExhaustedError:
+            # Someone left between scheduling and asking; recover by
+            # issuing one at a time, skipping whoever is gone.
+            issued = False
+            for proposal in proposals:
+                issued |= self._try_issue(proposal, lane)
+            return issued
+        for proposal, answer in zip(proposals, answers):
+            model = self._profile.model_for(proposal.member_id)
+            in_flight = crowd.make_in_flight(
+                answer, latency=model, rng=lane.rng, now=lane.clock.now
+            )
+            self._arm(proposal, in_flight, 0, lane)
+        return True
 
     def _arm(
-        self, proposal: QuestionProposal, in_flight: InFlightAnswer, attempt: int
+        self,
+        proposal: QuestionProposal,
+        in_flight: InFlightAnswer,
+        attempt: int,
+        lane: _Lane,
     ) -> None:
         """Book an already-resolved in-flight answer: schedule its
         arrival and timeout, charge the budget, update the gauges."""
@@ -296,19 +431,20 @@ class Dispatcher:
                 "timeout to recover it; configure a finite timeout when the "
                 "latency model can drop answers"
             )
-        entry = _InFlight(proposal=proposal, answer=in_flight, attempt=attempt)
+        entry = _InFlight(proposal=proposal, answer=in_flight, attempt=attempt, lane=lane)
         if not in_flight.is_lost:
             # Scheduled before the timeout, so an answer landing at the
             # exact timeout instant still counts (ties break by
             # schedule order).
-            entry.arrival_event = self.clock.schedule_at(
+            entry.arrival_event = lane.clock.schedule_at(
                 in_flight.arrives_at, lambda: self._deliver(member_id)
             )
         if not math.isinf(timeout):
-            entry.timeout_event = self.clock.schedule(
+            entry.timeout_event = lane.clock.schedule(
                 timeout, lambda: self._timeout(member_id)
             )
         self._in_flight[member_id] = entry
+        lane.busy += 1
         self._issued += 1
         self.obs.count("dispatch.issued")
         if attempt > 0:
@@ -316,13 +452,19 @@ class Dispatcher:
             self.obs.count("dispatch.retries")
         self.obs.gauge("dispatch.in_flight", len(self._in_flight))
 
+    def _take(self, member_id: str) -> _InFlight:
+        """Remove a question from the in-flight book (landed or lost)."""
+        entry = self._in_flight.pop(member_id)
+        entry.lane.busy -= 1
+        self.obs.gauge("dispatch.in_flight", len(self._in_flight))
+        return entry
+
     # -- event handlers -----------------------------------------------------------
 
     def _deliver(self, member_id: str) -> None:
-        entry = self._in_flight.pop(member_id)
+        entry = self._take(member_id)
         if entry.timeout_event is not None:
             entry.timeout_event.cancel()
-        self.obs.gauge("dispatch.in_flight", len(self._in_flight))
         self.obs.observe("dispatch.latency", entry.answer.delay)
         token = entry.answer.token
         if token is not None:
@@ -333,22 +475,17 @@ class Dispatcher:
                 self.obs.count("dispatch.duplicates")
                 return
             self._seen_tokens.add(token)
-        # The miner reports a discarded answer as a bare None; which
-        # gate dropped it shows up in the obs counters, so snapshot
-        # them around the ingest to classify the drop.
-        malformed_before = self.obs.counter("answers.malformed")
-        rejected_before = self.obs.counter("quality.rejected")
         event = self.miner.ingest_answer(entry.proposal, entry.answer.answer)
         self._stalled = False
         if event is not None:
             self._completed += 1
-            self.timeline.append((self.clock.now, event))
-        elif self.obs.counter("answers.malformed") > malformed_before:
+            self.timeline.append((entry.lane.clock.now, event))
+        elif self.miner.last_discard is Discard.MALFORMED:
             self._malformed += 1
-        elif self.obs.counter("quality.rejected") > rejected_before:
+        elif self.miner.last_discard is Discard.REJECTED:
             self._rejected += 1
         else:
-            self._stale += 1  # the miner counted obs "dispatch.stale"
+            self._stale += 1
 
     def _redeliver(self, entry: _InFlight) -> None:
         """A transport-level replay of one delivery (fault injection).
@@ -386,19 +523,19 @@ class Dispatcher:
         pending events are disarmed, the loss is booked under
         ``crashed``, and the question goes through the same
         retry/reassign path as a timeout, so it is recovered by another
-        member (or dropped, when retries/budget are spent).
+        member of the same lane (or dropped, when retries/budget are
+        spent).
         """
         self.miner.crowd.crash(member_id)
-        entry = self._in_flight.pop(member_id, None)
-        if entry is None:
+        if member_id not in self._in_flight:
             return
+        entry = self._take(member_id)
         self._crashed += 1
         self.obs.count("dispatch.crashed")
         if entry.arrival_event is not None:
             entry.arrival_event.cancel()
         if entry.timeout_event is not None:
             entry.timeout_event.cancel()
-        self.obs.gauge("dispatch.in_flight", len(self._in_flight))
         self._retry(entry)
 
     def inject_duplicate(self, member_id: str) -> bool:
@@ -414,13 +551,13 @@ class Dispatcher:
         entry = self._in_flight.get(member_id)
         if entry is None or entry.answer.is_lost:
             return False
-        self.clock.schedule_at(
+        entry.lane.clock.schedule_at(
             entry.answer.arrives_at, lambda: self._redeliver(entry)
         )
         return True
 
     def _timeout(self, member_id: str) -> None:
-        entry = self._in_flight.pop(member_id)
+        entry = self._take(member_id)
         self._timeouts += 1
         self.obs.count("dispatch.timeouts")
         if entry.arrival_event is not None:
@@ -429,7 +566,6 @@ class Dispatcher:
             entry.arrival_event.cancel()
             self._late += 1
             self.obs.count("dispatch.late")
-        self.obs.gauge("dispatch.in_flight", len(self._in_flight))
         self._retry(entry)
 
     def _retry(self, entry: _InFlight) -> None:
@@ -443,7 +579,7 @@ class Dispatcher:
         ):
             self._drop()
             return
-        member_id = self._reassign_target(proposal)
+        member_id = self._reassign_target(proposal, entry.lane)
         if member_id is None:
             self._drop()
             return
@@ -451,12 +587,12 @@ class Dispatcher:
             proposal, member_id=member_id, kb_version=self.miner.state.version
         )
         try:
-            self._issue(reissued, attempt=attempt)
+            self._issue(reissued, attempt, entry.lane)
         except CrowdExhaustedError:
             self._drop()
 
-    def _reassign_target(self, proposal: QuestionProposal) -> str | None:
-        """A free member to retry with — preferably not the original one.
+    def _reassign_target(self, proposal: QuestionProposal, lane: _Lane) -> str | None:
+        """A free member of ``lane`` to retry with — preferably not the original one.
 
         For closed questions, members whose answer about the rule is
         already on record are ineligible (their retry answer would be
@@ -464,7 +600,7 @@ class Dispatcher:
         """
         free = [
             mid
-            for mid in self.scheduler.available_members()
+            for mid in lane.scheduler.available_members()
             if mid not in self._in_flight
         ]
         if proposal.kind is QuestionKind.CLOSED:
@@ -497,33 +633,149 @@ class Dispatcher:
             self._checkpoint_requested = False
             self.miner.checkpoint()
 
+    def snapshot(self) -> dict[str, Any]:
+        """The session's travelling dispatch state as plain data.
+
+        Each in-flight entry records the *instants and schedule
+        sequence numbers* of its pending arrival/timeout events on its
+        lane's clock; :meth:`restore` recreates the actions. A
+        partition lane carries its rotation cursor; the crowd's own
+        cursor travels with the miner.
+        """
+        return {
+            "kind": "dispatch",
+            "config": self.config,
+            "shards": self.shards,
+            "lanes": [
+                {
+                    "rng": lane.rng,
+                    "batch_rng": lane.batch_rng,
+                    "clock": (lane.clock.now, lane.clock._seq),
+                    "cursor": (
+                        None
+                        if lane.scheduler is self.miner.crowd
+                        else lane.scheduler.rotation.cursor
+                    ),
+                }
+                for lane in self._lanes
+            ],
+            "in_flight": [
+                {
+                    "member": member_id,
+                    "lane": self._lanes.index(entry.lane),
+                    "proposal": entry.proposal,
+                    "answer": entry.answer,
+                    "attempt": entry.attempt,
+                    "arrival": _pending(entry.arrival_event),
+                    "timeout": _pending(entry.timeout_event),
+                }
+                for member_id, entry in self._in_flight.items()
+            ],
+            "counters": {name: getattr(self, f"_{name}") for name in _COUNTERS},
+            "seen_tokens": set(self._seen_tokens),
+            "stalled": self._stalled,
+            "timeline": list(self.timeline),
+        }
+
+    @classmethod
+    def restore(cls, miner: CrowdMiner, state: dict[str, Any]) -> Dispatcher:
+        """A live dispatcher equivalent to the :meth:`snapshot` one.
+
+        Construction rebuilds the lanes (fresh clocks, partitions over
+        the restored crowd); every stream, clock reading and cursor
+        then comes from the snapshot, so the resumed run continues the
+        original one's randomness rather than replaying a fresh one.
+        Pending events are re-armed in their *original schedule order*
+        per lane: they take new sequence numbers ``0..k-1`` preserving
+        their relative order, and each clock's counter is then advanced
+        to its saved value, so events scheduled after resume sort
+        behind every re-armed one at the same instant — exactly as in
+        the uninterrupted run.
+        """
+        dispatcher = cls(miner, state["config"], shards=state["shards"])
+        lanes = dispatcher._lanes
+        for lane, saved in zip(lanes, state["lanes"]):
+            lane.rng = saved["rng"]
+            lane.batch_rng = saved["batch_rng"]
+            lane.clock._now = saved["clock"][0]
+            if saved["cursor"] is not None:
+                lane.scheduler.rotation.cursor = saved["cursor"]
+        pending: list[tuple[int, int, float, str, str]] = []
+        for item in state["in_flight"]:
+            lane = lanes[item["lane"]]
+            dispatcher._in_flight[item["member"]] = _InFlight(
+                proposal=item["proposal"],
+                answer=item["answer"],
+                attempt=item["attempt"],
+                lane=lane,
+            )
+            lane.busy += 1
+            for what in ("arrival", "timeout"):
+                if item[what] is not None:
+                    at, seq = item[what]
+                    pending.append((item["lane"], seq, at, what, item["member"]))
+        for index, _, at, what, member_id in sorted(pending):
+            entry = dispatcher._in_flight[member_id]
+            clock = lanes[index].clock
+            if what == "arrival":
+                entry.arrival_event = clock.schedule_at(
+                    at, lambda m=member_id: dispatcher._deliver(m)
+                )
+            else:
+                entry.timeout_event = clock.schedule_at(
+                    at, lambda m=member_id: dispatcher._timeout(m)
+                )
+        for lane, saved in zip(lanes, state["lanes"]):
+            lane.clock._seq = saved["clock"][1]
+        for name in _COUNTERS:
+            setattr(dispatcher, f"_{name}", state["counters"][name])
+        dispatcher._seen_tokens = set(state["seen_tokens"])
+        dispatcher._stalled = state["stalled"]
+        dispatcher.timeline = list(state["timeline"])
+        return dispatcher
+
     # -- driving ------------------------------------------------------------------
+
+    def _step(self, until: float = math.inf) -> bool:
+        """Fire the earliest pending event due by ``until``, then refill.
+
+        The merge loop's one step: across lanes, the globally-earliest
+        event fires (ties go to the lower lane), a requested
+        checkpoint is captured on that event boundary, and every
+        lane's window is refilled. False when nothing is due.
+        """
+        due, due_at = None, math.inf
+        for lane in self._lanes:
+            at = lane.clock.peek_time()
+            if at is not None and at < due_at:
+                due, due_at = lane, at
+        if due is None or due_at > until:
+            return False
+        due.clock.pop()
+        self._maybe_checkpoint()
+        self._fill_window()
+        return True
 
     def run(self) -> MiningResult:
         """Drain the session: issue, deliver, retry until nothing remains."""
         self._fill_window()
-        while self._in_flight:
-            self.clock.pop()
-            self._maybe_checkpoint()
-            self._fill_window()
+        while self._in_flight and self._step():
+            pass
         return self.result()
 
     def advance_to(self, time: float) -> None:
         """Run the session up to an absolute simulated time.
 
-        Fires every event at or before ``time`` (refilling the window
-        as answers land) and leaves the clock exactly at ``time``, so
-        callers can sample quality on a fixed simulated-time grid.
+        Fires every event at or before ``time`` (refilling the windows
+        as answers land) and leaves every lane's clock exactly at
+        ``time``, so callers can sample quality on a fixed
+        simulated-time grid.
         """
         self._fill_window()
-        while True:
-            upcoming = self.clock.peek_time()
-            if upcoming is None or upcoming > time:
-                break
-            self.clock.pop()
-            self._maybe_checkpoint()
-            self._fill_window()
-        self.clock.run_until(time)
+        while self._step(time):
+            pass
+        for lane in self._lanes:
+            lane.clock.run_until(time)
 
     # -- results ------------------------------------------------------------------
 
@@ -540,7 +792,7 @@ class Dispatcher:
             in_flight_high_water=int(
                 self.obs.gauge_high_water("dispatch.in_flight")
             ),
-            makespan=self.clock.now,
+            makespan=max(lane.clock.now for lane in self._lanes),
             malformed=self._malformed,
             rejected=self._rejected,
             crashed=self._crashed,

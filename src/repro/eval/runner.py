@@ -109,7 +109,8 @@ class ExperimentConfig:
     storage_backend: str = "sqlite"
     # scale (see docs/scaling.md): "array" backs the population and
     # crowd with columnar state instead of per-member objects, and
-    # ``shards`` > 1 splits dispatched sessions over crowd partitions.
+    # ``shards`` splits dispatched sessions over that many crowd
+    # partitions.
     population_backend: str = "object"
     shards: int = 1
 
@@ -458,23 +459,16 @@ def run_timed_session(
     question counts — the makespan axis that in-flight batching
     improves. When ``time_checkpoints`` is ``None`` the session is
     drained and scored only at its own makespan, yielding a one-point
-    curve (useful for end-state and makespan comparisons). With
-    ``config.shards`` > 1 the session is driven by a
-    :class:`~repro.dispatch.sharded.ShardedDispatcher` instead.
+    curve (useful for end-state and makespan comparisons). The
+    dispatcher schedules over ``config.shards`` crowd partitions.
     """
     from repro.dispatch.dispatcher import DispatchConfig, Dispatcher
-    from repro.dispatch.sharded import ShardedDispatcher
 
     rng = as_rng(seed)
     obs = obs or Instrumentation()
     crowd = build_crowd(config, population, rng)
     miner = CrowdMiner(crowd, _miner_config(config, rng), obs=obs)
-    if config.shards > 1:
-        dispatcher = ShardedDispatcher(
-            miner, dispatch or DispatchConfig(), shards=config.shards
-        )
-    else:
-        dispatcher = Dispatcher(miner, dispatch or DispatchConfig())
+    dispatcher = Dispatcher(miner, dispatch or DispatchConfig(), shards=config.shards)
 
     points: list[TimedPoint] = []
 

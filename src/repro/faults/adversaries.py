@@ -242,6 +242,15 @@ class GarbledMember:
     def is_available(self) -> bool:
         return self.inner.is_available
 
+    @property
+    def on_unavailable(self):
+        """The inner member's departure hook (the crowd installs it)."""
+        return self.inner.on_unavailable
+
+    @on_unavailable.setter
+    def on_unavailable(self, hook) -> None:
+        self.inner.on_unavailable = hook
+
     def leave(self) -> None:
         self.inner.leave()
 

@@ -25,6 +25,7 @@ settled and every member's open-answer memory dry).
 
 from __future__ import annotations
 
+import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -98,6 +99,18 @@ class QuestionProposal:
     rule: Rule | None
     context: Itemset | None
     kb_version: int
+
+
+class Discard(enum.Enum):
+    """Why :meth:`CrowdMiner.ingest_answer` dropped an answer.
+
+    The values name the dispatch and serving books each discard is
+    booked under.
+    """
+
+    MALFORMED = "malformed"
+    REJECTED = "rejected"
+    STALE = "stale"
 
 
 @dataclass(slots=True)
@@ -305,6 +318,9 @@ class CrowdMiner:
         for rule in config.seed_rules:
             self.state.add_rule(rule, RuleOrigin.SEED)
         self.log: list[QuestionEvent] = []
+        #: Why the latest :meth:`ingest_answer` dropped its answer
+        #: (``None`` when it was counted).
+        self.last_discard: Discard | None = None
         self._questions = 0
         self._consecutive_dry_opens = 0
         self._expanded: set[Rule] = set()
@@ -534,7 +550,8 @@ class CrowdMiner:
         """Fold one answer into the knowledge base, in completion order.
 
         Returns the recorded event, or ``None`` when the answer was
-        discarded instead of counted. Discards, in gate order:
+        discarded instead of counted; :attr:`last_discard` then names
+        the gate that dropped it. Discards, in gate order:
 
         - **malformed** — the reply never parsed
           (:class:`~repro.crowd.questions.MalformedAnswer`); counted
@@ -551,15 +568,18 @@ class CrowdMiner:
           ``dispatch.stale``; stale answers must never be
           double-counted as evidence.
         """
+        self.last_discard = None
         if isinstance(answer, MalformedAnswer):
             self.obs.count("answers.malformed")
             if self.latent is not None:
                 self.latent.observe_malformed(proposal.member_id)
                 self._maybe_reestimate()
+            self.last_discard = Discard.MALFORMED
             return None
         latent = self.latent
         if latent is not None and latent.is_quarantined(proposal.member_id):
             self.obs.count("quality.rejected")
+            self.last_discard = Discard.REJECTED
             return None
         if proposal.kind is QuestionKind.CLOSED:
             assert isinstance(answer, ClosedAnswer)
@@ -612,6 +632,7 @@ class CrowdMiner:
         )
         if self.proposal_is_stale(proposal):
             self.obs.count("dispatch.stale")
+            self.last_discard = Discard.STALE
             return None
         origin = self.state.knowledge(rule).origin
         if self.consistency is not None:

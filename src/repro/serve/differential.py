@@ -130,7 +130,7 @@ def run_dispatch(
     latency: str = "0",
 ) -> MiningResult:
     """The simulated-clock dispatched transcript (stats attached)."""
-    from repro.dispatch import DispatchConfig, Dispatcher, ShardedDispatcher
+    from repro.dispatch import DispatchConfig, Dispatcher
     from repro.dispatch.latency import parse_latency
 
     crowd = scenario.build_crowd()
@@ -140,13 +140,7 @@ def run_dispatch(
         latency=parse_latency(latency),
         seed=scenario.miner_seed + 1000,
     )
-    if shards > 1:
-        dispatcher: Dispatcher | ShardedDispatcher = ShardedDispatcher(
-            miner, config, shards=shards
-        )
-    else:
-        dispatcher = Dispatcher(miner, config)
-    return dispatcher.run()
+    return Dispatcher(miner, config, shards=shards).run()
 
 
 # -- the live client -----------------------------------------------------------

@@ -3,22 +3,21 @@
 A live session's members are real people behind the HTTP API — the
 server cannot answer for them, it can only decide *who is asked next*.
 :class:`WorkerRoster` is therefore the crowd with everything but
-scheduling removed: the same round-robin ``next_member`` contract as
-:class:`~repro.crowd.crowd.SimulatedCrowd` (same cursor arithmetic,
-same exhausted/None distinction), the same availability and quarantine
-surface the miner reads, and *no* answer machinery — posing a question
-to a roster raises, because answers arrive over the wire
+scheduling removed: the round-robin rotation every crowd shares
+(:mod:`repro.crowd.rotation`, so the same exhausted/None distinction),
+the same availability and quarantine surface the miner reads, and *no*
+answer machinery — posing a question to a roster raises, because
+answers arrive over the wire
 (:meth:`~repro.serve.session.ServeSession.post_answer`), never from a
 personal database held by the server.
 
 Availability changes arrive as facts, not simulations: a client
 reports a member gone (their patience ran out, they closed the tab)
 via :meth:`depart`, and the quality loop calls :meth:`quarantine`
-exactly as it does on a simulated crowd. Keeping the cursor arithmetic
-identical to the simulated crowd's legacy scan path is what makes a
-sequentially-driven live session schedule the *same member sequence*
-as ``miner.run()`` over a simulated crowd — the bedrock of the
-differential harness's byte-identity assertion.
+exactly as it does on a simulated crowd. Sharing the simulated crowd's
+rotation is what makes a sequentially-driven live session schedule the
+*same member sequence* as ``miner.run()`` over a simulated crowd — the
+bedrock of the differential harness's byte-identity assertion.
 
 The roster is plain picklable data, so it travels inside the session
 checkpoint and the member rotation resumes mid-turn.
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 
+from repro.crowd.rotation import MemberRotation
 from repro.errors import CrowdExhaustedError
 
 
@@ -41,9 +41,8 @@ class WorkerRoster:
         if len(set(ids)) != len(ids):
             raise ValueError("member ids must be unique")
         self._order: list[str] = ids
-        self._gone: set[str] = set()
         self._quarantined: set[str] = set()
-        self._rr_cursor = 0
+        self._rotation = MemberRotation(ids)
 
     # -- membership ------------------------------------------------------------
 
@@ -57,21 +56,15 @@ class WorkerRoster:
 
     def available_members(self) -> list[str]:
         """Ids still routable (not departed, not quarantined), in order."""
-        return [
-            mid
-            for mid in self._order
-            if mid not in self._gone and mid not in self._quarantined
-        ]
+        return self._rotation.members()
 
     def available_count(self) -> int:
         """How many members are still routable."""
-        return len(self._order) - len(self._gone | self._quarantined)
+        return len(self._rotation)
 
     def is_member_available(self, member_id: str) -> bool:
         """True when ``member_id`` may still be routed a question."""
-        if member_id not in self._order:
-            return False
-        return member_id not in self._gone and member_id not in self._quarantined
+        return member_id in self._rotation
 
     # -- availability facts ----------------------------------------------------
 
@@ -79,7 +72,7 @@ class WorkerRoster:
         """Record that ``member_id`` left the session for good. Idempotent."""
         if member_id not in self._order:
             raise KeyError(f"unknown member {member_id!r}")
-        self._gone.add(member_id)
+        self._rotation.discard(member_id)
 
     def crash(self, member_id: str) -> None:
         """Fault-surface alias of :meth:`depart` (the injector's verb)."""
@@ -90,6 +83,7 @@ class WorkerRoster:
         if member_id not in self._order:
             raise KeyError(f"unknown member {member_id!r}")
         self._quarantined.add(member_id)
+        self._rotation.discard(member_id)
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""
@@ -105,26 +99,14 @@ class WorkerRoster:
     def next_member(self, exclude: Collection[str] = ()) -> str | None:
         """Round-robin over available members, skipping ``exclude``.
 
-        Identical contract (and cursor arithmetic) to
-        :meth:`SimulatedCrowd.next_member
+        The contract of :meth:`SimulatedCrowd.next_member
         <repro.crowd.crowd.SimulatedCrowd.next_member>`: raises
         :class:`~repro.errors.CrowdExhaustedError` when everyone has
         left, returns ``None`` when every available member is excluded
         (nobody free *right now*), and only a successful pick advances
         the rotation cursor.
         """
-        available = self.available_members()
-        if not available:
-            raise CrowdExhaustedError("every roster member has left the session")
-        if exclude:
-            candidates = [mid for mid in available if mid not in exclude]
-            if not candidates:
-                return None
-        else:
-            candidates = available
-        member_id = candidates[self._rr_cursor % len(candidates)]
-        self._rr_cursor += 1
-        return member_id
+        return self._rotation.next(exclude)
 
     # -- the question protocol (absent on purpose) ------------------------------
 

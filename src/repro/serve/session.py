@@ -48,7 +48,12 @@ from typing import Any
 
 from repro.errors import ConfigurationError, CrowdExhaustedError, ReproError
 from repro.estimation.significance import Thresholds
-from repro.miner.crowdminer import CrowdMiner, CrowdMinerConfig, QuestionProposal
+from repro.miner.crowdminer import (
+    CrowdMiner,
+    CrowdMinerConfig,
+    Discard,
+    QuestionProposal,
+)
 from repro.miner.result import MiningResult, QuestionKind
 from repro.serve.clock import RealTimeClock
 from repro.serve.roster import WorkerRoster
@@ -547,26 +552,24 @@ class ServeSession:
             self._maybe_checkpoint()
             return outcome
         answer = answer_from_doc(proposal, doc)
-        obs = self.miner.obs
-        malformed_before = obs.counter("answers.malformed")
-        rejected_before = obs.counter("quality.rejected")
         event = self.miner.ingest_answer(proposal, answer)
         if event is not None:
             self._answered += 1
             self._stalled = False
             self._dry_attempts = 0
             status = "counted"
-        elif obs.counter("answers.malformed") > malformed_before:
-            self._malformed += 1
-            self._dry_attempts += 1
-            status = "malformed"
-        elif obs.counter("quality.rejected") > rejected_before:
-            self._rejected += 1
-            self._dry_attempts += 1
-            status = "rejected"
         else:
-            self._stale += 1  # the miner counted obs "dispatch.stale"
-            status = "stale"
+            discard = self.miner.last_discard
+            assert discard is not None
+            status = discard.value
+            if discard is Discard.MALFORMED:
+                self._malformed += 1
+                self._dry_attempts += 1
+            elif discard is Discard.REJECTED:
+                self._rejected += 1
+                self._dry_attempts += 1
+            else:
+                self._stale += 1
         if doc.get("leaving"):
             # "That was my last answer": the answer above still counts
             # (exactly like a simulated member's final ask before their

@@ -4,19 +4,21 @@ A checkpoint is one pickle of everything replay-determinism needs:
 the miner (knowledge base with rules/samples/decisions, RNG streams,
 question log, trust/quality state, the open-policy and strategy
 objects) plus — for dispatched sessions — a plain-data snapshot of the
-dispatcher (event-clock time and schedule counter, the in-flight book
-with each pending arrival/timeout instant, all outcome counters, the
-delivery-token guard, the completion timeline). Everything travels in
-a *single* pickle so shared objects (the instrumentation layer, the
-trust sources inside the aggregator, rules referenced from proposals
-and the knowledge base alike) keep their identity on load.
+dispatcher (each lane's clock time, schedule counter and random
+streams, the in-flight book with each pending arrival/timeout instant,
+all outcome counters, the delivery-token guard, the completion
+timeline; see :meth:`repro.dispatch.dispatcher.Dispatcher.snapshot`).
+Everything travels in a *single* pickle so shared objects (the
+instrumentation layer, the trust sources inside the aggregator, rules
+referenced from proposals and the knowledge base alike) keep their
+identity on load.
 
 What is deliberately rebuilt rather than stored:
 
 - the knowledge base's inverted index — reconstructed in memory from
   the rules, in discovery order, on load;
-- the event closures of pending arrivals/timeouts — re-armed on a
-  fresh clock in original schedule order, so same-instant ties keep
+- the event closures of pending arrivals/timeouts — re-armed on fresh
+  lane clocks in original schedule order, so same-instant ties keep
   breaking exactly as they would have in the uninterrupted run.
 
 Known limitation: externally scheduled clock events are not captured —
@@ -48,15 +50,16 @@ from repro.storage.integrity import open_payload, seal_payload
 
 if TYPE_CHECKING:
     from repro.dispatch.dispatcher import Dispatcher
-    from repro.dispatch.sharded import ShardedDispatcher
     from repro.miner.crowdminer import CrowdMiner
 
-#: Version stamp of the checkpoint payload layout.
-CHECKPOINT_FORMAT = 1
+#: Version stamp of the checkpoint payload layout. Format 2: one
+#: dispatcher snapshot layout for any shard count, and crowds that
+#: track availability only through their members' departure hooks.
+CHECKPOINT_FORMAT = 2
 
 
 def capture_session(
-    miner: "CrowdMiner", dispatcher: "Dispatcher | ShardedDispatcher | None" = None
+    miner: "CrowdMiner", dispatcher: "Dispatcher | None" = None
 ) -> bytes:
     """Serialize one session (miner plus optional dispatcher) to bytes.
 
@@ -92,7 +95,7 @@ def verify_payload(payload: bytes) -> bytes:
 
 def restore_session(
     payload: bytes, storage: StorageBackend | None = None
-) -> "tuple[CrowdMiner, Dispatcher | ShardedDispatcher | None]":
+) -> "tuple[CrowdMiner, Dispatcher | None]":
     """Rebuild a live session from a checkpoint payload.
 
     Attaches ``storage`` to the restored miner. Returns the miner and,
@@ -154,7 +157,7 @@ def load_session(
     *,
     rollback: bool = True,
     repair: bool = False,
-) -> "tuple[CrowdMiner, Dispatcher | ShardedDispatcher | None, CheckpointInfo]":
+) -> "tuple[CrowdMiner, Dispatcher | None, CheckpointInfo]":
     """Resume from the backend's latest *verified* checkpoint.
 
     Rolls the write-ahead answer log back to the checkpoint boundary
@@ -235,202 +238,26 @@ def load_session(
 # -- the dispatcher snapshot ---------------------------------------------------
 
 
-_COUNTERS = (
-    "issued",
-    "completed",
-    "timeouts",
-    "retries",
-    "stale",
-    "late",
-    "dropped",
-    "malformed",
-    "rejected",
-    "crashed",
-    "duplicates",
-)
-
-
-def _dispatch_state(dispatcher: "Dispatcher") -> dict[str, Any]:
-    """One dispatcher's travelling state as plain data.
-
-    Each in-flight entry records the *instants and schedule sequence
-    numbers* of its pending arrival/timeout events; the actions are
-    recreated on restore. Within the in-flight book events are always
-    live (a cancelled event means the entry already left the book), so
-    ``None`` only ever means "never scheduled" (a lost answer, an
-    infinite timeout). Shared per-shard-or-single fields only — the
-    config, stall flag and timeline live with whoever owns them.
-    """
-    in_flight = []
-    for member_id, entry in dispatcher._in_flight.items():
-        arrival = entry.arrival_event
-        timeout = entry.timeout_event
-        in_flight.append(
-            {
-                "member": member_id,
-                "proposal": entry.proposal,
-                "answer": entry.answer,
-                "attempt": entry.attempt,
-                "arrival": (
-                    None
-                    if arrival is None or arrival.cancelled
-                    else (arrival.time, arrival.seq)
-                ),
-                "timeout": (
-                    None
-                    if timeout is None or timeout.cancelled
-                    else (timeout.time, timeout.seq)
-                ),
-            }
-        )
-    return {
-        "rng": dispatcher._rng,
-        "clock_now": dispatcher.clock.now,
-        "clock_seq": dispatcher.clock._seq,
-        "in_flight": in_flight,
-        "counters": {name: getattr(dispatcher, f"_{name}") for name in _COUNTERS},
-        "seen_tokens": set(dispatcher._seen_tokens),
-    }
-
-
-def _apply_dispatch_state(dispatcher: "Dispatcher", state: dict[str, Any]) -> None:
-    """Re-arm one dispatcher's travelling state onto its (fresh) clock.
-
-    The clock must already stand at the snapshot instant. Pending
-    events are re-armed in their *original schedule order* (sorted by
-    saved sequence number): the re-armed events take new sequence
-    numbers ``0..k-1`` preserving their relative order, and the clock's
-    counter is then advanced to its saved value, so events scheduled
-    after resume sort behind every re-armed one at the same instant —
-    exactly as they would have in the uninterrupted run.
-    """
-    from repro.dispatch.dispatcher import _InFlight
-
-    clock = dispatcher.clock
-    dispatcher._rng = state["rng"]
-    entries: dict[str, _InFlight] = {}
-    pending: list[tuple[int, float, str, str]] = []
-    for item in state["in_flight"]:
-        entries[item["member"]] = _InFlight(
-            proposal=item["proposal"],
-            answer=item["answer"],
-            attempt=item["attempt"],
-        )
-        if item["arrival"] is not None:
-            at, seq = item["arrival"]
-            pending.append((seq, at, "arrival", item["member"]))
-        if item["timeout"] is not None:
-            at, seq = item["timeout"]
-            pending.append((seq, at, "timeout", item["member"]))
-    for _, at, what, member_id in sorted(pending):
-        entry = entries[member_id]
-        if what == "arrival":
-            entry.arrival_event = clock.schedule_at(
-                at, lambda m=member_id: dispatcher._deliver(m)
-            )
-        else:
-            entry.timeout_event = clock.schedule_at(
-                at, lambda m=member_id: dispatcher._timeout(m)
-            )
-    clock._seq = state["clock_seq"]
-    dispatcher._in_flight = entries
-    for name in _COUNTERS:
-        setattr(dispatcher, f"_{name}", state["counters"][name])
-    dispatcher._seen_tokens = set(state["seen_tokens"])
-
-
-def _snapshot_dispatcher(
-    dispatcher: "Dispatcher | ShardedDispatcher",
-) -> dict[str, Any]:
-    """Either dispatcher flavour as plain data, discriminated by kind.
-
-    A sharded snapshot is a list of per-shard states plus the shared
-    pieces stored once: the merged timeline, the global stall flag, the
-    parent-tracked in-flight high water, each shard's batch stream and
-    partition round-robin cursor (partitions are rebuilt from the
-    restored crowd on load; only their cursors need to travel).
-    """
-    from repro.dispatch.sharded import ShardedDispatcher
-
+def _snapshot_dispatcher(dispatcher: "Dispatcher") -> dict[str, Any]:
+    """The dispatcher seat's travelling state as plain data, by kind."""
     serve_snapshot = getattr(dispatcher, "serve_snapshot", None)
     if serve_snapshot is not None:
         # A live ServeSession sits in the miner's dispatcher seat; its
         # travelling state (the pending-question book) is already plain
         # data, discriminated by kind="serve".
         return serve_snapshot()
-    if isinstance(dispatcher, ShardedDispatcher):
-        return {
-            "kind": "sharded",
-            "config": dispatcher.config,
-            "n_shards": dispatcher.n_shards,
-            "shards": [_dispatch_state(shard) for shard in dispatcher.shards],
-            "batch_rngs": [shard._batch_rng for shard in dispatcher.shards],
-            "cursors": [shard.scheduler._rr_cursor for shard in dispatcher.shards],
-            "stalled": dispatcher._stall_flag,
-            "high_water": dispatcher._high_water,
-            "timeline": list(dispatcher.timeline),
-        }
-    state = _dispatch_state(dispatcher)
-    state["kind"] = "single"
-    state["config"] = dispatcher.config
-    state["stalled"] = dispatcher._stalled
-    state["timeline"] = list(dispatcher.timeline)
-    return state
+    return dispatcher.snapshot()
 
 
-def _restore_dispatcher(
-    snapshot: dict[str, Any], miner: "CrowdMiner"
-) -> "Dispatcher | ShardedDispatcher":
+def _restore_dispatcher(snapshot: dict[str, Any], miner: "CrowdMiner") -> "Dispatcher":
     """A live dispatcher equivalent to the snapshotted one."""
-    from repro.dispatch.clock import EventClock
-    from repro.dispatch.dispatcher import Dispatcher
-
-    # Pre-"kind" snapshots are all single-dispatcher sessions.
-    kind = snapshot.get("kind", "single")
-    if kind == "serve":
+    if snapshot["kind"] == "serve":
         # Serve sessions restore as plain data: re-arming the pending
         # book needs a live event loop and server, so the session
         # manager (repro.serve) folds this back in, not this module.
         from repro.serve.session import ServeSnapshot
 
         return ServeSnapshot.from_doc(snapshot)
-    if kind == "sharded":
-        return _restore_sharded(snapshot, miner)
-    clock = EventClock()
-    clock._now = snapshot["clock_now"]
-    dispatcher = Dispatcher(miner, snapshot["config"], clock)
-    _apply_dispatch_state(dispatcher, snapshot)
-    dispatcher._stalled = snapshot["stalled"]
-    dispatcher.timeline = list(snapshot["timeline"])
-    return dispatcher
+    from repro.dispatch.dispatcher import Dispatcher
 
-
-def _restore_sharded(
-    snapshot: dict[str, Any], miner: "CrowdMiner"
-) -> "ShardedDispatcher":
-    """A live sharded dispatcher equivalent to the snapshotted one.
-
-    Construction rebuilds the shard skeleton (partitions over the
-    restored crowd, per-shard clocks); each shard then gets its
-    snapshotted travelling state applied on top. The construction-time
-    seed derivation is discarded wholesale — every restored stream
-    (latency, batch) comes from the snapshot, so the resumed run
-    continues the original one's randomness, not a fresh replay's.
-    """
-    from repro.dispatch.sharded import ShardedDispatcher
-
-    parent = ShardedDispatcher(
-        miner, snapshot["config"], shards=snapshot["n_shards"]
-    )
-    for shard, state, batch_rng, cursor in zip(
-        parent.shards, snapshot["shards"], snapshot["batch_rngs"], snapshot["cursors"]
-    ):
-        shard.clock._now = state["clock_now"]
-        _apply_dispatch_state(shard, state)
-        shard._batch_rng = batch_rng
-        shard.scheduler._rr_cursor = cursor
-    parent._stall_flag = snapshot["stalled"]
-    parent._high_water = snapshot["high_water"]
-    # Mutated in place: the list object is shared with every shard.
-    parent.timeline[:] = snapshot["timeline"]
-    return parent
+    return Dispatcher.restore(miner, snapshot)

@@ -7,14 +7,32 @@ The dispatcher leans on two round-robin guarantees that must hold for
   and never one the caller excluded;
 - no available member is starved: while the available set is stable,
   a full round of calls reaches every available member at least once.
+
+And every scheduler takes its turns from the one rotation of
+:mod:`repro.crowd.rotation`: driven through the same random sequence
+of picks, departures, quarantines and patience exhaustion, the object
+crowd (over simulated, garbled and stream members), the columnar
+crowd, a one-partition view of either, and the serving roster pick
+the same member at every step and agree on who is still available.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.rule import Rule
 from repro.core.transactions import TransactionDB
-from repro.crowd import SimulatedCrowd, SimulatedMember
+from repro.crowd import (
+    ArrayCrowd,
+    SimulatedCrowd,
+    SimulatedMember,
+    StreamMember,
+    standard_answer_model,
+)
 from repro.errors import CrowdExhaustedError
+from repro.faults import GarbledMember
+from repro.serve import WorkerRoster
+from repro.synth import ArrayPopulation, folk_remedies_model
 
 
 def make_crowd(patiences):
@@ -105,3 +123,160 @@ class TestNextMemberProperties:
             pass
         else:  # pragma: no cover - the assertion documents the contract
             raise AssertionError("expected CrowdExhaustedError")
+
+
+N_MEMBERS = 8
+PATIENCE = 3
+
+_MODEL = folk_remedies_model(seed=1)
+_ARRAY_POPULATION = ArrayPopulation(
+    _MODEL, n_members=N_MEMBERS, transactions_per_member=20, seed=2
+)
+_POPULATION = _ARRAY_POPULATION.materialize()
+_IDS = [m.member_id for m in _POPULATION]
+_ITEMS = list(_MODEL.domain.items)
+_RULE = Rule([_ITEMS[0]], [_ITEMS[1]])
+
+
+class _CrowdDriver:
+    """Availability facts applied to a crowd; picks from ``scheduler``."""
+
+    def __init__(self, crowd, scheduler=None):
+        self.crowd = crowd
+        self.scheduler = scheduler or crowd
+
+    def depart(self, member_id):
+        self.crowd.crash(member_id)
+
+    def quarantine(self, member_id):
+        self.crowd.quarantine(member_id)
+
+    def exhaust(self, member_id):
+        # One ask past the patience: a stream member only notices its
+        # stream ran dry on the read that fails.
+        for _ in range(PATIENCE + 1):
+            try:
+                self.crowd.ask_closed(member_id, _RULE)
+            except CrowdExhaustedError:
+                break
+
+
+class _RosterDriver:
+    """Serving members report departure (patience included) as facts."""
+
+    def __init__(self, roster):
+        self.scheduler = roster
+        self.quarantine = roster.quarantine
+        self.depart = self.exhaust = roster.depart
+
+
+def _simulated_members(wrap=lambda member, index: member):
+    return [
+        wrap(
+            SimulatedMember(
+                member_id=m.member_id,
+                db=m.db,
+                answer_model=standard_answer_model(),
+                patience=PATIENCE,
+                seed=index,
+            ),
+            index,
+        )
+        for index, m in enumerate(_POPULATION)
+    ]
+
+
+def _array_crowd():
+    return ArrayCrowd(
+        _ARRAY_POPULATION, answer_model=standard_answer_model(), patience=PATIENCE, seed=5
+    )
+
+
+def _partition_driver(crowd):
+    (partition,) = crowd.partitions(1)
+    return _CrowdDriver(crowd, partition)
+
+
+SCHEDULERS = {
+    "simulated": lambda: _CrowdDriver(SimulatedCrowd(_simulated_members(), seed=0)),
+    "garbled": lambda: _CrowdDriver(
+        SimulatedCrowd(
+            _simulated_members(lambda m, k: GarbledMember(m, rate=0.5, seed=k)), seed=0
+        )
+    ),
+    "stream": lambda: _CrowdDriver(
+        SimulatedCrowd(
+            [StreamMember(m.member_id, ["often"] * PATIENCE) for m in _POPULATION],
+            seed=0,
+        )
+    ),
+    "array": lambda: _CrowdDriver(_array_crowd()),
+    "partition": lambda: _partition_driver(SimulatedCrowd(_simulated_members(), seed=0)),
+    "array-partition": lambda: _partition_driver(_array_crowd()),
+    "roster": lambda: _RosterDriver(WorkerRoster(_IDS)),
+}
+
+
+#: One op: pick with a busy set, or an availability fact about one
+#: member index. ("pick", frozenset) | (fact, index)
+OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("pick"),
+            st.frozensets(st.integers(0, N_MEMBERS - 1), max_size=N_MEMBERS),
+        ),
+        st.tuples(
+            st.sampled_from(["depart", "quarantine", "exhaust"]),
+            st.integers(0, N_MEMBERS - 1),
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+def _pick(scheduler, exclude):
+    try:
+        return ("picked", scheduler.next_member(exclude=exclude))
+    except CrowdExhaustedError:
+        return ("exhausted", None)
+
+
+class TestOneRotation:
+    @settings(max_examples=60, deadline=None)
+    @given(ops=OPS)
+    def test_every_scheduler_takes_the_same_turns(self, ops):
+        drivers = {name: make() for name, make in SCHEDULERS.items()}
+        for driver in drivers.values():
+            assert driver.scheduler.member_ids == _IDS
+        for op, arg in ops:
+            if op == "pick":
+                busy = {_IDS[i] for i in arg}
+                outcomes = {
+                    name: _pick(driver.scheduler, busy)
+                    for name, driver in drivers.items()
+                }
+                assert len(set(outcomes.values())) == 1, outcomes
+            else:
+                for driver in drivers.values():
+                    getattr(driver, op)(_IDS[arg])
+            available = {
+                name: tuple(driver.scheduler.available_members())
+                for name, driver in drivers.items()
+            }
+            assert len(set(available.values())) == 1, available
+            for driver in drivers.values():
+                assert driver.scheduler.available_count() == len(available["roster"])
+                if hasattr(driver.scheduler, "is_member_available"):
+                    for mid in _IDS:
+                        assert driver.scheduler.is_member_available(mid) == (
+                            mid in available["roster"]
+                        )
+
+    def test_members_without_a_departure_hook_are_refused(self):
+        class Hookless:
+            member_id = "u0"
+            is_available = True
+
+        with pytest.raises(TypeError):
+            SimulatedCrowd([Hookless()])

@@ -130,9 +130,9 @@ class TestTimeoutsAndRetries:
         issued_members = []
         original_issue = dispatcher._issue
 
-        def spy(proposal, attempt):
+        def spy(proposal, attempt, lane):
             issued_members.append((proposal.member_id, attempt))
-            original_issue(proposal, attempt)
+            original_issue(proposal, attempt, lane)
 
         dispatcher._issue = spy
         dispatcher.run()

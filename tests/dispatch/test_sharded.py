@@ -1,6 +1,6 @@
 """Sharded dispatch equivalence and determinism.
 
-The acceptance bar for the sharded engine, in the style of
+The acceptance bar for ``Dispatcher(..., shards=n)``, in the style of
 ``tests/dispatch/test_equivalence.py``:
 
 - one shard, window 1, zero latency and the same seeds must reproduce
@@ -9,7 +9,8 @@ The acceptance bar for the sharded engine, in the style of
 - more shards must stay deterministic: the same seed replays the same
   transcript, knowledge base and dispatch books, run after run;
 - the dispatch books must always balance (every issued question meets
-  exactly one fate), however the completion streams interleave.
+  exactly one fate), however the completion streams interleave, and
+  the in-flight gauge must count the whole session, not one lane.
 """
 
 import pytest
@@ -20,12 +21,11 @@ from repro.dispatch import (
     DispatchConfig,
     Dispatcher,
     LognormalLatency,
-    ShardedDispatcher,
 )
 from repro.errors import ConfigurationError, InvalidThresholdError
 from repro.estimation import Thresholds
 from repro.miner import AnswerCache, CachingCrowd, CrowdMiner, CrowdMinerConfig
-from repro.synth import ArrayPopulation, folk_remedies_model
+from repro.synth import ArrayPopulation, build_population, folk_remedies_model
 
 from tests.dispatch.test_equivalence import (
     kb_fingerprint,
@@ -66,7 +66,7 @@ class TestSingleShardEquivalence:
         sync_result = sync.run()
 
         mined = make_miner(folk_population)
-        result = ShardedDispatcher(
+        result = Dispatcher(
             mined,
             DispatchConfig(window=1, latency=ConstantLatency(0.0), seed=99),
             shards=1,
@@ -91,7 +91,7 @@ class TestSingleShardEquivalence:
         sync.run()
 
         mined = make_array_miner(array_population)
-        ShardedDispatcher(
+        Dispatcher(
             mined,
             DispatchConfig(window=1, latency=ConstantLatency(0.0), seed=99),
             shards=1,
@@ -109,7 +109,7 @@ class TestSingleShardEquivalence:
         plain_miner = make_miner(folk_population)
         plain = Dispatcher(plain_miner, config).run()
         sharded_miner = make_miner(folk_population)
-        sharded = ShardedDispatcher(sharded_miner, config, shards=1).run()
+        sharded = Dispatcher(sharded_miner, config, shards=1).run()
 
         assert_books_balance(plain.dispatch)
         assert_books_balance(sharded.dispatch)
@@ -119,7 +119,7 @@ class TestSingleShardEquivalence:
 class TestMultiShardDeterminism:
     def run_sharded(self, population, shards, window=6):
         miner = make_miner(population)
-        result = ShardedDispatcher(
+        result = Dispatcher(
             miner,
             DispatchConfig(
                 window=window,
@@ -141,7 +141,7 @@ class TestMultiShardDeterminism:
     def test_array_crowd_batched_windows_deterministic(self, array_population):
         def run():
             miner = make_array_miner(array_population)
-            result = ShardedDispatcher(
+            result = Dispatcher(
                 miner,
                 DispatchConfig(window=8, latency=ConstantLatency(10.0), seed=99),
                 shards=4,
@@ -177,16 +177,16 @@ class TestShardedConfiguration:
             crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=50)
         )
         with pytest.raises(ConfigurationError):
-            ShardedDispatcher(miner, DispatchConfig(window=2, seed=99), shards=2)
+            Dispatcher(miner, DispatchConfig(window=2, seed=99), shards=2)
 
     def test_rejects_nonpositive_shards(self, folk_population):
         miner = make_miner(folk_population)
         with pytest.raises(InvalidThresholdError):
-            ShardedDispatcher(miner, DispatchConfig(window=2, seed=99), shards=0)
+            Dispatcher(miner, DispatchConfig(window=2, seed=99), shards=0)
 
     def test_stats_sum_over_shards(self, folk_population):
         miner = make_miner(folk_population)
-        dispatcher = ShardedDispatcher(
+        dispatcher = Dispatcher(
             miner,
             DispatchConfig(
                 window=6, latency=LognormalLatency(median=60.0, sigma=1.0), seed=99
@@ -195,10 +195,27 @@ class TestShardedConfiguration:
         )
         dispatcher.run()
         stats = dispatcher.stats()
-        assert stats.issued == sum(shard._issued for shard in dispatcher.shards)
-        assert stats.completed == sum(
-            shard._completed for shard in dispatcher.shards
+        assert stats.issued == dispatcher.questions_issued
+        assert stats.completed == miner.questions_asked
+        assert stats.makespan == max(lane.clock.now for lane in dispatcher._lanes)
+
+    @pytest.mark.parametrize("shards, least_high_water", [(1, 1), (4, 7)])
+    def test_in_flight_gauge_counts_every_lane(
+        self, folk_model, shards, least_high_water
+    ):
+        miner = make_miner(
+            build_population(
+                folk_model, n_members=40, transactions_per_member=120, seed=2
+            )
         )
-        assert stats.makespan == max(
-            shard.clock.now for shard in dispatcher.shards
-        )
+        result = Dispatcher(
+            miner,
+            DispatchConfig(
+                window=6, latency=LognormalLatency(median=60.0, sigma=1.0), seed=99
+            ),
+            shards=shards,
+        ).run()
+        gauge = miner.obs.gauge_high_water("dispatch.in_flight")
+        assert gauge == result.dispatch.in_flight_high_water
+        # Four lanes of six overlap more than one lane's window.
+        assert result.dispatch.in_flight_high_water >= least_high_water

@@ -158,6 +158,20 @@ class TestRestoreEdges:
         with pytest.raises(StorageError):
             restore_session(pickle.dumps({"format": 999}))
 
+    def test_foreign_format_payload_is_refused(self):
+        # A well-formed, sealed payload stamped with another format
+        # (format 1: the layout before one rotation and one dispatcher
+        # snapshot) must be refused, not resumed into a diverging run.
+        from repro.storage.checkpoint import CHECKPOINT_FORMAT
+        from repro.storage.integrity import seal_payload
+
+        miner = make_miner()
+        miner.run(max_questions=10)
+        doc = {"format": 1, "miner": miner, "dispatch": None}
+        assert CHECKPOINT_FORMAT != 1
+        with pytest.raises(StorageError, match="unsupported checkpoint format 1"):
+            restore_session(seal_payload(pickle.dumps(doc)))
+
     def test_empty_store_is_a_storage_error(self, tmp_path):
         storage = open_backend(tmp_path / "empty.db", "sqlite")
         with pytest.raises(StorageError):

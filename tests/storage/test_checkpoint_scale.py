@@ -11,7 +11,7 @@ byte-identically, exactly like the single-dispatcher contract in
 
 from repro._util import as_rng
 from repro.crowd import ArrayCrowd, ExactAnswerModel
-from repro.dispatch import DispatchConfig, LognormalLatency, ShardedDispatcher
+from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import (
     ExperimentConfig,
@@ -98,28 +98,24 @@ def dispatch_config():
 
 class TestShardedKillResume:
     def test_mid_flight_kill_resumes_byte_identically(self, tmp_path):
-        baseline = ShardedDispatcher(make_miner(), dispatch_config(), shards=4).run()
+        baseline = Dispatcher(make_miner(), dispatch_config(), shards=4).run()
 
         path = str(tmp_path / "sharded.db")
         storage = open_backend(path, "sqlite")
         miner = make_miner(storage=storage, checkpoint_every=40)
-        dispatcher = ShardedDispatcher(miner, dispatch_config(), shards=4)
-        dispatcher._fill_all()
+        dispatcher = Dispatcher(miner, dispatch_config(), shards=4)
+        dispatcher._fill_window()
         while dispatcher.in_flight_count and miner.questions_asked < 130:
-            upcoming = dispatcher._next_event()
-            if upcoming is None:
+            if not dispatcher._step():
                 break
-            dispatcher.shards[upcoming[1]].clock.pop()
-            dispatcher._maybe_checkpoint()
-            dispatcher._fill_all()
         assert dispatcher.in_flight_count, "want questions in flight at the kill"
         del miner, dispatcher
         storage.close()
 
         resumed_storage = open_backend(path, "sqlite", resume=True)
         miner, dispatcher, info = load_session(resumed_storage)
-        assert isinstance(dispatcher, ShardedDispatcher)
-        assert dispatcher.n_shards == 4
+        assert isinstance(dispatcher, Dispatcher)
+        assert dispatcher.shards == 4
         assert info.questions == 120
         result = dispatcher.run()
         assert result.fingerprint() == baseline.fingerprint()
@@ -128,19 +124,16 @@ class TestShardedKillResume:
 
     def test_sharded_snapshot_roundtrips_in_memory(self):
         miner = make_miner()
-        dispatcher = ShardedDispatcher(miner, dispatch_config(), shards=3)
-        dispatcher._fill_all()
+        dispatcher = Dispatcher(miner, dispatch_config(), shards=3)
+        dispatcher._fill_window()
         for _ in range(25):
-            upcoming = dispatcher._next_event()
-            if upcoming is None:
+            if not dispatcher._step():
                 break
-            dispatcher.shards[upcoming[1]].clock.pop()
-            dispatcher._fill_all()
         payload = capture_session(miner, dispatcher)
 
         final = dispatcher.run()
         restored_miner, restored_dispatcher = restore_session(payload)
-        assert isinstance(restored_dispatcher, ShardedDispatcher)
+        assert restored_dispatcher.shards == 3
         resumed = restored_dispatcher.run()
         assert resumed.fingerprint() == final.fingerprint()
         assert resumed.dispatch == final.dispatch
