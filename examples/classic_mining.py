@@ -1,23 +1,16 @@
 """Classic association-rule mining on a synthetic market-basket DB.
 
 The library's classic substrate is a complete miner in its own right.
-This example generates a Quest-style retail database, mines frequent
-itemsets with both Apriori and FP-Growth (verifying they agree),
-derives confident rules, and shows the condensed maximal/closed
-representations — then partitions the same database into personal
-databases to build a "crowd from real data" (the E6 setup).
+This example generates a Quest-style retail database, mines its
+frequent itemsets with the library's bitset miner, derives confident
+rules — then partitions the same database into personal databases to
+build a "crowd from real data" (the E6 setup).
 
 Run:  python examples/classic_mining.py
 """
 
 from repro import SimulatedCrowd, Thresholds, mine_crowd, partition_global_db, standard_answer_model
-from repro.classic import (
-    apriori_frequent_itemsets,
-    closed_itemsets,
-    fpgrowth_frequent_itemsets,
-    maximal_itemsets,
-    rules_from_itemsets,
-)
+from repro.classic import frequent_itemsets, rules_from_itemsets
 from repro.miner import compute_ground_truth
 from repro.synth import QuestConfig, QuestGenerator
 
@@ -32,14 +25,10 @@ def main() -> None:
     db = generator.generate()
     print(f"generated {len(db)} transactions over {len(db.items)} active items")
 
-    apriori = apriori_frequent_itemsets(db, MIN_SUPPORT, max_size=4)
-    fpgrowth = fpgrowth_frequent_itemsets(db, MIN_SUPPORT, max_size=4)
-    assert set(apriori) == set(fpgrowth), "miners disagree!"
-    print(f"frequent itemsets @ support {MIN_SUPPORT}: {len(fpgrowth)}")
-    print(f"  maximal: {len(maximal_itemsets(fpgrowth))}  "
-          f"closed: {len(closed_itemsets(fpgrowth))}")
+    supports = frequent_itemsets(db, MIN_SUPPORT, max_size=4)
+    print(f"frequent itemsets @ support {MIN_SUPPORT}: {len(supports)}")
 
-    rules = rules_from_itemsets(fpgrowth, MIN_CONFIDENCE)
+    rules = rules_from_itemsets(supports, MIN_CONFIDENCE)
     print(f"confident rules @ confidence {MIN_CONFIDENCE}: {len(rules)}")
     top = sorted(rules.items(), key=lambda kv: -kv[1].support)[:5]
     for rule, stats in top:

@@ -10,8 +10,8 @@ The top-level namespace re-exports the objects a typical user needs;
 the subpackages hold the full API:
 
 - :mod:`repro.core` — items, itemsets, rules, measures, transaction DBs;
-- :mod:`repro.classic` — Apriori / FP-Growth and rule generation over
-  materialized databases;
+- :mod:`repro.classic` — the bitset itemset miner and rule generation
+  over materialized databases;
 - :mod:`repro.synth` — latent habit models, synthetic generators and
   crowd populations;
 - :mod:`repro.crowd` — the simulated crowd (questions, answer models,

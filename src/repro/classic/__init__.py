@@ -3,13 +3,10 @@
 These algorithms operate on *materialized* transaction databases. The
 crowd-mining core never scans a database — personal databases are
 virtual — but needs this substrate for ground truth, baselines and
-synthetic-population construction.
+synthetic-population construction. One frequent-itemset miner
+(:mod:`repro.classic.itemsets`) serves all of them.
 """
 
-from repro.classic.apriori import frequent_itemsets as apriori_frequent_itemsets
-from repro.classic.eclat import frequent_itemsets as eclat_frequent_itemsets
-from repro.classic.fpgrowth import frequent_itemsets as fpgrowth_frequent_itemsets
-from repro.classic.fptree import FPNode, FPTree
 from repro.classic.interestingness import (
     MissingSupportError,
     ScoredRule,
@@ -17,19 +14,16 @@ from repro.classic.interestingness import (
     rank_rules,
     score_rules,
 )
+from repro.classic.itemsets import frequent_itemsets
 from repro.classic.maximal import closed_itemsets, maximal_itemsets
 from repro.classic.rulegen import mine_rules, rules_from_itemsets
 
 __all__ = [
-    "FPNode",
     "MissingSupportError",
     "ScoredRule",
-    "FPTree",
-    "apriori_frequent_itemsets",
-    "eclat_frequent_itemsets",
     "closed_itemsets",
-    "fpgrowth_frequent_itemsets",
     "filter_redundant",
+    "frequent_itemsets",
     "maximal_itemsets",
     "rank_rules",
     "score_rules",

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 
 from repro._util import check_fraction
+from repro.classic.itemsets import frequent_itemsets
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
@@ -29,9 +30,9 @@ def rules_from_itemsets(
     ----------
     supports:
         Mapping from frequent itemsets to their supports, as produced
-        by the Apriori / FP-Growth miners. Must be downward closed
-        (every subset of a listed itemset listed too) — both miners
-        guarantee this.
+        by :func:`~repro.classic.itemsets.frequent_itemsets`. Must be
+        downward closed (every subset of a listed itemset listed too),
+        which the miner guarantees.
     min_confidence:
         Confidence threshold in ``[0, 1]``.
     include_itemset_rules:
@@ -75,11 +76,11 @@ def mine_rules(
     min_support: float,
     min_confidence: float,
     max_size: int | None = None,
-    algorithm: str = "fpgrowth",
 ) -> dict[Rule, RuleStats]:
     """End-to-end classic rule mining over a materialized database.
 
-    A convenience front-end combining frequent-itemset mining with
+    A convenience front-end combining
+    :func:`~repro.classic.itemsets.frequent_itemsets` with
     :func:`rules_from_itemsets`.
 
     Parameters
@@ -90,16 +91,6 @@ def mine_rules(
         The usual thresholds.
     max_size:
         Optional cap on rule body size.
-    algorithm:
-        ``"fpgrowth"`` (default), ``"apriori"`` or ``"eclat"``.
     """
-    if algorithm == "fpgrowth":
-        from repro.classic.fpgrowth import frequent_itemsets
-    elif algorithm == "apriori":
-        from repro.classic.apriori import frequent_itemsets
-    elif algorithm == "eclat":
-        from repro.classic.eclat import frequent_itemsets
-    else:
-        raise ValueError(f"unknown algorithm: {algorithm!r}")
     supports = frequent_itemsets(db, min_support, max_size=max_size)
     return rules_from_itemsets(supports, min_confidence)

@@ -346,14 +346,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_classic(args: argparse.Namespace) -> int:
-    from repro.classic import fpgrowth_frequent_itemsets, rules_from_itemsets
+    from repro.classic import frequent_itemsets, rules_from_itemsets
 
     generator = QuestGenerator(
         QuestConfig(n_items=args.items, n_transactions=args.transactions),
         seed=args.seed,
     )
     db = generator.generate()
-    supports = fpgrowth_frequent_itemsets(db, args.support, max_size=4)
+    supports = frequent_itemsets(db, args.support, max_size=4)
     rules = rules_from_itemsets(supports, args.confidence)
     print(
         f"{len(db)} transactions, {len(supports)} frequent itemsets, "

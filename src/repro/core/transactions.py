@@ -6,10 +6,12 @@ miners that provide ground truth and baselines) we need their
 materialized counterpart: :class:`TransactionDB`, a bag of transactions
 where each transaction is a set of items representing one occasion.
 
-The implementation keeps a per-item inverted index (item → bitmap of
-transaction ids as a Python ``set``) so support counting of an itemset
-is a set intersection — fast enough for the tens of thousands of
-transactions the experiments use, with no native extensions.
+The implementation keeps a per-item inverted index (item → frozenset
+of transaction ids) so support counting of an itemset is a set
+intersection — fast enough for the tens of thousands of transactions
+the experiments use, with no native extensions. The itemset miner
+(:mod:`repro.classic.itemsets`) builds its own tid bitsets (Python
+ints) from the rows.
 """
 
 from __future__ import annotations

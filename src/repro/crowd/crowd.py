@@ -102,11 +102,12 @@ class SimulatedCrowd:
         self._quarantined: set[str] = set()
         #: Monotonic delivery-token counter for in-flight answers.
         self._tokens = 0
-        for m in members:
-            m.on_unavailable = self._member_left
         self._rotation = MemberRotation(m.member_id for m in members if m.is_available)
-        #: Bumped whenever the available set shrinks (partition cache key).
-        self.availability_generation = 0
+        # The hook holds the rotation, not the crowd: a crowd → member →
+        # crowd cycle would leave every finished session's crowd, with
+        # its databases and habit pools, to the cyclic collector.
+        for m in members:
+            m.on_unavailable = self._rotation.discard
 
     # -- construction ---------------------------------------------------------
 
@@ -170,10 +171,10 @@ class SimulatedCrowd:
         """True when ``member_id`` may still be routed a question."""
         return member_id in self._rotation
 
-    def _member_left(self, member_id: str) -> None:
-        """Availability hook: drop a departed member from the rotation."""
-        if self._rotation.discard(member_id):
-            self.availability_generation += 1
+    @property
+    def availability_generation(self) -> int:
+        """Bumped whenever the available set shrinks (partition cache key)."""
+        return self._rotation.generation
 
     # -- quality control and faults -------------------------------------------
 
@@ -187,7 +188,7 @@ class SimulatedCrowd:
         if member_id not in self._members:
             raise KeyError(f"unknown member {member_id!r}")
         self._quarantined.add(member_id)
-        self._member_left(member_id)
+        self._rotation.discard(member_id)
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""

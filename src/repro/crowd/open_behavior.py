@@ -7,8 +7,9 @@ quickly because people spontaneously recall their frequent habits.
 
 :class:`OpenAnswerPolicy` holds the parameters of that behaviour and
 :class:`HabitPool` carries it out against a materialized personal
-database: mine the member's own rules once (classic FP-Growth at
-*personal* thresholds), score each rule by prominence (support ×
+database: mine the member's own rules once (the bitset itemset miner
+of :mod:`repro.classic.itemsets` at *personal* thresholds, in
+FP-Growth's order), score each rule by prominence (support ×
 confidence, optionally sharpened), and sample proportionally —
 excluding rules the asker says it already knows, so repeated open
 questions to the same member keep yielding new information until the
@@ -25,7 +26,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from repro._util import check_fraction, check_nonnegative, weighted_choice
-from repro.classic.fpgrowth import frequent_itemsets
+from repro.classic.itemsets import itemset_counts
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
@@ -75,12 +76,14 @@ def _antecedents(items: tuple) -> Iterator[tuple]:
 
 
 @cache
-def _masks(size: int) -> tuple[int, ...]:
+def _masks(size: int) -> np.ndarray:
     """Antecedent bit masks over body positions, in :func:`_antecedents` order."""
-    return tuple(
-        sum(1 << p for p in positions)
-        for positions in _antecedents(tuple(range(size)))
+    masks = np.array(
+        [sum(1 << p for p in positions) for positions in _antecedents(tuple(range(size)))],
+        dtype=np.int32,
     )
+    masks.flags.writeable = False  # shared by every pool
+    return masks
 
 
 class HabitPool:
@@ -110,61 +113,64 @@ class HabitPool:
     )
 
     def __init__(self, db: TransactionDB, policy: OpenAnswerPolicy) -> None:
-        #: Body item tuples, and the reverse map body → index.
-        self._bodies: list[tuple[str, ...]] = []
-        self._body_ids: dict[tuple[str, ...], int] = {}
-        body_support: list[float] = []
-        first_slot: list[int] = []
-        slots: list[int] = []
-        body: list[int] = []
-        mask: list[int] = []
-        confidence: list[float] = []
-        prominence: list[float] = []
-        supports = (
-            frequent_itemsets(
-                db, policy.personal_min_support, max_size=policy.max_body_size
-            )
-            if len(db)
-            else {}
+        counts = itemset_counts(
+            db, policy.personal_min_support, max_size=policy.max_body_size
         )
-        # Keyed by item tuple, so antecedents look up without an Itemset.
-        by_items = {itemset.items: support for itemset, support in supports.items()}
-        min_confidence = policy.personal_min_confidence
+        # Support of every frequent itemset, as ``count / n`` in float64:
+        # the same doubles the Python division gives.
+        support = np.array(list(counts.values()), dtype=np.float64) / max(1, len(db))
+        position = {items: k for k, items in enumerate(counts)}
+        bodies = [items for items in counts if len(items) > 1]
+        # Every split of every body, in mining order (by body, then as
+        # :func:`_antecedents` lists them). The miner's itemsets are
+        # downward closed, so every antecedent is listed, with a
+        # positive support.
+        antecedent = np.array(
+            [
+                position[a]
+                for items in bodies
+                for k in range(1, len(items))
+                for a in combinations(items, k)
+            ],
+            dtype=np.int64,
+        )
+        sizes = np.array([len(items) for items in bodies], dtype=np.int64)
+        split_body = np.repeat(np.arange(len(bodies)), (1 << sizes) - 2)
+        body_support = support[[position[items] for items in bodies]]
+        mask = np.concatenate([np.empty(0, np.int32), *map(_masks, sizes.tolist())])
+        confidence = np.minimum(1.0, body_support[split_body] / support[antecedent])
+        keep = confidence >= policy.personal_min_confidence
+        # Bodies without one confident split are left out.
+        kept = np.zeros(len(bodies), dtype=bool)
+        kept[split_body[keep]] = True
+        #: Body item tuples, and the reverse map body → index.
+        self._bodies: list[tuple[str, ...]] = [
+            items for items, k in zip(bodies, kept.tolist()) if k
+        ]
+        self._body_ids = {items: k for k, items in enumerate(self._bodies)}
+        self._body_support = body_support[kept]
+        width = 1 << sizes[kept]
+        self._first_slot = np.cumsum(width) - width
+        self._body = (np.cumsum(kept) - 1)[split_body[keep]].astype(np.int32)
+        self._mask = mask[keep]
+        self._confidence = confidence[keep]
+        self._slots = np.full(int(width.sum()), -1, dtype=np.int32)
+        self._slots[self._first_slot[self._body] + self._mask] = np.arange(
+            len(self._body), dtype=np.int32
+        )
+        # One Python float power per rule, not numpy's vectorized one:
+        # weights must equal (s·c)**κ bit for bit, or the draws would
+        # drift. (x**0 is 1.)
         sharpness = policy.sharpness
-        for items, support in by_items.items():
-            if len(items) < 2:
-                continue
-            index = len(self._bodies)
-            start = len(slots)
-            found = len(body)
-            slots.extend([-1] * (1 << len(items)))
-            for bits, antecedent in zip(_masks(len(items)), _antecedents(items)):
-                # FP-growth's itemsets are downward closed, so every
-                # antecedent is listed, with a positive support.
-                conf = min(1.0, support / by_items[antecedent])
-                if conf >= min_confidence:
-                    slots[start + bits] = len(body)
-                    body.append(index)
-                    mask.append(bits)
-                    confidence.append(conf)
-                    # One Python float power per rule, not numpy's
-                    # vectorized one: weights must equal (s·c)**κ bit
-                    # for bit, or the draws would drift. (x**0 is 1.)
-                    prominence.append((support * conf) ** sharpness)
-            if len(body) > found:
-                self._bodies.append(items)
-                self._body_ids[items] = index
-                body_support.append(support)
-                first_slot.append(start)
-            else:
-                del slots[start:]
-        self._body_support = np.array(body_support, dtype=np.float64)
-        self._first_slot = np.array(first_slot, dtype=np.int64)
-        self._slots = np.array(slots, dtype=np.int32)
-        self._body = np.array(body, dtype=np.int32)
-        self._mask = np.array(mask, dtype=np.int32)
-        self._confidence = np.array(confidence, dtype=np.float64)
-        self._prominence = np.array(prominence, dtype=np.float64)
+        self._prominence = np.array(
+            [
+                (s * c) ** sharpness
+                for s, c in zip(
+                    self._body_support[self._body].tolist(), self._confidence.tolist()
+                )
+            ],
+            dtype=np.float64,
+        )
 
     def __len__(self) -> int:
         return len(self._body)

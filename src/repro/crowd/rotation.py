@@ -63,6 +63,8 @@ class MemberRotation(Rotation):
         #: ``_ids`` (rebuilt lazily after a departure).
         self._slot: dict[str, int] = dict.fromkeys(member_ids, 0)
         self._ids: list[str] | None = None
+        #: Bumped by every departure (a cache key for views of the set).
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._slot)
@@ -80,6 +82,7 @@ class MemberRotation(Rotation):
             return False
         del self._slot[member_id]
         self._ids = None
+        self.generation += 1
         return True
 
     def next(self, exclude: Collection[str] = ()) -> str | None:

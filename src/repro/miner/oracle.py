@@ -8,9 +8,10 @@ thresholds. This module computes that set exhaustively:
 1. **Candidate bodies.** A rule can only be significant if its body's
    crowd-mean support clears ``θ_s``. When all personal databases have
    equal size (the builders guarantee this), crowd-mean support equals
-   support in the concatenation of all databases, so FP-Growth over the
-   union enumerates every candidate body exactly. Unequal sizes fall
-   back to mining with a safety margin and filtering by the exact mean.
+   support in the concatenation of all databases, so the bitset
+   itemset miner (:mod:`repro.classic.itemsets`) over the union
+   enumerates every candidate body exactly. Unequal sizes fall back to
+   mining with a safety margin and filtering by the exact mean.
 2. **Splits.** For each candidate body, every antecedent/consequent
    split is scored by its exact crowd-mean confidence (support is
    split-invariant), and the splits clearing ``θ_c`` are the
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.classic.fpgrowth import frequent_itemsets
+from repro.classic.itemsets import frequent_itemsets
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule

@@ -61,8 +61,9 @@ if TYPE_CHECKING:
 #: track availability only through their members' departure hooks.
 #: Format 3: personal databases travel as their rows alone, rule
 #: knowledge without its summary cache, and members without a rule
-#: cache.
-CHECKPOINT_FORMAT = 3
+#: cache. Format 4: members report departures to the crowd's rotation,
+#: which keeps the availability generation.
+CHECKPOINT_FORMAT = 4
 
 
 def capture_session(

@@ -1,18 +1,25 @@
-"""FP-tree: the prefix-tree structure behind FP-Growth.
+"""FP-Growth over an FP-tree: the reference the itemset miner is pinned to.
 
-An FP-tree compresses a transaction database by storing transactions as
-paths of a prefix tree ordered by descending item frequency, with a
-header table linking all nodes of each item. Han, Pei & Yin (SIGMOD
-2000). The tree supports the two operations FP-Growth needs:
-
-- conditional pattern bases (the prefix paths ending at an item), and
-- detection of single-path trees (whose patterns can be enumerated
-  combinatorially without recursion).
+Han, Pei & Yin (SIGMOD 2000). The library's miner
+(:mod:`repro.classic.itemsets`) must return exactly what this returns,
+keys, order and float supports alike, because habit pools draw their
+rules in this order. The FP-tree stores transactions as paths of a
+prefix tree ordered by descending item frequency, with a header table
+linking all nodes of each item. For each item (suffix), FP-Growth
+builds the conditional FP-tree of its prefix paths and recurses;
+single-path trees are expanded combinatorially.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Iterator
+from itertools import combinations
+
+from repro._util import check_fraction
+from repro.core.itemset import Itemset
+from repro.core.transactions import TransactionDB
+from repro.errors import EmptyDatabaseError
 
 
 class FPNode:
@@ -137,3 +144,53 @@ class FPTree:
     def items_ascending(self) -> list[str]:
         """Items ordered by ascending frequency (FP-Growth's suffix order)."""
         return sorted(self.item_counts, key=self._order.__getitem__, reverse=True)
+
+
+def _grow(
+    tree: FPTree,
+    suffix: tuple[str, ...],
+    min_count: int,
+    max_size: int | None,
+    out: dict[Itemset, int],
+) -> None:
+    single = tree.single_path()
+    if single is not None:
+        # Every combination of path items, appended to the suffix, is
+        # frequent with the count of its deepest (least frequent) node.
+        for k in range(1, len(single) + 1):
+            if max_size is not None and len(suffix) + k > max_size:
+                break
+            for combo in combinations(single, k):
+                items = tuple(item for item, _ in combo) + suffix
+                count = min(c for _, c in combo)
+                out[Itemset(items)] = count
+        return
+    for item in tree.items_ascending():
+        new_suffix = (item,) + suffix
+        out[Itemset(new_suffix)] = tree.item_counts[item]
+        if max_size is not None and len(new_suffix) >= max_size:
+            continue
+        base = tree.conditional_pattern_base(item)
+        conditional = FPTree(base, min_count)
+        if not conditional.is_empty:
+            _grow(conditional, new_suffix, min_count, max_size, out)
+
+
+def frequent_itemsets(
+    db: TransactionDB,
+    min_support: float,
+    max_size: int | None = None,
+) -> dict[Itemset, float]:
+    """All itemsets with support ≥ ``min_support``, via FP-Growth."""
+    check_fraction(min_support, "min_support")
+    if min_support <= 0.0:
+        raise ValueError("min_support must be strictly positive for FP-Growth")
+    if len(db) == 0:
+        raise EmptyDatabaseError("cannot mine an empty database")
+    n = len(db)
+    min_count = max(1, math.ceil(min_support * n - 1e-9))
+    tree = FPTree(((row, 1) for row in db), min_count)
+    counts: dict[Itemset, int] = {}
+    if not tree.is_empty:
+        _grow(tree, (), min_count, max_size, counts)
+    return {itemset: count / n for itemset, count in counts.items()}

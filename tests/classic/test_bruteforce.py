@@ -1,10 +1,10 @@
-"""Brute-force validation of the classic miners.
+"""Brute-force validation of the itemset miner and its FP-Growth reference.
 
 On tiny databases the full powerset can be enumerated, giving an
-*exhaustive* independent oracle: every frequent itemset the miners
-report must appear with the exact same support, and nothing frequent
-may be missed. This closes the loop that the three-way equivalence
-tests leave open (all three implementations could share a bug).
+*exhaustive* independent oracle: every frequent itemset a miner reports
+must appear with the exact same support, and nothing frequent may be
+missed. This closes the loop the reference-equivalence tests leave
+open (the miner and its reference could share a bug).
 """
 
 from itertools import chain, combinations
@@ -13,12 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classic import (
-    apriori_frequent_itemsets,
-    eclat_frequent_itemsets,
-    fpgrowth_frequent_itemsets,
-)
+from repro.classic import frequent_itemsets
 from repro.core import Itemset, TransactionDB
+from tests.classic import fpgrowth_reference
 
 tiny_dbs = st.lists(
     st.lists(st.sampled_from(list("abcde")), max_size=4),
@@ -26,11 +23,10 @@ tiny_dbs = st.lists(
     max_size=12,
 ).map(TransactionDB)
 
-MINERS = [
-    apriori_frequent_itemsets,
-    fpgrowth_frequent_itemsets,
-    eclat_frequent_itemsets,
-]
+MINERS = {
+    "itemsets": frequent_itemsets,
+    "fpgrowth": fpgrowth_reference.frequent_itemsets,
+}
 
 
 def brute_force(db: TransactionDB, min_support: float) -> dict[Itemset, float]:
@@ -48,7 +44,7 @@ def brute_force(db: TransactionDB, min_support: float) -> dict[Itemset, float]:
     return result
 
 
-@pytest.mark.parametrize("miner", MINERS, ids=lambda m: m.__module__.split(".")[-1])
+@pytest.mark.parametrize("miner", MINERS.values(), ids=MINERS.keys())
 class TestAgainstBruteForce:
     @settings(max_examples=25, deadline=None)
     @given(tiny_dbs, st.sampled_from([0.1, 0.3, 0.5, 0.9]))

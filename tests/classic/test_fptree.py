@@ -1,6 +1,6 @@
-"""Tests for the FP-tree structure itself."""
+"""Tests for the FP-tree of the FP-Growth reference."""
 
-from repro.classic import FPTree
+from tests.classic.fpgrowth_reference import FPTree
 
 
 def build(transactions, min_count=1):

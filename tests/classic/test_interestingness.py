@@ -7,7 +7,7 @@ import pytest
 from repro.classic import (
     MissingSupportError,
     filter_redundant,
-    fpgrowth_frequent_itemsets,
+    frequent_itemsets,
     rank_rules,
     rules_from_itemsets,
     score_rules,
@@ -81,7 +81,7 @@ class TestRankRules:
         assert len(rank_rules(rules, supports, top=2)) == 2
 
     def test_integration_with_miner(self, tiny_db):
-        supports = fpgrowth_frequent_itemsets(tiny_db, 0.15)
+        supports = frequent_itemsets(tiny_db, 0.15)
         rules = rules_from_itemsets(supports, 0.4)
         ranked = rank_rules(rules, supports, by="leverage")
         assert len(ranked) == len(rules)

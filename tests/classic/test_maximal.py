@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.classic import (
     closed_itemsets,
-    fpgrowth_frequent_itemsets,
+    frequent_itemsets,
     maximal_itemsets,
 )
 from repro.core import Itemset, TransactionDB
@@ -37,7 +37,7 @@ class TestMaximal:
     @settings(max_examples=25, deadline=None)
     @given(random_dbs)
     def test_maximal_reconstructs_frequency(self, db):
-        supports = fpgrowth_frequent_itemsets(db, 0.2)
+        supports = frequent_itemsets(db, 0.2)
         maximal = maximal_itemsets(supports)
         # Every frequent itemset is a subset of some maximal one.
         for itemset in supports:
@@ -70,7 +70,7 @@ class TestClosed:
     @settings(max_examples=25, deadline=None)
     @given(random_dbs)
     def test_closed_superset_of_maximal(self, db):
-        supports = fpgrowth_frequent_itemsets(db, 0.2)
+        supports = frequent_itemsets(db, 0.2)
         closed = set(closed_itemsets(supports))
         maximal = set(maximal_itemsets(supports))
         assert maximal <= closed
@@ -80,7 +80,7 @@ class TestClosed:
     def test_closed_reconstructs_supports(self, db):
         # supp(X) = max over closed supersets of X — the defining
         # property of the closed representation.
-        supports = fpgrowth_frequent_itemsets(db, 0.2)
+        supports = frequent_itemsets(db, 0.2)
         closed = closed_itemsets(supports)
         for itemset, support in supports.items():
             covering = [s for c, s in closed.items() if itemset <= c]

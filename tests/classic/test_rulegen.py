@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.classic import fpgrowth_frequent_itemsets, mine_rules, rules_from_itemsets
+from repro.classic import frequent_itemsets, mine_rules, rules_from_itemsets
 from repro.core import Itemset, Rule, RuleStats, TransactionDB
+from tests.classic import fpgrowth_reference
 
 random_dbs = st.lists(
     st.lists(st.sampled_from(list("abcde")), max_size=4),
@@ -65,13 +66,9 @@ class TestRulesFromItemsets:
 
 class TestMineRules:
     def test_algorithms_agree(self, tiny_db):
-        fp = mine_rules(tiny_db, 0.15, 0.5, algorithm="fpgrowth")
-        ap = mine_rules(tiny_db, 0.15, 0.5, algorithm="apriori")
-        assert fp == ap
-
-    def test_unknown_algorithm(self, tiny_db):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            mine_rules(tiny_db, 0.1, 0.5, algorithm="magic")
+        # The miner and the FP-Growth reference yield the same rules.
+        reference = fpgrowth_reference.frequent_itemsets(tiny_db, 0.15)
+        assert mine_rules(tiny_db, 0.15, 0.5) == rules_from_itemsets(reference, 0.5)
 
     def test_stats_match_database(self, tiny_db):
         rules = mine_rules(tiny_db, 0.15, 0.3)
@@ -92,7 +89,7 @@ class TestMineRules:
     @given(random_dbs)
     def test_rule_support_consistency(self, db):
         # Every generated rule's support equals its body's support.
-        supports = fpgrowth_frequent_itemsets(db, 0.2)
+        supports = frequent_itemsets(db, 0.2)
         rules = rules_from_itemsets(supports, 0.5)
         for rule, stats in rules.items():
             assert stats.support == pytest.approx(supports[rule.body])

@@ -1,5 +1,8 @@
 """Tests for the SimulatedCrowd facade."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import Rule, TransactionDB
@@ -8,8 +11,11 @@ from repro.crowd import (
     SimulatedCrowd,
     SimulatedMember,
     SpammerAnswerModel,
+    standard_answer_model,
 )
 from repro.errors import CrowdExhaustedError
+from repro.estimation import Thresholds
+from repro.miner import CrowdMiner, CrowdMinerConfig
 
 
 def make_crowd(n=3, patience=None, seed=0):
@@ -110,3 +116,30 @@ class TestProtocolAndStats:
         crowd = make_crowd()
         with pytest.raises(KeyError):
             crowd.ask_closed("nobody", Rule(["a"], ["b"]))
+
+
+class TestLifetime:
+    def test_finished_session_frees_its_crowd_without_the_cyclic_gc(
+        self, folk_population
+    ):
+        # Members report departures to the crowd's rotation, not to the
+        # crowd, so nothing cycles back to a crowd: reference counting
+        # alone frees it, its databases and its habit pools.
+        gc.collect()
+        gc.disable()
+        try:
+            crowd = SimulatedCrowd.from_population(
+                folk_population, answer_model=standard_answer_model(), seed=3
+            )
+            alive = weakref.ref(crowd)
+            miner = CrowdMiner(
+                crowd, CrowdMinerConfig(Thresholds(0.10, 0.5), budget=60, seed=4)
+            )
+            miner.run()
+            assert crowd.stats.open_questions > 0
+            del crowd
+            assert alive() is not None
+            del miner
+            assert alive() is None
+        finally:
+            gc.enable()

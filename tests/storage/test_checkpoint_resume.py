@@ -188,15 +188,16 @@ class TestRestoreEdges:
     def test_foreign_format_payload_is_refused(self):
         # Well-formed, sealed payloads stamped with another format must
         # be refused, not resumed into a diverging run: format 1 (the
-        # layout before one rotation and one dispatcher snapshot) and
+        # layout before one rotation and one dispatcher snapshot),
         # format 2 (before personal databases travelled as rows alone
-        # and rule knowledge without its summary cache).
+        # and rule knowledge without its summary cache) and format 3
+        # (before members reported departures to the crowd's rotation).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2):
+        for old in (1, 2, 3):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(

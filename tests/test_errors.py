@@ -26,11 +26,11 @@ def test_all_derive_from_repro_error(exc):
 
 def test_catching_base_catches_all(tiny_db):
     """One except clause suffices for library failures."""
-    from repro.classic import fpgrowth_frequent_itemsets
+    from repro.classic import frequent_itemsets
     from repro.core import TransactionDB
 
     with pytest.raises(errors.ReproError):
-        fpgrowth_frequent_itemsets(TransactionDB([]), 0.5)
+        frequent_itemsets(TransactionDB([]), 0.5)
 
 
 def test_every_error_documented():
