@@ -71,9 +71,9 @@ def _resume_mine(args: argparse.Namespace) -> int:
     dropped = miner.obs.snapshot().counters.get("storage.repaired", 0)
     if dropped:
         print(f"repair: dropped {dropped} corrupt checkpoint(s)")
-    from repro.serve.session import ServeSnapshot
+    from repro.serve.session import ServeSession
 
-    if isinstance(dispatcher, ServeSnapshot):
+    if isinstance(dispatcher, ServeSession):
         storage.close()
         print(
             f"error: {args.checkpoint} holds a serve session with "
@@ -260,7 +260,9 @@ def _cmd_kb(args: argparse.Namespace) -> int:
         f"logged, {storage.bytes_on_disk()} bytes on disk"
     )
     if dispatcher is not None:
-        if getattr(dispatcher, "kind", None) == "serve":
+        from repro.serve.session import ServeSession
+
+        if isinstance(dispatcher, ServeSession):
             print("serve session (resume with `repro serve --resume`)")
         else:
             print("dispatched session (in-flight questions resume with it)")

@@ -266,7 +266,10 @@ class ArrayCrowd:
 
         check_positive(shards, "shards")
         ids = self.member_ids
-        return [CrowdPartition(self, ids[i::shards]) for i in range(shards)]
+        return [
+            CrowdPartition(self, slice(i, None, shards), ids[i::shards])
+            for i in range(shards)
+        ]
 
     # -- the question protocol ------------------------------------------------
 

@@ -244,7 +244,8 @@ class SimulatedCrowd:
 
         check_positive(shards, "shards")
         return [
-            CrowdPartition(self, self._order[i::shards]) for i in range(shards)
+            CrowdPartition(self, slice(i, None, shards), self._order[i::shards])
+            for i in range(shards)
         ]
 
     # -- the question protocol ----------------------------------------------------

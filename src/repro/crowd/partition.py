@@ -9,6 +9,11 @@ the partition only decides *who in this lane answers next*.
 The rotation is synced to the crowd's availability generation, so
 steady-state scheduling costs O(1) per pick; the partition is rescanned
 only after someone in the crowd left.
+
+A partition pickles as its crowd, its slice of crowd positions and its
+rotation cursor. The id list and the rotation's available set are
+O(crowd) and rebuilt on load (the first pick rescans availability), so
+a sharded session's checkpoint stays flat in crowd size.
 """
 
 from __future__ import annotations
@@ -19,21 +24,36 @@ from repro.crowd.rotation import MemberRotation
 
 
 class CrowdPartition:
-    """One lane's scheduling view over ``member_ids`` of ``crowd``.
+    """One lane's scheduling view over the crowd positions ``positions``.
 
     The partition mirrors the crowd's scheduling protocol
     (:meth:`next_member`, :meth:`available_members`,
     :meth:`available_count`) restricted to its own members, with the
     crowd's rotation rule (:mod:`repro.crowd.rotation`). A partition
-    built over the full crowd order with a fresh cursor schedules
-    exactly like the crowd itself.
+    over ``slice(None)`` with a fresh cursor schedules exactly like the
+    crowd itself. ``member_ids`` passes ``crowd.member_ids[positions]``
+    when the caller already holds the crowd's id list, so splitting a
+    crowd into lanes builds that list once, not once per lane.
     """
 
-    def __init__(self, crowd, member_ids: Sequence[str]) -> None:
+    def __init__(
+        self, crowd, positions: slice, member_ids: Sequence[str] | None = None
+    ) -> None:
         self.crowd = crowd
+        self.positions = positions
+        if member_ids is None:
+            member_ids = crowd.member_ids[positions]
         self._ids: list[str] = list(member_ids)
         self.rotation = MemberRotation(self._ids)
         self._generation: int | None = None
+
+    def __getstate__(self) -> tuple:
+        return self.crowd, self.positions, self.rotation.cursor
+
+    def __setstate__(self, state: tuple) -> None:
+        crowd, positions, cursor = state
+        self.__init__(crowd, positions)
+        self.rotation.cursor = cursor
 
     def __len__(self) -> int:
         return len(self._ids)

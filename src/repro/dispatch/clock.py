@@ -11,7 +11,10 @@ events:
 - **seq** is a monotonically increasing schedule counter, so events at
   the same instant fire in the order they were scheduled — the only
   tie-break, and a deterministic one;
-- **action** is an arbitrary zero-argument callable.
+- **action** is an arbitrary zero-argument callable. A clock that
+  rides in a session checkpoint is pickled with its queue, so the
+  dispatcher and the fault injector schedule bound methods or
+  ``functools.partial`` objects of them, never lambdas.
 
 Events can be cancelled (a timeout whose answer arrived, an arrival
 whose question was abandoned); cancelled events are skipped on pop

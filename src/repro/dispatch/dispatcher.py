@@ -48,6 +48,13 @@ dispatch, shard count) replays byte-identically. With ``window=1`` and
 zero latency the dispatcher reduces *exactly* to the synchronous loop:
 same questions, same order, same knowledge base
 (``tests/dispatch/test_equivalence.py`` pins this).
+
+Durability: a checkpoint pickles the live dispatcher next to the miner
+(see :mod:`repro.storage.checkpoint`). Every clock action is a bound
+method or a ``functools.partial`` of one, so each lane clock travels
+with its pending arrivals and timeouts — and with any fault an
+injector scheduled on it — and the resumed session fires them in their
+original order.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -66,22 +74,6 @@ from repro.dispatch.latency import ConstantLatency, LatencyModel, LatencyProfile
 from repro.errors import ConfigurationError, CrowdExhaustedError
 from repro.miner.crowdminer import CrowdMiner, Discard, QuestionProposal
 from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
-
-#: The outcome counters, as stored in a checkpoint snapshot.
-_COUNTERS = (
-    "issued",
-    "completed",
-    "timeouts",
-    "retries",
-    "stale",
-    "late",
-    "dropped",
-    "malformed",
-    "rejected",
-    "crashed",
-    "duplicates",
-)
-
 
 @dataclass(slots=True)
 class DispatchConfig:
@@ -219,13 +211,6 @@ class _InFlight:
     lane: _Lane
     arrival_event: ScheduledEvent | None = None
     timeout_event: ScheduledEvent | None = None
-
-
-def _pending(event: ScheduledEvent | None) -> tuple[float, int] | None:
-    """A live event as (instant, schedule sequence number), for snapshots."""
-    if event is None or event.cancelled:
-        return None
-    return event.time, event.seq
 
 
 class Dispatcher:
@@ -437,11 +422,11 @@ class Dispatcher:
             # exact timeout instant still counts (ties break by
             # schedule order).
             entry.arrival_event = lane.clock.schedule_at(
-                in_flight.arrives_at, lambda: self._deliver(member_id)
+                in_flight.arrives_at, partial(self._deliver, member_id)
             )
         if not math.isinf(timeout):
             entry.timeout_event = lane.clock.schedule(
-                timeout, lambda: self._timeout(member_id)
+                timeout, partial(self._timeout, member_id)
             )
         self._in_flight[member_id] = entry
         lane.busy += 1
@@ -552,7 +537,7 @@ class Dispatcher:
         if entry is None or entry.answer.is_lost:
             return False
         entry.lane.clock.schedule_at(
-            entry.answer.arrives_at, lambda: self._redeliver(entry)
+            entry.answer.arrives_at, partial(self._redeliver, entry)
         )
         return True
 
@@ -632,107 +617,6 @@ class Dispatcher:
         if self._checkpoint_requested:
             self._checkpoint_requested = False
             self.miner.checkpoint()
-
-    def snapshot(self) -> dict[str, Any]:
-        """The session's travelling dispatch state as plain data.
-
-        Each in-flight entry records the *instants and schedule
-        sequence numbers* of its pending arrival/timeout events on its
-        lane's clock; :meth:`restore` recreates the actions. A
-        partition lane carries its rotation cursor; the crowd's own
-        cursor travels with the miner.
-        """
-        return {
-            "kind": "dispatch",
-            "config": self.config,
-            "shards": self.shards,
-            "lanes": [
-                {
-                    "rng": lane.rng,
-                    "batch_rng": lane.batch_rng,
-                    "clock": (lane.clock.now, lane.clock._seq),
-                    "cursor": (
-                        None
-                        if lane.scheduler is self.miner.crowd
-                        else lane.scheduler.rotation.cursor
-                    ),
-                }
-                for lane in self._lanes
-            ],
-            "in_flight": [
-                {
-                    "member": member_id,
-                    "lane": self._lanes.index(entry.lane),
-                    "proposal": entry.proposal,
-                    "answer": entry.answer,
-                    "attempt": entry.attempt,
-                    "arrival": _pending(entry.arrival_event),
-                    "timeout": _pending(entry.timeout_event),
-                }
-                for member_id, entry in self._in_flight.items()
-            ],
-            "counters": {name: getattr(self, f"_{name}") for name in _COUNTERS},
-            "seen_tokens": set(self._seen_tokens),
-            "stalled": self._stalled,
-            "timeline": list(self.timeline),
-        }
-
-    @classmethod
-    def restore(cls, miner: CrowdMiner, state: dict[str, Any]) -> Dispatcher:
-        """A live dispatcher equivalent to the :meth:`snapshot` one.
-
-        Construction rebuilds the lanes (fresh clocks, partitions over
-        the restored crowd); every stream, clock reading and cursor
-        then comes from the snapshot, so the resumed run continues the
-        original one's randomness rather than replaying a fresh one.
-        Pending events are re-armed in their *original schedule order*
-        per lane: they take new sequence numbers ``0..k-1`` preserving
-        their relative order, and each clock's counter is then advanced
-        to its saved value, so events scheduled after resume sort
-        behind every re-armed one at the same instant — exactly as in
-        the uninterrupted run.
-        """
-        dispatcher = cls(miner, state["config"], shards=state["shards"])
-        lanes = dispatcher._lanes
-        for lane, saved in zip(lanes, state["lanes"]):
-            lane.rng = saved["rng"]
-            lane.batch_rng = saved["batch_rng"]
-            lane.clock._now = saved["clock"][0]
-            if saved["cursor"] is not None:
-                lane.scheduler.rotation.cursor = saved["cursor"]
-        pending: list[tuple[int, int, float, str, str]] = []
-        for item in state["in_flight"]:
-            lane = lanes[item["lane"]]
-            dispatcher._in_flight[item["member"]] = _InFlight(
-                proposal=item["proposal"],
-                answer=item["answer"],
-                attempt=item["attempt"],
-                lane=lane,
-            )
-            lane.busy += 1
-            for what in ("arrival", "timeout"):
-                if item[what] is not None:
-                    at, seq = item[what]
-                    pending.append((item["lane"], seq, at, what, item["member"]))
-        for index, _, at, what, member_id in sorted(pending):
-            entry = dispatcher._in_flight[member_id]
-            clock = lanes[index].clock
-            if what == "arrival":
-                entry.arrival_event = clock.schedule_at(
-                    at, lambda m=member_id: dispatcher._deliver(m)
-                )
-            else:
-                entry.timeout_event = clock.schedule_at(
-                    at, lambda m=member_id: dispatcher._timeout(m)
-                )
-        for lane, saved in zip(lanes, state["lanes"]):
-            lane.clock._seq = saved["clock"][1]
-        for name in _COUNTERS:
-            setattr(dispatcher, f"_{name}", state["counters"][name])
-        dispatcher._seen_tokens = set(state["seen_tokens"])
-        dispatcher._stalled = state["stalled"]
-        dispatcher.timeline = list(state["timeline"])
-        return dispatcher
 
     # -- driving ------------------------------------------------------------------
 

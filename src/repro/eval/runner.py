@@ -396,7 +396,9 @@ def resume_session(
         )
     miner, dispatcher, _ = load_session(storage)
     if dispatcher is not None:
-        if getattr(dispatcher, "kind", None) == "serve":
+        from repro.serve.session import ServeSession
+
+        if isinstance(dispatcher, ServeSession):
             raise StorageError(
                 "this checkpoint carries live serve-session state; resume "
                 "it with `repro serve --data-dir DIR --resume`, not the "

@@ -17,11 +17,17 @@ monkey-patching, no hooks. A fault landing at an instant with no
 eligible victim (nothing in flight, nobody left to churn) is a no-op,
 counted under ``faults.noops`` so experiments can see how much of the
 plan actually bit.
+
+Every armed fault is a bound method of the injector sitting on the
+clock, so a session checkpoint pickles the pending faults (and the
+injector with its victim stream) along with the dispatcher: a resumed
+session suffers exactly the faults the uninterrupted one would have.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -106,7 +112,7 @@ class FaultInjector:
         for when in self.plan.crashes:
             clock.schedule_at(when, self._crash_one)
         for when, size in self.plan.churn_waves:
-            clock.schedule_at(when, lambda size=size: self._churn(size))
+            clock.schedule_at(when, partial(self._churn, size))
         for when in self.plan.duplicates:
             clock.schedule_at(when, self._duplicate_one)
 

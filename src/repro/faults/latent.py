@@ -93,7 +93,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro._util import check_fraction, check_nonnegative, check_positive
+from repro._util import check_fraction, check_positive
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
 
@@ -127,8 +127,73 @@ class MemberAbility:
         return max(abs(self.bias[0]), abs(self.bias[1]))
 
 
+#: Posterior *relative* noise scale forgiven entirely. 1.0 is "typical
+#: honest scatter for the rules answered", but the fit's own sampling
+#: wobble (few answers per member, heterogeneous habits, thin early
+#: matrices) legitimately puts honest members several times above it,
+#: so the value is deliberately loose — the scale axis is a backstop for
+#: egregious noise; the coherence axis is the discriminating one
+#: (adversaries who fabricate statistics show up there long before
+#: their fitted scale does).
+SIGMA_TOLERANCE = 8.0
+#: Posterior |bias| per component forgiven entirely. Honest personal
+#: habits legitimately sit a few tenths from the crowd mean (that is
+#: heterogeneity, not dishonesty), so the value is loose — the bias
+#: term mainly *explains* honest offsets so they do not inflate the
+#: member's noise scale.
+BIAS_TOLERANCE = 0.5
+#: Malformed-answer *rate* forgiven entirely (a member who only ever
+#: sends garbage must still lose trust despite having no parsed answers
+#: to fit).
+MALFORMED_TOLERANCE = 0.25
+#: Per-pair violation magnitude forgiven before anything is tallied.
+#: Honest members violate antitonicity only through answer noise and
+#: Likert coarsening on borderline pairs (exact-model members never
+#: do), and those flips are bounded — about one Likert step; fabricated
+#: statistics overshoot the margin routinely and by a lot.
+COHERENCE_MARGIN = 0.1
+#: Pseudo-pairs added to the denominator of the incoherence mean, so
+#: one unlucky violation on a thin record (a handful of comparable
+#: pairs) cannot condemn a member by itself.
+COHERENCE_PRIOR = 4.0
+#: Shrunk beyond-margin mean violation forgiven entirely. Honest members
+#: sit at (or within rounding of) zero under the margin; fabricated
+#: statistics land several times higher.
+COHERENCE_TOLERANCE = 0.05
+#: Converts incoherence beyond the tolerance (support units, so small
+#: numbers) into the common excess scale shared with the
+#: sigma/bias/malformed terms.
+COHERENCE_WEIGHT = 12.0
+#: How hard incoherence floors a member's noise scale *inside* the fit:
+#: the floor is ``1 + ANCHOR_GAIN · excess_incoherence``. This is what
+#: breaks the 50%-collusion symmetry — a tight ring is more
+#: self-consistent than an honest crowd, but its members enter the
+#: truth step pre-discounted and can never win the precision race.
+ANCHOR_GAIN = 20.0
+#: Trust decay speed past the tolerances — the same
+#: ``1 / (1 + SEVERITY · excess)`` shape as the other trust sources, so
+#: :class:`~repro.estimation.aggregate.CompositeTrust` composes them
+#: naturally.
+SEVERITY = 6.0
+#: The prior per-rule difficulty (absolute standard deviation; one
+#: quarter of a Likert step), toward which thin rules shrink.
+PRIOR_TAU = 0.12
+#: The pseudo-count weight of both shrinkage priors — a member with
+#: ``n`` fitted answers has their ability pulled toward ``(b=0, σ=1)``
+#: with weight ``PRIOR_STRENGTH / (n + PRIOR_STRENGTH)``, so nobody is
+#: condemned on two answers.
+PRIOR_STRENGTH = 6.0
+#: Coordinate-ascent budget per re-estimation; iteration stops early
+#: once no truth component moves more than ``CONVERGENCE_TOL``.
+MAX_ITERATIONS = 12
+CONVERGENCE_TOL = 1e-6
+
+
 class LatentAbilityModel:
     """Joint member-ability / rule-truth estimation as a trust source.
+
+    The tolerances, priors and solver budget are the module constants
+    above; the three parameters are the ones a session configures.
 
     Parameters
     ----------
@@ -141,68 +206,6 @@ class LatentAbilityModel:
         Observations between re-estimations (answer-count driven, so
         deterministic under replay; the miner calls
         :meth:`due` / :meth:`reestimate` from its ingest path).
-    sigma_tolerance:
-        Posterior *relative* noise scale forgiven entirely. 1.0 is
-        "typical honest scatter for the rules answered", but the fit's
-        own sampling wobble (few answers per member, heterogeneous
-        habits, thin early matrices) legitimately puts honest members
-        several times above it, so the default is deliberately loose —
-        the scale axis is a backstop for egregious noise; the
-        coherence axis is the discriminating one (adversaries who
-        fabricate statistics show up there long before their fitted
-        scale does).
-    coherence_margin:
-        Per-pair violation magnitude forgiven before anything is
-        tallied. Honest members violate antitonicity only through
-        answer noise and Likert coarsening on borderline pairs
-        (exact-model members never do), and those flips are bounded —
-        about one Likert step; fabricated statistics overshoot the
-        margin routinely and by a lot.
-    coherence_prior:
-        Pseudo-pairs added to the denominator of the incoherence mean,
-        so one unlucky violation on a thin record (a handful of
-        comparable pairs) cannot condemn a member by itself.
-    coherence_tolerance:
-        Shrunk beyond-margin mean violation forgiven entirely. Honest
-        members sit at (or within rounding of) zero under the margin;
-        fabricated statistics land several times higher.
-    coherence_weight:
-        Converts incoherence beyond the tolerance (support units, so
-        small numbers) into the common excess scale shared with the
-        sigma/bias/malformed terms.
-    anchor_gain:
-        How hard incoherence floors a member's noise scale *inside*
-        the fit: the floor is ``1 + anchor_gain · excess_incoherence``.
-        This is what breaks the 50%-collusion symmetry — a tight ring
-        is more self-consistent than an honest crowd, but its members
-        enter the truth step pre-discounted and can never win the
-        precision race.
-    bias_tolerance:
-        Posterior |bias| per component forgiven entirely. Honest
-        personal habits legitimately sit a few tenths from the crowd
-        mean (that is heterogeneity, not dishonesty), so the default
-        is loose — the bias term mainly *explains* honest offsets so
-        they do not inflate the member's noise scale.
-    malformed_tolerance:
-        Malformed-answer *rate* forgiven entirely (a member who only
-        ever sends garbage must still lose trust despite having no
-        parsed answers to fit).
-    severity:
-        Trust decay speed past the tolerances — the same
-        ``1 / (1 + severity · excess)`` shape as the other trust
-        sources, so :class:`~repro.estimation.aggregate.CompositeTrust`
-        composes them naturally.
-    prior_tau / prior_strength:
-        ``prior_tau`` is the prior per-rule difficulty (absolute
-        standard deviation; one quarter of a Likert step by default),
-        toward which thin rules shrink; ``prior_strength`` is the
-        pseudo-count weight of both shrinkage priors — a member with
-        ``n`` fitted answers has their ability pulled toward
-        ``(b=0, σ=1)`` with weight ``prior_strength / (n +
-        prior_strength)``, so nobody is condemned on two answers.
-    max_iterations / convergence_tol:
-        Coordinate-ascent budget per re-estimation; iteration stops
-        early once no truth component moves more than the tolerance.
     """
 
     def __init__(
@@ -210,48 +213,11 @@ class LatentAbilityModel:
         trust_floor: float = 0.45,
         min_answers: int = 4,
         reestimate_every: int = 10,
-        sigma_tolerance: float = 8.0,
-        bias_tolerance: float = 0.5,
-        malformed_tolerance: float = 0.25,
-        coherence_margin: float = 0.1,
-        coherence_prior: float = 4.0,
-        coherence_tolerance: float = 0.05,
-        coherence_weight: float = 12.0,
-        anchor_gain: float = 20.0,
-        severity: float = 6.0,
-        prior_tau: float = 0.12,
-        prior_strength: float = 6.0,
-        max_iterations: int = 12,
-        convergence_tol: float = 1e-6,
     ) -> None:
         check_fraction(trust_floor, "trust_floor")
         self.trust_floor = float(trust_floor)
         self.min_answers = check_positive(min_answers, "min_answers")
         self.reestimate_every = check_positive(reestimate_every, "reestimate_every")
-        self.sigma_tolerance = check_nonnegative(sigma_tolerance, "sigma_tolerance")
-        self.bias_tolerance = check_nonnegative(bias_tolerance, "bias_tolerance")
-        self.coherence_margin = check_nonnegative(
-            coherence_margin, "coherence_margin"
-        )
-        self.coherence_prior = check_nonnegative(
-            coherence_prior, "coherence_prior"
-        )
-        self.coherence_tolerance = check_nonnegative(
-            coherence_tolerance, "coherence_tolerance"
-        )
-        self.coherence_weight = check_nonnegative(
-            coherence_weight, "coherence_weight"
-        )
-        self.anchor_gain = check_nonnegative(anchor_gain, "anchor_gain")
-        check_fraction(malformed_tolerance, "malformed_tolerance")
-        self.malformed_tolerance = float(malformed_tolerance)
-        self.severity = check_nonnegative(severity, "severity")
-        if prior_tau <= 0:
-            raise ValueError(f"prior_tau must be positive, got {prior_tau}")
-        self.prior_tau = float(prior_tau)
-        self.prior_strength = check_nonnegative(prior_strength, "prior_strength")
-        self.max_iterations = check_positive(max_iterations, "max_iterations")
-        self.convergence_tol = check_nonnegative(convergence_tol, "convergence_tol")
         # The answer matrix: member → rule → latest parsed stats. A
         # member revising a rule overwrites their cell, matching the
         # one-observation-per-member contract of RuleSamples.
@@ -307,7 +273,7 @@ class LatentAbilityModel:
             pairs += 1
             # Only the magnitude beyond the margin counts: honest
             # noise/Likert flips are bounded and land inside it.
-            violation += max(0.0, gap - self.coherence_margin)
+            violation += max(0.0, gap - COHERENCE_MARGIN)
         self._violation[member_id] = violation
         self._pairs[member_id] = pairs
         cells[rule] = stats
@@ -318,7 +284,7 @@ class LatentAbilityModel:
         pairs = self._pairs.get(member_id, 0)
         if pairs == 0:
             return 0.0
-        return self._violation[member_id] / (pairs + self.coherence_prior)
+        return self._violation[member_id] / (pairs + COHERENCE_PRIOR)
 
     def observe_malformed(self, member_id: str) -> None:
         """Record one unparseable reply (a strike with no coordinates)."""
@@ -434,7 +400,7 @@ class LatentAbilityModel:
         rule_fit_counts = np.bincount(
             cols[fit_mask], minlength=n_rules
         ).astype(float)
-        prior_tau2 = self.prior_tau**2
+        prior_tau2 = PRIOR_TAU**2
         # The coherence anchor: a member's noise scale is floored by
         # their own antitonicity violations, so fabricated answer mass
         # enters every truth step pre-discounted. Without this floor
@@ -442,16 +408,15 @@ class LatentAbilityModel:
         # ring out-competes a heterogeneous honest crowd near 50%.
         anchor2 = (
             1.0
-            + self.anchor_gain
-            * np.maximum(0.0, incoherence - self.coherence_tolerance)
+            + ANCHOR_GAIN * np.maximum(0.0, incoherence - COHERENCE_TOLERANCE)
         ) ** 2
         sigma2 = anchor2.copy()  # relative: 1 = typical honest
         tau2 = np.full(n_rules, prior_tau2)  # absolute per-rule scatter
         bias = np.zeros((n_members, 2))
         truth = np.zeros((n_rules, 2))
-        member_denom = fit_counts + self.prior_strength
-        rule_denom = rule_fit_counts + self.prior_strength
-        for _ in range(self.max_iterations):
+        member_denom = fit_counts + PRIOR_STRENGTH
+        rule_denom = rule_fit_counts + PRIOR_STRENGTH
+        for _ in range(MAX_ITERATIONS):
             # Truth step: precision-weighted mean of bias-corrected
             # answers. The small ridge keeps weights finite when a
             # member's residuals collapse to zero.
@@ -498,7 +463,7 @@ class LatentAbilityModel:
                     weights=squared[fit_mask] / sigma2[rows[fit_mask]],
                     minlength=n_rules,
                 )
-                + self.prior_strength * prior_tau2
+                + PRIOR_STRENGTH * prior_tau2
             ) / rule_denom
             tau2 = np.maximum(tau2, 1e-6)
             # Ability step: *median* standardized squared residual per
@@ -518,10 +483,10 @@ class LatentAbilityModel:
                 if values.size:
                     typical[i] = float(np.median(values)) / float(np.log(2.0))
             sigma2 = (
-                fit_counts * typical + self.prior_strength * 1.0
+                fit_counts * typical + PRIOR_STRENGTH * 1.0
             ) / member_denom
             sigma2 = np.maximum(sigma2, anchor2)
-            if shift <= self.convergence_tol:
+            if shift <= CONVERGENCE_TOL:
                 break
         return np.sqrt(sigma2), bias
 
@@ -533,18 +498,18 @@ class LatentAbilityModel:
         # from the member's own answers alone, so no fabricated
         # majority can shift it. Honest members sit at (or within
         # tolerance of) zero and keep exact unit trust.
-        excess = self.coherence_weight * max(
-            0.0, ability.incoherence - self.coherence_tolerance
+        excess = COHERENCE_WEIGHT * max(
+            0.0, ability.incoherence - COHERENCE_TOLERANCE
         )
-        excess += max(0.0, ability.sigma - self.sigma_tolerance)
-        excess += max(0.0, ability.bias_magnitude - self.bias_tolerance)
+        excess += max(0.0, ability.sigma - SIGMA_TOLERANCE)
+        excess += max(0.0, ability.bias_magnitude - BIAS_TOLERANCE)
         observed = ability.answers + ability.malformed
         if observed > 0:
             malformed_rate = ability.malformed / observed
-            excess += max(0.0, malformed_rate - self.malformed_tolerance)
+            excess += max(0.0, malformed_rate - MALFORMED_TOLERANCE)
         if excess == 0.0:
             return 1.0
-        return 1.0 / (1.0 + self.severity * excess)
+        return 1.0 / (1.0 + SEVERITY * excess)
 
     def trust(self, member_id: str) -> float:
         """Trust weight in ``(0, 1]``; exactly 1.0 for honest-fitting members."""

@@ -883,9 +883,9 @@ class CrowdMiner:
         return info
 
     def __getstate__(self) -> dict:
-        # The storage backend (live file/database handles) and the
-        # dispatcher back-reference (event closures) stay out of the
-        # checkpoint; resume re-attaches both.
+        # The storage backend (live file/database handles) stays out
+        # of the checkpoint, and the dispatcher seat travels as the
+        # checkpoint's own entry; resume re-attaches both.
         state = self.__dict__.copy()
         state["storage"] = None
         state["dispatcher"] = None

@@ -27,13 +27,7 @@ from repro.serve.differential import (
 )
 from repro.serve.http import HttpError, JsonClient, RetryingClient
 from repro.serve.roster import WorkerRoster
-from repro.serve.session import (
-    ServeConfig,
-    ServeError,
-    ServeSession,
-    ServeSnapshot,
-    SessionManager,
-)
+from repro.serve.session import ServeConfig, ServeError, ServeSession, SessionManager
 from repro.serve.wire import answer_from_doc, answer_to_doc, question_to_doc
 
 __all__ = [
@@ -47,7 +41,6 @@ __all__ = [
     "ServerLimits",
     "ServeError",
     "ServeSession",
-    "ServeSnapshot",
     "SessionManager",
     "SimulatedWorkerPool",
     "WorkerRoster",

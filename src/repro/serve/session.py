@@ -29,13 +29,14 @@ pending book, timeout retries) deliberately consumes no randomness.
 Durability: sessions checkpoint through :mod:`repro.storage` like any
 other execution mode. The session registers itself as the miner's
 ``dispatcher`` so mid-ingest checkpoint requests defer to the answer
-boundary, and its :meth:`serve_snapshot` rides inside the checkpoint
-pickle: the pending book (questions handed out but unanswered at the
-instant of capture) travels with the miner and is *re-offered* — same
-question id, same member, same proposal — after resume, so a client
-replaying answers cannot tell the restart happened. Abandoned
-proposals already consumed miner RNG; re-offering instead of
-re-proposing is what keeps the post-resume stream byte-identical.
+boundary, and the session itself rides in the checkpoint pickle. It
+pickles without its wall clock, and the pending book (questions handed
+out but unanswered at the instant of capture) pickles as re-offers:
+after resume each is handed out again with the same question id,
+member and proposal, so a client replaying answers cannot tell the
+restart happened. Abandoned proposals already consumed miner RNG;
+re-offering instead of re-proposing is what keeps the post-resume
+stream byte-identical.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Any
 
@@ -91,7 +93,7 @@ _SPEC_FIELDS = frozenset(
     }
 )
 
-#: Travelling outcome counters of one serve session (see
+#: The outcome counters of one serve session (see
 #: :meth:`ServeSession.stats`). Every issue — reissues of timed-out
 #: questions included, exactly as in the dispatcher's books — meets
 #: one fate::
@@ -167,76 +169,6 @@ class _Issued:
     timeout_event: Any = None
 
 
-@dataclass(slots=True)
-class ServeSnapshot:
-    """A serve session's travelling state, as plain checkpoint data.
-
-    What rides in the checkpoint pickle next to the miner: the pending
-    book in issue order (each entry keeping its question id, proposal
-    and attempt count), the not-yet-reissued retry queue, the question
-    id counter, the outcome counters and the stall bookkeeping.
-    :func:`repro.storage.checkpoint._restore_dispatcher` returns this
-    object for ``kind="serve"`` checkpoints;
-    :meth:`SessionManager.resume_all` folds it back into a live
-    session. Anything else trying to resume a serve checkpoint (the
-    CLI's ``mine --resume``, the E-series harness) sees the type and
-    refuses with a pointer to ``repro serve --resume``.
-    """
-
-    session_id: str
-    config: ServeConfig
-    pending: list[tuple[str, QuestionProposal, int]]
-    retry: list[tuple[QuestionProposal, int]]
-    next_qid: int
-    counters: dict[str, int]
-    stalled: bool
-    dry_attempts: int
-    #: Idempotency-key dedup table (key → stored response document).
-    #: Riding in the checkpoint is what makes it correct: entries for
-    #: answers ingested after the checkpoint roll back *together with*
-    #: those answers, so a replayed post after resume re-ingests
-    #: instead of hitting a dedup entry for evidence that no longer
-    #: exists.
-    dedup: dict[str, dict[str, Any]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.dedup is None:
-            self.dedup = {}
-
-    @property
-    def kind(self) -> str:
-        return "serve"
-
-    def as_doc(self) -> dict[str, Any]:
-        """The checkpoint dictionary (``kind`` discriminated)."""
-        return {
-            "kind": "serve",
-            "session_id": self.session_id,
-            "config": self.config,
-            "pending": self.pending,
-            "retry": self.retry,
-            "next_qid": self.next_qid,
-            "counters": dict(self.counters),
-            "stalled": self.stalled,
-            "dry_attempts": self.dry_attempts,
-            "dedup": dict(self.dedup),
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "ServeSnapshot":
-        return cls(
-            session_id=doc["session_id"],
-            config=doc["config"],
-            pending=list(doc["pending"]),
-            retry=list(doc["retry"]),
-            next_qid=doc["next_qid"],
-            counters=dict(doc["counters"]),
-            stalled=doc["stalled"],
-            dry_attempts=doc["dry_attempts"],
-            dedup=dict(doc.get("dedup", {})),  # pre-chaos checkpoints lack it
-        )
-
-
 class ServeSession:
     """One live mining session behind the task-queue API."""
 
@@ -252,8 +184,8 @@ class ServeSession:
         self.clock = clock
         self.config = config or ServeConfig()
         # The dispatcher seat: mid-ingest checkpoint requests defer to
-        # the answer boundary, and checkpoint capture picks up
-        # serve_snapshot() through this back-reference.
+        # the answer boundary, and checkpoint capture pickles this
+        # session through this back-reference.
         miner.dispatcher = self
         self._pending: dict[str, _Issued] = {}  # insertion order == issue order
         self._reoffer: deque[_Issued] = deque()  # restored, to re-offer verbatim
@@ -293,7 +225,7 @@ class ServeSession:
     @property
     def overloaded(self) -> bool:
         """True when the hand-out queue is at its backpressure bound."""
-        bound = getattr(self.config, "max_outstanding", 0)
+        bound = self.config.max_outstanding
         return bound > 0 and self.outstanding >= bound
 
     def count_backpressure(self) -> None:
@@ -427,6 +359,13 @@ class ServeSession:
             doc = {"status": "ok", "question": self._question_doc(entry)}
             self._dedup_put(idempotency_key, doc)
             return doc
+        if self._retry and self.miner.budget_left <= 0:
+            # A spent budget can charge no reissue, and a queued retry
+            # would keep the session from ever reporting done: drop
+            # them, as the dispatcher drops a retry on a spent budget.
+            self._dropped += len(self._retry)
+            self.miner.obs.count("serve.dropped", len(self._retry))
+            self._retry.clear()
         if self.is_done:
             return {"status": "done", "state": self.status_doc()}
         if self.miner.budget_left - len(self._pending) <= 0:
@@ -577,7 +516,7 @@ class ServeSession:
             self._depart(proposal.member_id)
         outcome = {"status": status, "state": self.status_doc()}
         # Store before the deferred checkpoint fires: the dedup entry
-        # must ride in the same snapshot as the answer it covers.
+        # must ride in the same checkpoint as the answer it covers.
         self._dedup_put(idempotency_key, outcome)
         self._maybe_checkpoint()
         return outcome
@@ -593,8 +532,7 @@ class ServeSession:
         if self.config.timeout is None:
             return
         entry.timeout_event = self.clock.schedule(
-            self.config.timeout,
-            lambda qid=entry.question_id: self._on_timeout(qid),
+            self.config.timeout, partial(self._on_timeout, entry.question_id)
         )
 
     def _on_timeout(self, question_id: str) -> None:
@@ -623,46 +561,27 @@ class ServeSession:
             self._checkpoint_requested = False
             self.miner.checkpoint()
 
-    def serve_snapshot(self) -> dict[str, Any]:
-        """This session's travelling state for the checkpoint pickle."""
-        pending = [
-            (entry.question_id, entry.proposal, entry.attempt)
-            for entry in self._reoffer
-        ] + [
-            (entry.question_id, entry.proposal, entry.attempt)
-            for entry in self._pending.values()
-        ]
-        return ServeSnapshot(
-            session_id=self.session_id,
-            config=self.config,
-            pending=pending,
-            retry=list(self._retry),
-            next_qid=self._next_qid,
-            counters={name: getattr(self, f"_{name}") for name in _COUNTERS},
-            stalled=self._stalled,
-            dry_attempts=self._dry_attempts,
-            dedup=dict(self._dedup),
-        ).as_doc()
+    def __getstate__(self) -> dict[str, Any]:
+        """The session as it rides in a checkpoint pickle.
 
-    def restore(self, snapshot: ServeSnapshot) -> None:
-        """Fold a restored snapshot's travelling state back in.
-
-        Pending questions become re-offers: the next fetches replay
-        them verbatim (id, member, proposal), so the post-resume answer
-        stream lines up byte-for-byte with the uninterrupted run.
+        The wall clock stays behind (the resuming manager attaches its
+        own), and every question handed out or held for re-offer pickles
+        as a re-offer without its timeout: the next fetches after resume
+        hand them out again verbatim (id, member, proposal), so the
+        post-resume answer stream lines up byte-for-byte with the
+        uninterrupted run. A drain or a pending checkpoint request
+        belongs to the process that captured, not to the resumed one.
         """
-        self.config = snapshot.config
-        self._reoffer = deque(
-            _Issued(question_id=qid, proposal=proposal, attempt=attempt)
-            for qid, proposal, attempt in snapshot.pending
+        state = self.__dict__.copy()
+        state["clock"] = None
+        state["_reoffer"] = deque(
+            _Issued(entry.question_id, entry.proposal, entry.attempt)
+            for entry in (*self._reoffer, *self._pending.values())
         )
-        self._retry = deque(snapshot.retry)
-        self._next_qid = snapshot.next_qid
-        for name in _COUNTERS:
-            setattr(self, f"_{name}", snapshot.counters.get(name, 0))
-        self._stalled = snapshot.stalled
-        self._dry_attempts = snapshot.dry_attempts
-        self._dedup = dict(snapshot.dedup)
+        state["_pending"] = {}
+        state["draining"] = False
+        state["_checkpoint_requested"] = False
+        return state
 
     def drain(self):
         """Stop issuing, cancel timeouts, capture the final checkpoint.
@@ -825,20 +744,19 @@ class SessionManager:
         for path in sorted(self.data_dir.glob("*.db")):
             storage = self._open_storage(path, resume=True)
             try:
-                miner, snapshot, _info = load_session(storage, repair=repair)
+                _miner, session, _info = load_session(storage, repair=repair)
             except StorageError:
                 storage.close()
                 raise
-            if not isinstance(snapshot, ServeSnapshot):
+            if not isinstance(session, ServeSession):
                 storage.close()
                 raise ServeError(
                     f"{path.name} is not a serve-session store; "
                     "resume it with `repro mine --resume` instead"
                 )
-            session = ServeSession(snapshot.session_id, miner, self.clock)
-            session.restore(snapshot)
-            self.sessions[snapshot.session_id] = session
-            resumed.append(snapshot.session_id)
+            session.clock = self.clock
+            self.sessions[session.session_id] = session
+            resumed.append(session.session_id)
         return resumed
 
     def get(self, session_id: str) -> ServeSession:
@@ -892,6 +810,5 @@ __all__ = [
     "ServeConfig",
     "ServeError",
     "ServeSession",
-    "ServeSnapshot",
     "SessionManager",
 ]

@@ -14,11 +14,12 @@ package is the durability layer closing that gap (ROADMAP:
   in the backend as it happens, giving an auditable trail that
   survives the process;
 - **whole-session checkpoints** (:func:`capture_session` /
-  :func:`load_session`) — a checkpoint captures everything
-  replay-determinism needs (KB rules/samples/decisions, RNG streams,
-  EventClock time, dispatcher in-flight books, latent-trust state),
-  so a run killed at any round and resumed produces a final summary
-  byte-identical to the uninterrupted run.
+  :func:`load_session`) — one pickle of the miner (KB
+  rules/samples/decisions, RNG streams, latent-trust state) and the
+  live dispatcher or serve session in its dispatcher seat (event
+  clocks with every pending event, in-flight books), so a run killed
+  at any round and resumed produces a final summary byte-identical to
+  the uninterrupted run.
 
 See ``docs/persistence.md`` for the schema, the checkpoint format and
 the resume semantics.
@@ -42,16 +43,7 @@ from repro.storage.checkpoint import (
     verify_payload,
 )
 from repro.storage.integrity import open_payload, seal_payload
-from repro.storage.records import (
-    latent_from_doc,
-    latent_to_doc,
-    rule_from_key,
-    rule_key,
-    samples_from_doc,
-    samples_to_doc,
-    summary_from_doc,
-    summary_to_doc,
-)
+from repro.storage.records import rule_from_key, rule_key
 from repro.storage.sqlite import SQLiteBackend
 
 __all__ = [
@@ -64,19 +56,13 @@ __all__ = [
     "StorageBackend",
     "StorageError",
     "capture_session",
-    "latent_from_doc",
-    "latent_to_doc",
     "load_session",
     "open_backend",
     "open_payload",
     "restore_session",
     "rule_from_key",
     "rule_key",
-    "samples_from_doc",
     "scrub_store",
     "seal_payload",
-    "samples_to_doc",
-    "summary_from_doc",
-    "summary_to_doc",
     "verify_payload",
 ]

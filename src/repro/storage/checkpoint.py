@@ -3,15 +3,22 @@
 A checkpoint is one pickle of everything replay-determinism needs:
 the miner (knowledge base with rules/samples/decisions, RNG streams,
 question log, trust/quality state, the open-policy and strategy
-objects) plus — for dispatched sessions — a plain-data snapshot of the
-dispatcher (each lane's clock time, schedule counter and random
-streams, the in-flight book with each pending arrival/timeout instant,
-all outcome counters, the delivery-token guard, the completion
-timeline; see :meth:`repro.dispatch.dispatcher.Dispatcher.snapshot`).
+objects) plus the live object in the miner's dispatcher seat, if any:
+
+- a :class:`~repro.dispatch.dispatcher.Dispatcher`, pickled as it
+  stands: each lane's clock with every pending event, its random
+  streams, the in-flight book, the outcome counters, the
+  delivery-token guard and the completion timeline. Every clock action
+  is a bound method or a ``functools.partial`` of one, so the event
+  heaps pickle too, and so does a fault injector whose faults are
+  still scheduled;
+- a :class:`~repro.serve.session.ServeSession`, which pickles its
+  pending book as re-offers (see its ``__getstate__``).
+
 Everything travels in a *single* pickle so shared objects (the
 instrumentation layer, the trust sources inside the aggregator, rules
-referenced from proposals and the knowledge base alike) keep their
-identity on load.
+referenced from proposals and the knowledge base alike, the crowd a
+dispatcher lane schedules over) keep their identity on load.
 
 What is deliberately rebuilt rather than stored:
 
@@ -21,28 +28,22 @@ What is deliberately rebuilt rather than stored:
   load;
 - each rule's cached aggregate summary and each member's habit pool —
   recomputed, identically, on first use;
-- the event closures of pending arrivals/timeouts — re-armed on fresh
-  lane clocks in original schedule order, so same-instant ties keep
-  breaking exactly as they would have in the uninterrupted run.
+- each crowd partition's member-id list and available set — rebuilt
+  from the crowd and the partition's slice, so a sharded checkpoint
+  stays flat in crowd size;
+- a serve session's wall clock — the resuming session manager attaches
+  its own.
 
-Known limitation: externally scheduled clock events are not captured —
-resuming a session driven by a fault injector with faults still
-scheduled silently drops those pending faults (the injector itself,
-living outside the miner/dispatcher, is not part of the session
-graph). Checkpoint *between* injected faults, or re-arm the injector
-after resume.
-
-The dispatch/miner imports below are function-local on purpose: this
-module is imported by ``repro.storage`` which the miner loads, while
-the dispatcher imports the miner — top-level imports here would close
-that cycle.
+The dispatcher, session and miner imports below are for type checking
+only: this module is imported by ``repro.storage``, which the miner
+loads, while the dispatcher imports the miner.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.storage.backend import (
     CheckpointInfo,
@@ -55,6 +56,7 @@ from repro.storage.integrity import open_payload, seal_payload
 if TYPE_CHECKING:
     from repro.dispatch.dispatcher import Dispatcher
     from repro.miner.crowdminer import CrowdMiner
+    from repro.serve.session import ServeSession
 
 #: Version stamp of the checkpoint payload layout. Format 2: one
 #: dispatcher snapshot layout for any shard count, and crowds that
@@ -62,14 +64,15 @@ if TYPE_CHECKING:
 #: Format 3: personal databases travel as their rows alone, rule
 #: knowledge without its summary cache, and members without a rule
 #: cache. Format 4: members report departures to the crowd's rotation,
-#: which keeps the availability generation.
-CHECKPOINT_FORMAT = 4
+#: which keeps the availability generation. Format 5: the dispatcher
+#: seat travels as the live object, not as a snapshot document.
+CHECKPOINT_FORMAT = 5
 
 
 def capture_session(
-    miner: "CrowdMiner", dispatcher: "Dispatcher | None" = None
+    miner: "CrowdMiner", dispatcher: "Dispatcher | ServeSession | None" = None
 ) -> bytes:
-    """Serialize one session (miner plus optional dispatcher) to bytes.
+    """Serialize one session (the miner plus its dispatcher seat) to bytes.
 
     Safe to call between questions (the synchronous path) or between
     clock events (the dispatched path — the dispatcher defers the
@@ -83,11 +86,7 @@ def capture_session(
     bit rot surface as :class:`CorruptStoreError` instead of garbage
     state.
     """
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "miner": miner,
-        "dispatch": None if dispatcher is None else _snapshot_dispatcher(dispatcher),
-    }
+    doc = {"format": CHECKPOINT_FORMAT, "miner": miner, "dispatch": dispatcher}
     return seal_payload(pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL))
 
 
@@ -103,12 +102,15 @@ def verify_payload(payload: bytes) -> bytes:
 
 def restore_session(
     payload: bytes, storage: StorageBackend | None = None
-) -> "tuple[CrowdMiner, Dispatcher | None]":
+) -> "tuple[CrowdMiner, Dispatcher | ServeSession | None]":
     """Rebuild a live session from a checkpoint payload.
 
-    Attaches ``storage`` to the restored miner. Returns the miner and,
-    for dispatched sessions, a live dispatcher with every pending
-    arrival/timeout re-armed.
+    Attaches ``storage`` to the restored miner. Returns the miner and
+    the object that sat in its dispatcher seat (``None`` for
+    synchronous sessions), re-attached as ``miner.dispatcher``: a
+    dispatcher with every pending event still on its clocks, or a
+    serve session waiting for a clock (see
+    :meth:`repro.serve.session.SessionManager.resume_all`).
 
     The payload's checksum seal is verified *before* unpickling; a
     damaged payload raises :class:`CorruptStoreError` (resume with
@@ -135,10 +137,8 @@ def restore_session(
     bind_obs = getattr(storage, "bind_obs", None)
     if bind_obs is not None:
         bind_obs(miner.obs)
-    dispatcher = None
-    if doc["dispatch"] is not None:
-        dispatcher = _restore_dispatcher(doc["dispatch"], miner)
-    return miner, dispatcher
+    miner.dispatcher = doc["dispatch"]
+    return miner, miner.dispatcher
 
 
 def scrub_store(
@@ -169,7 +169,7 @@ def load_session(
     *,
     rollback: bool = True,
     repair: bool = False,
-) -> "tuple[CrowdMiner, Dispatcher | None, CheckpointInfo]":
+) -> "tuple[CrowdMiner, Dispatcher | ServeSession | None, CheckpointInfo]":
     """Resume from the backend's latest *verified* checkpoint.
 
     Rolls the write-ahead answer log back to the checkpoint boundary
@@ -191,11 +191,10 @@ def load_session(
     checkpoint whose seal holds, counting the fallback on
     ``storage.repaired``.
 
-    For serve-session checkpoints the middle element of the returned
-    tuple is a :class:`repro.serve.session.ServeSnapshot` (plain data,
-    not a live dispatcher) — hand it to
-    :meth:`repro.serve.session.SessionManager.resume_all`, not to
-    ``Dispatcher.run``.
+    The middle element of the returned tuple is the restored
+    dispatcher seat: ``None``, a live dispatcher, or a serve session
+    (which :meth:`repro.serve.session.SessionManager.resume_all`
+    gives a clock, not ``Dispatcher.run``).
     """
     dropped = 0
     if repair:
@@ -245,31 +244,3 @@ def load_session(
     timer.calls += 1
     timer.total_seconds += elapsed
     return miner, dispatcher, info
-
-
-# -- the dispatcher snapshot ---------------------------------------------------
-
-
-def _snapshot_dispatcher(dispatcher: "Dispatcher") -> dict[str, Any]:
-    """The dispatcher seat's travelling state as plain data, by kind."""
-    serve_snapshot = getattr(dispatcher, "serve_snapshot", None)
-    if serve_snapshot is not None:
-        # A live ServeSession sits in the miner's dispatcher seat; its
-        # travelling state (the pending-question book) is already plain
-        # data, discriminated by kind="serve".
-        return serve_snapshot()
-    return dispatcher.snapshot()
-
-
-def _restore_dispatcher(snapshot: dict[str, Any], miner: "CrowdMiner") -> "Dispatcher":
-    """A live dispatcher equivalent to the snapshotted one."""
-    if snapshot["kind"] == "serve":
-        # Serve sessions restore as plain data: re-arming the pending
-        # book needs a live event loop and server, so the session
-        # manager (repro.serve) folds this back in, not this module.
-        from repro.serve.session import ServeSnapshot
-
-        return ServeSnapshot.from_doc(snapshot)
-    from repro.dispatch.dispatcher import Dispatcher
-
-    return Dispatcher.restore(miner, snapshot)

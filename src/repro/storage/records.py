@@ -1,13 +1,13 @@
-"""Plain-document converters for the storage layer.
+"""The canonical rule key of the storage and serving layers.
 
 Checkpoints travel as pickles (exact process state, byte-identical
-resume), but everything the storage layer writes *next to* the pickle —
-the SQL answer log, the rules table, the ``repro kb`` exports — uses
-plain JSON-compatible documents built here, so a saved knowledge base
-stays inspectable with ordinary tools.
+resume), but what the system writes *next to* the pickle — the
+answer log's rule column, the serving wire's question and answer
+documents — names rules by a plain text key built here, so a saved
+answer log stays inspectable with ordinary tools.
 
-The canonical **rule key** is the JSON encoding of the rule's two item
-lists (``ensure_ascii=False``), not its display string: item names may
+The **rule key** is the JSON encoding of the rule's two item lists
+(``ensure_ascii=False``), not its display string: item names may
 contain arbitrary punctuation and non-ASCII natural-language text, and
 JSON escaping keeps the key unambiguous and round-trippable either way.
 """
@@ -15,15 +15,9 @@ JSON escaping keeps the key unambiguous and round-trippable either way.
 from __future__ import annotations
 
 import json
-from typing import Any
 
-from repro.core.measures import RuleStats
 from repro.core.rule import Rule
-from repro.estimation.samples import RuleSamples
-from repro.faults.latent import LatentAbilityModel, MemberAbility
 from repro.io import PersistenceError
-
-# -- rules ---------------------------------------------------------------------
 
 
 def rule_key(rule: Rule) -> str:
@@ -44,176 +38,3 @@ def rule_from_key(key: str) -> Rule:
         return Rule(antecedent, consequent)
     except (ValueError, TypeError, InvalidRuleError) as exc:
         raise PersistenceError(f"malformed rule key: {key!r}") from exc
-
-
-# -- sample stores -------------------------------------------------------------
-
-
-def samples_to_doc(samples: RuleSamples) -> dict[str, Any]:
-    """One rule's evidence as a plain document (member order preserved)."""
-    return {
-        "rule": None if samples.rule is None else rule_key(samples.rule),
-        "observations": [
-            {
-                "member": member_id,
-                "support": stats.support,
-                "confidence": stats.confidence,
-            }
-            for member_id, stats in samples.observations()
-        ],
-    }
-
-
-def samples_from_doc(doc: dict[str, Any]) -> RuleSamples:
-    """Rebuild a sample store by replaying the stored observations.
-
-    The streaming estimator is rebuilt add-by-add in stored member
-    order, so the document pins the *content* (members, their stats,
-    the count), not the estimator's float-level history — revisions and
-    removals already applied before serialization are not replayed.
-    Byte-identical resume therefore pickles the live estimator instead
-    (see ``checkpoint.py``); this document form is for inspection,
-    export and cross-tool interchange.
-    """
-    try:
-        rule = None if doc["rule"] is None else rule_from_key(doc["rule"])
-        samples = RuleSamples(rule)
-        for entry in doc["observations"]:
-            samples.add(
-                entry["member"],
-                RuleStats(float(entry["support"]), float(entry["confidence"])),
-            )
-        return samples
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed samples document: {doc!r}") from exc
-
-
-# -- aggregate summaries -------------------------------------------------------
-
-
-def summary_to_doc(summary) -> dict[str, Any]:
-    """An :class:`~repro.estimation.samples.EstimateSummary` as a document.
-
-    Handles the zero-``n`` summaries the
-    :class:`~repro.estimation.aggregate.WeightedAggregator` returns
-    when every contributor's weight is zero.
-    """
-    return {
-        "n": int(summary.n),
-        "mean": [float(x) for x in summary.mean],
-        "mean_cov": [[float(x) for x in row] for row in summary.mean_cov],
-    }
-
-
-def summary_from_doc(doc: dict[str, Any]):
-    """Invert :func:`summary_to_doc`."""
-    import numpy as np
-
-    from repro.estimation.samples import EstimateSummary
-
-    try:
-        return EstimateSummary(
-            n=int(doc["n"]),
-            mean=np.array(doc["mean"], dtype=float),
-            mean_cov=np.array(doc["mean_cov"], dtype=float),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PersistenceError(f"malformed summary document: {doc!r}") from exc
-
-
-# -- latent trust state --------------------------------------------------------
-
-_LATENT_PARAMS = (
-    "trust_floor",
-    "min_answers",
-    "reestimate_every",
-    "sigma_tolerance",
-    "bias_tolerance",
-    "malformed_tolerance",
-    "coherence_margin",
-    "coherence_prior",
-    "coherence_tolerance",
-    "coherence_weight",
-    "anchor_gain",
-    "severity",
-    "prior_tau",
-    "prior_strength",
-    "max_iterations",
-    "convergence_tol",
-)
-
-
-def latent_to_doc(model: LatentAbilityModel) -> dict[str, Any]:
-    """A latent-ability trust model's full state as a plain document."""
-    return {
-        "params": {name: getattr(model, name) for name in _LATENT_PARAMS},
-        "answers": [
-            {
-                "member": member_id,
-                "cells": [
-                    {
-                        "rule": rule_key(rule),
-                        "support": stats.support,
-                        "confidence": stats.confidence,
-                    }
-                    for rule, stats in cells.items()
-                ],
-            }
-            for member_id, cells in model._answers.items()
-        ],
-        "malformed": dict(model._malformed),
-        "violation": dict(model._violation),
-        "pairs": dict(model._pairs),
-        "quarantined": sorted(model._quarantined),
-        "trust": dict(model._trust),
-        "abilities": {
-            member_id: {
-                "sigma": ability.sigma,
-                "bias": list(ability.bias),
-                "answers": ability.answers,
-                "malformed": ability.malformed,
-                "incoherence": ability.incoherence,
-                "comparable_pairs": ability.comparable_pairs,
-            }
-            for member_id, ability in model._ability.items()
-        },
-        "since_estimate": model._since_estimate,
-        "estimates": model._estimates,
-        "version": model.version,
-    }
-
-
-def latent_from_doc(doc: dict[str, Any]) -> LatentAbilityModel:
-    """Invert :func:`latent_to_doc`."""
-    try:
-        model = LatentAbilityModel(**doc["params"])
-        for entry in doc["answers"]:
-            cells = {
-                rule_from_key(cell["rule"]): RuleStats(
-                    float(cell["support"]), float(cell["confidence"])
-                )
-                for cell in entry["cells"]
-            }
-            model._answers[entry["member"]] = cells
-        model._malformed = {k: int(v) for k, v in doc["malformed"].items()}
-        model._violation = {k: float(v) for k, v in doc["violation"].items()}
-        model._pairs = {k: int(v) for k, v in doc["pairs"].items()}
-        model._quarantined = set(doc["quarantined"])
-        model._trust = {k: float(v) for k, v in doc["trust"].items()}
-        model._ability = {
-            member_id: MemberAbility(
-                sigma=float(entry["sigma"]),
-                bias=(float(entry["bias"][0]), float(entry["bias"][1])),
-                answers=int(entry["answers"]),
-                malformed=int(entry["malformed"]),
-                incoherence=float(entry["incoherence"]),
-                comparable_pairs=int(entry["comparable_pairs"]),
-            )
-            for member_id, entry in doc["abilities"].items()
-        }
-        model._since_estimate = int(doc["since_estimate"])
-        model._estimates = int(doc["estimates"])
-        model.version = int(doc["version"])
-        return model
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise PersistenceError("malformed latent-trust document") from exc

@@ -20,6 +20,7 @@ from repro.estimation import Thresholds
 from repro.estimation.aggregate import DynamicTrustAggregator
 from repro.estimation.significance import Decision, SignificanceTest
 from repro.faults import LatentAbilityModel, build_adversarial_crowd
+from repro.faults.latent import COHERENCE_TOLERANCE, SIGMA_TOLERANCE
 from repro.miner import CrowdMiner, CrowdMinerConfig
 from repro.miner.state import MiningState, RuleOrigin
 
@@ -41,7 +42,7 @@ class TestIncoherence:
         assert model.incoherence_of("m1") == 0.0
 
     def test_violation_beyond_margin_counts(self):
-        model = LatentAbilityModel(coherence_margin=0.1, coherence_prior=4.0)
+        model = LatentAbilityModel()
         model.observe_answer("m1", GENERAL, RuleStats(0.2, 0.4))
         model.observe_answer("m1", SPECIFIC, RuleStats(0.6, 0.8))
         # gap 0.4, margin forgives 0.1, shrunk over 1 pair + 4 prior.
@@ -50,7 +51,7 @@ class TestIncoherence:
     def test_small_flip_inside_margin_forgiven(self):
         # Likert coarsening can flip a borderline pair by one step;
         # that must not read as fabrication.
-        model = LatentAbilityModel(coherence_margin=0.1)
+        model = LatentAbilityModel()
         model.observe_answer("m1", GENERAL, RuleStats(0.40, 0.5))
         model.observe_answer("m1", SPECIFIC, RuleStats(0.45, 0.6))
         assert model.incoherence_of("m1") == 0.0
@@ -58,7 +59,7 @@ class TestIncoherence:
     def test_equal_bodies_must_report_equal_supports(self):
         # SPECIFIC and TWIN share a body, so their supports are the
         # same personal quantity; disagreement is incoherence.
-        model = LatentAbilityModel(coherence_margin=0.1)
+        model = LatentAbilityModel()
         model.observe_answer("m1", SPECIFIC, RuleStats(0.2, 0.5))
         model.observe_answer("m1", TWIN, RuleStats(0.7, 0.9))
         assert model.incoherence_of("m1") == pytest.approx(0.4 / 5.0)
@@ -99,7 +100,7 @@ class TestCleanFastPath:
             ability = model.ability_of(f"m{i}")
             assert ability is not None
             assert ability.incoherence == 0.0
-            assert ability.sigma < model.sigma_tolerance
+            assert ability.sigma < SIGMA_TOLERANCE
         assert model.quarantine_candidates() == []
 
     def test_estimates_counter_and_due(self):
@@ -136,7 +137,7 @@ class TestFabricationIsCaught:
         assert changed
         assert model.version > before
         assert model.trust("bad") < 1.0
-        assert model.ability_of("bad").incoherence > model.coherence_tolerance
+        assert model.ability_of("bad").incoherence > COHERENCE_TOLERANCE
         for i in range(5):
             assert model.trust(f"m{i}") == 1.0  # honest members untouched
 
@@ -187,10 +188,6 @@ class TestParameterValidation:
             LatentAbilityModel(trust_floor=1.5)
         with pytest.raises(Exception):
             LatentAbilityModel(reestimate_every=0)
-        with pytest.raises(ValueError):
-            LatentAbilityModel(prior_tau=0.0)
-        with pytest.raises(Exception):
-            LatentAbilityModel(anchor_gain=-1.0)
         with pytest.raises(Exception):
             LatentAbilityModel(min_answers=0)
 

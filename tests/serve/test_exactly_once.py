@@ -12,10 +12,10 @@ retry cannot resurrect a double-count.
 
 import pytest
 
-from repro.serve import Scenario, ServeConfig
+from repro.serve import RealTimeClock, Scenario, ServeConfig, ServeSession
 from repro.serve.differential import run_session_inprocess
-from repro.serve.session import _DEDUP_CAP, ServeSnapshot
-from repro.storage import MemoryBackend
+from repro.serve.session import _DEDUP_CAP
+from repro.storage import MemoryBackend, capture_session, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=40, budget=30)
 
@@ -25,6 +25,13 @@ def fresh_session(**config):
         SCENARIO, config=ServeConfig(**config) if config else None
     )
     return session, pool
+
+
+def round_trip(session):
+    """The session as a resume sees it: through the checkpoint pickle."""
+    _miner, restored = restore_session(capture_session(session.miner, session))
+    restored.clock = RealTimeClock()
+    return restored
 
 
 class TestFetchDedup:
@@ -152,9 +159,9 @@ class TestDedupDurability:
         question = doc["question"]
         qid = question["question_id"]
         session.post_answer(qid, pool.answer(question), idempotency_key=f"a-{qid}")
-        snapshot = ServeSnapshot.from_doc(session.serve_snapshot())
-        assert f"a-{qid}" in snapshot.dedup
-        assert "f0" in snapshot.dedup
+        restored = round_trip(session)
+        assert restored.knows_key(f"a-{qid}")
+        assert restored.knows_key("f0")
 
     def test_restore_replays_the_saved_dedup_table(self):
         session, pool = fresh_session()
@@ -164,24 +171,14 @@ class TestDedupDurability:
         outcome = session.post_answer(
             qid, pool.answer(question), idempotency_key=f"a-{qid}"
         )
-        snapshot = ServeSnapshot.from_doc(session.serve_snapshot())
 
-        resumed, _pool = fresh_session()
-        resumed.restore(snapshot)
+        resumed = round_trip(session)
         answered_before = resumed.stats()["answered"]
         replay = resumed.post_answer(
             qid, pool.answer(question), idempotency_key=f"a-{qid}"
         )
         assert replay == outcome
         assert resumed.stats()["answered"] == answered_before
-
-    def test_pre_dedup_checkpoints_restore_with_empty_table(self):
-        # Snapshots written before the chaos PR carry no "dedup" key.
-        session, _pool = fresh_session()
-        doc = session.serve_snapshot()
-        doc.pop("dedup")
-        snapshot = ServeSnapshot.from_doc(doc)
-        assert snapshot.dedup == {}
 
     def test_durable_session_checkpoint_carries_dedup(self):
         storage = MemoryBackend()
@@ -194,6 +191,7 @@ class TestDedupDurability:
         session.post_answer(qid, pool.answer(question), idempotency_key=f"a-{qid}")
         from repro.storage import load_session
 
-        miner, snapshot, _info = load_session(storage)
-        assert isinstance(snapshot, ServeSnapshot)
-        assert f"a-{qid}" in snapshot.dedup
+        miner, restored, _info = load_session(storage)
+        assert isinstance(restored, ServeSession)
+        assert restored.miner is miner
+        assert restored.knows_key(f"a-{qid}")

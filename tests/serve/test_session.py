@@ -1,4 +1,4 @@
-"""The live session's bookkeeping: books balance, snapshots, limits.
+"""The live session's bookkeeping: books balance, checkpoint round trips, limits.
 
 Every issued question must meet exactly one fate — the counters are a
 closed ledger, checked here after every kind of exchange the API
@@ -10,6 +10,7 @@ possible.
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
@@ -18,10 +19,11 @@ from repro.serve import (
     Scenario,
     ServeConfig,
     ServeError,
-    ServeSnapshot,
+    ServeSession,
     SessionManager,
     run_session_inprocess,
 )
+from repro.storage import capture_session, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=30, budget=40)
 
@@ -202,11 +204,66 @@ class TestTimeouts:
         assert session.stats()["timeouts"] == 0
         assert len(session.clock) == 0
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spent_budget_drops_queued_retries(self, seed):
+        # Each hand-out is answered at once, held and settled later, or
+        # timed out through the session's timeout handler. A fresh
+        # question can be issued while a retry waits (its member already
+        # answered the retry's rule), so the budget can run out with
+        # retries still queued; they must then be dropped, or every
+        # later fetch waits on nothing and the session never ends.
+        rng = np.random.default_rng(seed)
+        scenario = Scenario(
+            n_members=6,
+            transactions_per_member=30,
+            budget=int(rng.integers(5, 31)),
+            miner_seed=seed,
+        )
+        session, pool = run_session_inprocess(scenario, config=ServeConfig())
+        held = []
+
+        def settle(question):
+            if rng.random() < 0.5:
+                session.post_answer(question["question_id"], pool.answer(question))
+            else:
+                session._on_timeout(question["question_id"])
+
+        for _ in range(1_000):
+            doc = session.next_question()
+            if doc["status"] == "done":
+                break
+            if doc["status"] == "wait":
+                assert held, (doc, session.stats())
+                settle(held.pop(int(rng.integers(len(held)))))
+                continue
+            question = doc["question"]
+            if rng.random() < 0.4:
+                session.post_answer(question["question_id"], pool.answer(question))
+            elif rng.random() < 0.5:
+                held.append(question)
+            else:
+                session._on_timeout(question["question_id"])
+        assert doc["status"] == "done"
+        assert session.is_done
+        assert_books_balance(session)
+        s = session.stats()
+        assert s["outstanding"] == 0
+        assert s["timeouts"] == s["retried"] + s["dropped"]
+
     def test_bad_serve_config_rejected(self):
         with pytest.raises(ConfigurationError):
             ServeConfig(timeout=0.0)
         with pytest.raises(ConfigurationError):
             ServeConfig(max_retries=-1)
+
+
+def round_trip(session):
+    """The session as a resume sees it: through the checkpoint pickle."""
+    miner, restored = restore_session(capture_session(session.miner, session))
+    assert isinstance(restored, ServeSession)
+    assert miner.dispatcher is restored
+    restored.clock = RealTimeClock()
+    return restored
 
 
 class TestSnapshotRoundTrip:
@@ -217,11 +274,8 @@ class TestSnapshotRoundTrip:
             session.post_answer(question["question_id"], pool.answer(question))
         outstanding = session.next_question()["question"]
 
-        snapshot = ServeSnapshot.from_doc(session.serve_snapshot())
-        assert snapshot.kind == "serve"
-        fresh, _ = run_session_inprocess(SCENARIO)
-        fresh.restore(snapshot)
-        assert fresh.stats()["issued"] == session.stats()["issued"]
+        fresh = round_trip(session)
+        assert fresh.stats() == session.stats()
         assert fresh.outstanding == 1
         # The restored session re-offers the outstanding question
         # verbatim: same id, same member, same rule.
@@ -233,9 +287,7 @@ class TestSnapshotRoundTrip:
         session, pool = run_session_inprocess(SCENARIO)
         question = session.next_question()["question"]
         session.post_answer(question["question_id"], pool.answer(question))
-        snapshot = ServeSnapshot.from_doc(session.serve_snapshot())
-        fresh, _ = run_session_inprocess(SCENARIO)
-        fresh.restore(snapshot)
+        fresh = round_trip(session)
         next_doc = fresh.next_question()
         assert next_doc["question"]["question_id"] == "q2"
 

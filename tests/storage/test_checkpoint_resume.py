@@ -169,6 +169,54 @@ def test_dispatched_kill_and_resume_is_byte_identical(
     resumed.close()
 
 
+def faulted_dispatcher(miner):
+    """A dispatched session with crashes and duplicates armed to its end."""
+    from repro.faults import FaultInjector, periodic_plan
+
+    dispatcher = Dispatcher(
+        miner,
+        DispatchConfig(
+            window=4, timeout=400.0, latency=LognormalLatency(60.0, 1.0), seed=99
+        ),
+    )
+    plan = periodic_plan(
+        horizon=50_000.0, crash_every=900.0, duplicate_every=300.0, seed=13
+    )
+    FaultInjector(dispatcher, plan).arm()
+    return dispatcher
+
+
+def test_fault_injected_kill_and_resume_keeps_pending_faults(tmp_path):
+    # The injector's faults are clock events; a checkpoint taken while
+    # some are still scheduled must carry them, or the resumed run
+    # books fewer crashes and duplicates than the uninterrupted one.
+    baseline = faulted_dispatcher(make_miner()).run()
+
+    path = tmp_path / "faulted.db"
+    storage = open_backend(path, "sqlite")
+    miner = make_miner(storage=storage, checkpoint_every=40)
+    dispatcher = faulted_dispatcher(miner)
+    dispatcher._fill_window()
+    while dispatcher.in_flight_count and miner.questions_asked < 130:
+        if not dispatcher._step():
+            break
+    at_kill = dispatcher.stats()
+    del miner, dispatcher
+    storage.close()
+
+    resumed = open_backend(path, "sqlite", resume=True)
+    miner, dispatcher, info = load_session(resumed)
+    assert info.questions == 120
+    result = dispatcher.run()
+    resumed.close()
+    # Faults kept firing after the kill point...
+    assert result.dispatch.crashed > at_kill.crashed
+    assert result.dispatch.duplicates > at_kill.duplicates
+    # ...exactly as they did in the run nobody killed.
+    assert result.fingerprint() == baseline.fingerprint()
+    assert result.dispatch == baseline.dispatch
+
+
 class TestRestoreEdges:
     def test_capture_restore_round_trip_without_storage(self, sync_fingerprint):
         miner = make_miner()
@@ -190,14 +238,16 @@ class TestRestoreEdges:
         # be refused, not resumed into a diverging run: format 1 (the
         # layout before one rotation and one dispatcher snapshot),
         # format 2 (before personal databases travelled as rows alone
-        # and rule knowledge without its summary cache) and format 3
-        # (before members reported departures to the crowd's rotation).
+        # and rule knowledge without its summary cache), format 3
+        # (before members reported departures to the crowd's rotation)
+        # and format 4 (before the dispatcher seat travelled as the live
+        # object instead of a snapshot document).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3):
+        for old in (1, 2, 3, 4):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(

@@ -24,13 +24,13 @@ from repro.storage import capture_session, load_session, open_backend, restore_s
 from repro.synth import ArrayPopulation, folk_remedies_model
 
 
-def array_session(n_members, questions=60):
+def array_miner(n_members, questions=60):
     model = folk_remedies_model(seed=1)
     population = ArrayPopulation(
         model, n_members=n_members, transactions_per_member=80, seed=7
     )
     crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
-    miner = CrowdMiner(
+    return CrowdMiner(
         crowd,
         CrowdMinerConfig(
             thresholds=Thresholds(0.10, 0.5),
@@ -39,8 +39,29 @@ def array_session(n_members, questions=60):
             seed=6,
         ),
     )
+
+
+def array_session(n_members, questions=60):
+    miner = array_miner(n_members, questions)
     miner.run()
     return miner
+
+
+def sharded_array_payload(n_members, questions=60):
+    """A 4-shard session captured with questions still in flight."""
+    miner = array_miner(n_members, questions)
+    dispatcher = Dispatcher(
+        miner,
+        DispatchConfig(
+            window=8, timeout=500.0, latency=LognormalLatency(60.0, 1.0), seed=9
+        ),
+        shards=4,
+    )
+    dispatcher._fill_window()
+    while miner.questions_asked < questions // 2 and dispatcher._step():
+        pass
+    assert dispatcher.in_flight_count, "want questions in flight at capture"
+    return capture_session(miner, dispatcher)
 
 
 class TestCheckpointSizeAtScale:
@@ -54,6 +75,16 @@ class TestCheckpointSizeAtScale:
         # member state.
         assert len(large_payload) < 1.2 * len(small_payload) + 4096, (
             f"checkpoint grew from {len(small_payload)} to "
+            f"{len(large_payload)} bytes over a 100x crowd"
+        )
+
+    def test_sharded_size_flat_in_member_count(self):
+        # Each lane's partition holds an O(crowd) member-id list; it
+        # must be rebuilt on load, never stored.
+        small_payload = sharded_array_payload(n_members=1_000)
+        large_payload = sharded_array_payload(n_members=100_000)
+        assert len(large_payload) < 1.2 * len(small_payload) + 4096, (
+            f"sharded checkpoint grew from {len(small_payload)} to "
             f"{len(large_payload)} bytes over a 100x crowd"
         )
 

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from repro.serve import Scenario, drive_inprocess, run_session_inprocess
+from repro.serve import Scenario, ServeSession, drive_inprocess, run_session_inprocess
 from repro.storage import AnswerRecord, StorageError, load_session, open_backend
 
 SCENARIO = Scenario(n_members=8, transactions_per_member=40, budget=80)
@@ -48,7 +48,9 @@ class TestConcurrentReader:
                     # Internal consistency of the loaded snapshot.
                     assert miner.questions_asked == info.questions
                     assert len(miner.state) == info.kb_rules
-                    assert dispatcher is None or dispatcher.kind == "serve"
+                    assert dispatcher is None or isinstance(
+                        dispatcher, ServeSession
+                    )
                     observed.append(info.questions)
                 except Exception as exc:  # noqa: BLE001 - collected for the assert
                     errors.append(exc)

@@ -84,3 +84,48 @@ def test_sigkilled_run_resumes_byte_identically(tmp_path):
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout.startswith("resumed ")
     assert _fingerprint(resumed.stdout) == expected
+
+
+SHARDED_MINE = [
+    sys.executable, "-u", "-m", "repro", "mine",
+    "--population-backend", "array", "--members", "2000", "--shards", "4",
+    "--in-flight", "8", "--latency", "lognormal:60:1.0",
+    "--budget", "400", "--seed", "4", "--checkpoint-every", "25",
+]
+
+
+@pytest.mark.slow
+def test_sigkilled_sharded_run_resumes_byte_identically(tmp_path):
+    # The sharded dispatcher rides in the checkpoint pickle with its
+    # lane clocks and partitions; a fresh interpreter must resume it
+    # with every in-flight question intact.
+    baseline = subprocess.run(
+        SHARDED_MINE + ["--checkpoint", str(tmp_path / "baseline.db")],
+        env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert baseline.returncode == 0, baseline.stderr
+    expected = _fingerprint(baseline.stdout)
+
+    victim_db = tmp_path / "sharded.db"
+    victim = subprocess.Popen(
+        SHARDED_MINE + ["--checkpoint", str(victim_db)],
+        env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+    try:
+        deadline = time.monotonic() + 120
+        while _checkpoint_count(victim_db) < 1 and victim.poll() is None:
+            if time.monotonic() > deadline:
+                pytest.fail("victim never wrote a checkpoint")
+            time.sleep(0.05)
+        os.kill(victim.pid, signal.SIGKILL)
+    finally:
+        victim.wait(timeout=60)
+
+    resumed = subprocess.run(
+        [sys.executable, "-m", "repro", "mine", "--resume",
+         "--checkpoint", str(victim_db)],
+        env=_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert resumed.returncode == 0, resumed.stderr
+    assert resumed.stdout.startswith("resumed ")
+    assert _fingerprint(resumed.stdout) == expected

@@ -1,39 +1,22 @@
-"""Round-trip properties of the storage layer's plain documents.
+"""Round-trip properties of the storage layer's encodings.
 
-Everything the storage layer writes next to the checkpoint pickle —
-rule keys, sample-store documents, aggregate summaries, latent-trust
-state — must survive the trip to a JSON-compatible document and back,
-for *any* input the system can produce: item names are natural-language
-text (unicode, punctuation, whitespace), sample stores can hold any
-member/stats mix, and weighted summaries can come back with ``n == 0``
-when every contributor's weight is zero. Personal databases, which
-travel inside the checkpoint pickle as their rows alone, must come back
-answering every support query the same.
+The rule key written next to the checkpoint pickle must survive the
+trip to text and back for *any* rule the system can produce: item
+names are natural-language text (unicode, punctuation, whitespace).
+Personal databases, which travel inside the checkpoint pickle as their
+rows alone, must come back answering every support query the same.
 """
 
 import json
 import pickle
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Rule, RuleStats, TransactionDB
-from repro.estimation import RuleSamples
-from repro.estimation.samples import EstimateSummary
-from repro.faults.latent import LatentAbilityModel
+from repro.core import Rule, TransactionDB
 from repro.io import PersistenceError
-from repro.storage import (
-    latent_from_doc,
-    latent_to_doc,
-    rule_from_key,
-    rule_key,
-    samples_from_doc,
-    samples_to_doc,
-    summary_from_doc,
-    summary_to_doc,
-)
+from repro.storage import rule_from_key, rule_key
 
 # Natural-language item names: arbitrary unicode, punctuation included —
 # exactly what ends up in rule keys for real domains.
@@ -44,12 +27,6 @@ rules = st.lists(item_text, min_size=1, max_size=6, unique=True).flatmap(
         lambda cut: Rule(items[:cut], items[cut:])
     )
 )
-
-stats = st.tuples(
-    st.floats(0.0, 1.0, allow_nan=False), st.floats(0.0, 1.0, allow_nan=False)
-).map(lambda pair: RuleStats(min(pair), max(pair)))
-
-member_ids = st.text(min_size=1, max_size=8)
 
 
 class TestRuleKey:
@@ -76,114 +53,6 @@ class TestRuleKey:
     def test_malformed_keys_raise_persistence_error(self, bad):
         with pytest.raises(PersistenceError):
             rule_from_key(bad)
-
-
-class TestSamplesDoc:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        rules,
-        st.lists(st.tuples(member_ids, stats), max_size=8, unique_by=lambda t: t[0]),
-    )
-    def test_round_trips_members_and_stats(self, rule, observations):
-        samples = RuleSamples(rule)
-        for member_id, observed in observations:
-            samples.add(member_id, observed)
-        doc = json.loads(json.dumps(samples_to_doc(samples)))
-        rebuilt = samples_from_doc(doc)
-        assert rebuilt.rule == rule
-        assert rebuilt.n == samples.n
-        assert rebuilt.observations() == samples.observations()
-
-    def test_ruleless_store_round_trips(self):
-        samples = RuleSamples(None)
-        samples.add("u1", RuleStats(0.25, 0.75))
-        rebuilt = samples_from_doc(samples_to_doc(samples))
-        assert rebuilt.rule is None
-        assert rebuilt.observations() == samples.observations()
-
-    def test_malformed_document_raises_persistence_error(self):
-        with pytest.raises(PersistenceError):
-            samples_from_doc({"observations": [{"member": "u1"}]})
-
-
-class TestSummaryDoc:
-    @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.tuples(member_ids, stats), min_size=1, max_size=8,
-                    unique_by=lambda t: t[0]))
-    def test_round_trips_aggregated_summaries(self, observations):
-        from repro.estimation import MeanAggregator
-
-        samples = RuleSamples(None)
-        for member_id, observed in observations:
-            samples.add(member_id, observed)
-        summary = MeanAggregator().summarize(samples)
-        rebuilt = summary_from_doc(json.loads(json.dumps(summary_to_doc(summary))))
-        assert rebuilt.n == summary.n
-        assert np.array_equal(rebuilt.mean, summary.mean)
-        assert np.array_equal(rebuilt.mean_cov, summary.mean_cov)
-
-    def test_zero_n_weighted_summary_round_trips(self):
-        # The WeightedAggregator returns n == 0 when every contributor's
-        # weight is zero; the document form must not choke on it.
-        summary = EstimateSummary(
-            n=0, mean=np.zeros(2), mean_cov=np.zeros((2, 2))
-        )
-        rebuilt = summary_from_doc(summary_to_doc(summary))
-        assert rebuilt.n == 0
-        assert np.array_equal(rebuilt.mean, summary.mean)
-        assert np.array_equal(rebuilt.mean_cov, summary.mean_cov)
-
-
-def _doc_of(model):
-    return latent_to_doc(model)
-
-
-class TestLatentDoc:
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 4), stats),
-            max_size=20,
-        ),
-        st.lists(st.integers(0, 3), max_size=3),
-    )
-    def test_round_trips_observed_state(self, answers, malformed):
-        members = [f"член-{k}" for k in range(4)]
-        pool = [Rule([f"a{k}"], [f"b{k}"]) for k in range(5)]
-        model = LatentAbilityModel()
-        for member_idx, rule_idx, observed in answers:
-            model.observe_answer(members[member_idx], pool[rule_idx], observed)
-        for member_idx in malformed:
-            model.observe_malformed(members[member_idx])
-        doc = _doc_of(model)
-        assert _doc_of(latent_from_doc(doc)) == doc
-
-    def test_round_trips_fitted_state(self):
-        rng = np.random.default_rng(3)
-        members = [f"m{k}" for k in range(6)]
-        pool = [Rule([f"a{k}"], [f"b{k}"]) for k in range(8)]
-        model = LatentAbilityModel(reestimate_every=1)
-        for _ in range(60):
-            member = members[int(rng.integers(len(members)))]
-            rule = pool[int(rng.integers(len(pool)))]
-            support = float(rng.uniform(0.0, 0.6))
-            model.observe_answer(
-                member, rule, RuleStats(support, float(rng.uniform(support, 1.0)))
-            )
-        model.reestimate()  # fits abilities; return value = "trust moved"
-        model.mark_quarantined(members[0])
-        doc = _doc_of(model)
-        rebuilt = latent_from_doc(doc)
-        assert _doc_of(rebuilt) == doc
-        for member in members:
-            assert rebuilt.trust(member) == model.trust(member)
-        assert rebuilt.quarantined == {members[0]}
-
-    def test_document_is_json_compatible(self):
-        model = LatentAbilityModel()
-        model.observe_answer("u1", Rule(["蜂蜜"], ["咳嗽"]), RuleStats(0.2, 0.8))
-        doc = json.loads(json.dumps(latent_to_doc(model), ensure_ascii=False))
-        assert _doc_of(latent_from_doc(doc)) == latent_to_doc(model)
 
 
 class TestTransactionDBPickle:
