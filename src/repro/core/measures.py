@@ -37,6 +37,12 @@ class RuleStats:
                 f"support ({self.support}) cannot exceed confidence ({self.confidence})"
             )
 
+    def __reduce__(self) -> tuple:
+        # Positional: the slots dataclass default reflects over
+        # ``fields()`` per object, and a checkpoint pickles every answer.
+        # Loading re-runs the validation above.
+        return RuleStats, (self.support, self.confidence)
+
     @property
     def antecedent_support(self) -> float:
         """Implied ``supp(A) = support / confidence`` (1.0 when confidence is 0)."""

@@ -26,7 +26,7 @@ the object path for fault experiments.
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -121,16 +121,18 @@ class ArrayCrowd:
 
     def _init_runtime(self) -> None:
         n = len(self._population)
-        self._active = np.ones(n, dtype=bool)
-        for k in self._departed | self._quarantined:
-            self._active[k] = False
+        gone = self._departed | self._quarantined
         if self.patience is not None:
-            for k, count in self._answered.items():
-                if count >= self.patience:
-                    self._active[k] = False
-        self._n_active = int(self._active.sum())
-        #: Bumped whenever the available set shrinks (partition cache key).
-        self.availability_generation = 0
+            gone |= {k for k, count in self._answered.items() if count >= self.patience}
+        self._active = np.ones(n, dtype=bool)
+        self._active[list(gone)] = False
+        self._n_active = n - len(gone)
+        #: Ids that stopped being available, in order: the append-only
+        #: departure log partitions follow (as on ``SimulatedCrowd``).
+        #: A restored crowd logs them in index order, which may differ
+        #: from the live order; a partition's available list is in
+        #: crowd order whatever order it discarded them in.
+        self.departures: list[str] = [self._id(k) for k in sorted(gone)]
         self._avail_idx: np.ndarray | None = None
         self._pools: OrderedDict[int, HabitPool] = OrderedDict()
 
@@ -153,7 +155,7 @@ class ArrayCrowd:
     @property
     def member_ids(self) -> list[str]:
         """All member ids, in index order (materializes the list)."""
-        return [self._id(k) for k in range(len(self._population))]
+        return self.member_ids_in(slice(None))
 
     # -- availability ---------------------------------------------------------
 
@@ -164,7 +166,13 @@ class ArrayCrowd:
 
     def available_members(self) -> list[str]:
         """Ids of members still willing to answer (and not quarantined)."""
-        return [self._id(int(k)) for k in self._avail_indices()]
+        return list(self.iter_available())
+
+    def iter_available(self) -> Iterator[str]:
+        """The available members in index order, each id formatted only
+        when the walk reaches it."""
+        for k in self._avail_indices():
+            yield self._id(int(k))
 
     def available_count(self) -> int:
         """How many members can still be routed a question — O(1)."""
@@ -178,7 +186,7 @@ class ArrayCrowd:
         if self._active[index]:
             self._active[index] = False
             self._n_active -= 1
-            self.availability_generation += 1
+            self.departures.append(self._id(index))
             self._avail_idx = None
 
     def _answerable(self, index: int) -> bool:
@@ -265,11 +273,11 @@ class ArrayCrowd:
         from repro.crowd.partition import CrowdPartition
 
         check_positive(shards, "shards")
-        ids = self.member_ids
-        return [
-            CrowdPartition(self, slice(i, None, shards), ids[i::shards])
-            for i in range(shards)
-        ]
+        return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
+
+    def member_ids_in(self, positions: slice) -> list[str]:
+        """The ids at crowd ``positions`` (formats only that slice)."""
+        return [self._id(k) for k in range(len(self._population))[positions]]
 
     # -- the question protocol ------------------------------------------------
 

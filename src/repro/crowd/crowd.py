@@ -17,7 +17,7 @@ which are exactly the cost measures the paper's evaluation reports.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection, Sequence
+from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -102,12 +102,16 @@ class SimulatedCrowd:
         self._quarantined: set[str] = set()
         #: Monotonic delivery-token counter for in-flight answers.
         self._tokens = 0
-        self._rotation = MemberRotation(m.member_id for m in members if m.is_available)
+        self._rotation = MemberRotation(ids)
         # The hook holds the rotation, not the crowd: a crowd → member →
         # crowd cycle would leave every finished session's crowd, with
         # its databases and habit pools, to the cyclic collector.
         for m in members:
             m.on_unavailable = self._rotation.discard
+            if not m.is_available:
+                # Logged like any later departure, so partitions over
+                # the crowd learn of it from the departure log too.
+                self._rotation.discard(m.member_id)
 
     # -- construction ---------------------------------------------------------
 
@@ -163,6 +167,10 @@ class SimulatedCrowd:
         """Ids of members still willing to answer (and not quarantined)."""
         return self._rotation.members()
 
+    def iter_available(self) -> Iterator[str]:
+        """The available members, in order, lazily (no list is built)."""
+        return iter(self._rotation)
+
     def available_count(self) -> int:
         """How many members are still willing to answer — O(1)."""
         return len(self._rotation)
@@ -172,9 +180,14 @@ class SimulatedCrowd:
         return member_id in self._rotation
 
     @property
-    def availability_generation(self) -> int:
-        """Bumped whenever the available set shrinks (partition cache key)."""
-        return self._rotation.generation
+    def departures(self) -> list[str]:
+        """Ids that stopped being available, in order (append-only log).
+
+        Departures, quarantines and exhausted patience all land here;
+        partitions follow the log with a cursor (the live list, not a
+        copy — do not mutate it).
+        """
+        return self._rotation.departures
 
     # -- quality control and faults -------------------------------------------
 
@@ -243,10 +256,11 @@ class SimulatedCrowd:
         from repro.crowd.partition import CrowdPartition
 
         check_positive(shards, "shards")
-        return [
-            CrowdPartition(self, slice(i, None, shards), self._order[i::shards])
-            for i in range(shards)
-        ]
+        return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
+
+    def member_ids_in(self, positions: slice) -> list[str]:
+        """The ids at crowd ``positions``, in arrival order."""
+        return self._order[positions]
 
     # -- the question protocol ----------------------------------------------------
 

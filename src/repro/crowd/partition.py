@@ -6,19 +6,24 @@ with its own round-robin rotation. Questions still go through the
 owning crowd (statistics, tokens, and answer content are crowd-global);
 the partition only decides *who in this lane answers next*.
 
-The rotation is synced to the crowd's availability generation, so
-steady-state scheduling costs O(1) per pick; the partition is rescanned
-only after someone in the crowd left.
+The partition learns who left from the crowd's append-only departure
+log (``crowd.departures``): it keeps a cursor into the log and, before
+each pick, discards only the entries it has not applied yet. A pick
+therefore costs O(1) when nobody left, and a lane does O(departures)
+availability work over a whole session — never a rescan of its
+members.
 
 A partition pickles as its crowd, its slice of crowd positions and its
 rotation cursor. The id list and the rotation's available set are
-O(crowd) and rebuilt on load (the first pick rescans availability), so
-a sharded session's checkpoint stays flat in crowd size.
+O(lane) and rebuilt on load from the crowd's ids at those positions
+alone; the log cursor restarts at 0, so the first pick replays every
+departure. A sharded session's checkpoint therefore stays flat in
+crowd size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Sequence
+from collections.abc import Collection, Iterator
 
 from repro.crowd.rotation import MemberRotation
 
@@ -28,24 +33,20 @@ class CrowdPartition:
 
     The partition mirrors the crowd's scheduling protocol
     (:meth:`next_member`, :meth:`available_members`,
-    :meth:`available_count`) restricted to its own members, with the
-    crowd's rotation rule (:mod:`repro.crowd.rotation`). A partition
-    over ``slice(None)`` with a fresh cursor schedules exactly like the
-    crowd itself. ``member_ids`` passes ``crowd.member_ids[positions]``
-    when the caller already holds the crowd's id list, so splitting a
-    crowd into lanes builds that list once, not once per lane.
+    :meth:`iter_available`, :meth:`available_count`) restricted to its
+    own members, with the crowd's rotation rule
+    (:mod:`repro.crowd.rotation`). A partition over ``slice(None)``
+    with a fresh cursor schedules exactly like the crowd itself. The
+    crowd provides ``member_ids_in(positions)`` and ``departures``.
     """
 
-    def __init__(
-        self, crowd, positions: slice, member_ids: Sequence[str] | None = None
-    ) -> None:
+    def __init__(self, crowd, positions: slice) -> None:
         self.crowd = crowd
         self.positions = positions
-        if member_ids is None:
-            member_ids = crowd.member_ids[positions]
-        self._ids: list[str] = list(member_ids)
+        self._ids: list[str] = crowd.member_ids_in(positions)
         self.rotation = MemberRotation(self._ids)
-        self._generation: int | None = None
+        #: How many entries of the crowd's departure log are applied.
+        self._applied = 0
 
     def __getstate__(self) -> tuple:
         return self.crowd, self.positions, self.rotation.cursor
@@ -65,18 +66,21 @@ class CrowdPartition:
 
     def _synced(self) -> MemberRotation:
         """The rotation, less whoever left the crowd since the last look."""
-        generation = self.crowd.availability_generation
-        if generation != self._generation:
-            is_available = self.crowd.is_member_available
-            for member_id in self.rotation.members():
-                if not is_available(member_id):
-                    self.rotation.discard(member_id)
-            self._generation = generation
+        departures = self.crowd.departures
+        if self._applied < len(departures):
+            discard = self.rotation.discard
+            for member_id in departures[self._applied :]:
+                discard(member_id)
+            self._applied = len(departures)
         return self.rotation
 
     def available_members(self) -> list[str]:
         """Available members of this partition, in crowd order."""
         return self._synced().members()
+
+    def iter_available(self) -> Iterator[str]:
+        """Available members of this partition, in crowd order, lazily."""
+        return iter(self._synced())
 
     def available_count(self) -> int:
         """How many of this partition's members can still answer."""

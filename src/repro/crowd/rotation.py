@@ -17,12 +17,23 @@ package — :class:`~repro.crowd.crowd.SimulatedCrowd`,
 :class:`Rotation` is that rule over list positions (the columnar crowd
 keeps its available members as a sorted index array);
 :class:`MemberRotation` adds the ordered, shrinking set of member ids
-the other schedulers keep.
+the other schedulers keep, and an append-only log of who left it. A
+departure deletes one entry, found by bisection over the members'
+ranks, so neither a pick nor a departure re-indexes the members who
+stay.
+
+Availability only ever shrinks, so the log is all a view over part of
+the crowd needs to follow it: a
+:class:`~repro.crowd.partition.CrowdPartition` keeps a cursor into its
+crowd's departure log and discards only the entries it has not applied
+yet, which costs O(departures) over a whole session instead of a
+rescan of its members after every departure.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable
+from bisect import bisect_left
+from collections.abc import Collection, Iterable, Iterator
 
 from repro.errors import CrowdExhaustedError
 
@@ -59,12 +70,19 @@ class MemberRotation(Rotation):
 
     def __init__(self, member_ids: Iterable[str]) -> None:
         super().__init__()
-        #: The available ids in order, each mapped to its position in
-        #: ``_ids`` (rebuilt lazily after a departure).
+        #: The available ids in order, each mapped to its rank: its
+        #: position in ``_ids`` when that list was built (on the first
+        #: pick), and still its position until someone leaves.
         self._slot: dict[str, int] = dict.fromkeys(member_ids, 0)
         self._ids: list[str] | None = None
-        #: Bumped by every departure (a cache key for views of the set).
-        self.generation = 0
+        #: From the first departure after ``_ids`` was built: the ranks
+        #: of ``_ids``, strictly increasing. A departure deletes one
+        #: entry of each, found by bisection, and never re-ranks the
+        #: members who stay.
+        self._ranks: list[int] | None = None
+        #: Every id discarded so far, in discard order. Append-only:
+        #: views of the set follow it with a cursor.
+        self.departures: list[str] = []
 
     def __len__(self) -> int:
         return len(self._slot)
@@ -72,17 +90,25 @@ class MemberRotation(Rotation):
     def __contains__(self, member_id: object) -> bool:
         return member_id in self._slot
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._slot)
+
     def members(self) -> list[str]:
         """The available ids, in order (a copy)."""
         return list(self._slot)
 
     def discard(self, member_id: str) -> bool:
         """Drop a member who left; False when they were not available."""
-        if member_id not in self._slot:
+        slot = self._slot
+        if member_id not in slot:
             return False
-        del self._slot[member_id]
-        self._ids = None
-        self.generation += 1
+        if self._ids is not None:
+            if self._ranks is None:
+                self._ranks = list(slot.values())
+            pos = bisect_left(self._ranks, slot[member_id])
+            del self._ids[pos], self._ranks[pos]
+        del slot[member_id]
+        self.departures.append(member_id)
         return True
 
     def next(self, exclude: Collection[str] = ()) -> str | None:
@@ -93,5 +119,10 @@ class MemberRotation(Rotation):
             ids = self._ids = list(slot)
             for pos, member_id in enumerate(ids):
                 slot[member_id] = pos
-        pos = self.turn(len(ids), {slot[mid] for mid in exclude if mid in slot})
+        ranks = self._ranks
+        if ranks is None:
+            busy = {slot[mid] for mid in exclude if mid in slot}
+        else:
+            busy = {bisect_left(ranks, slot[mid]) for mid in exclude if mid in slot}
+        pos = self.turn(len(ids), busy)
         return None if pos is None else ids[pos]

@@ -581,21 +581,27 @@ class Dispatcher:
 
         For closed questions, members whose answer about the rule is
         already on record are ineligible (their retry answer would be
-        discarded as stale on arrival anyway).
+        discarded as stale on arrival anyway). First fit: the walk over
+        the lane's available members, in order, stops at the first
+        eligible member other than the original, so it probes at most
+        the members in flight, those already answered and the original
+        before it hits — however large the lane. The original is the
+        fallback when nobody else is eligible.
         """
-        free = [
-            mid
-            for mid in lane.scheduler.available_members()
-            if mid not in self._in_flight
-        ]
+        answered = None
         if proposal.kind is QuestionKind.CLOSED:
             assert proposal.rule is not None
-            samples = self.miner.state.knowledge(proposal.rule).samples
-            free = [mid for mid in free if not samples.has_answer_from(mid)]
-        for member_id in free:
+            answered = self.miner.state.knowledge(proposal.rule).samples.has_answer_from
+        fallback = None
+        for member_id in lane.scheduler.iter_available():
+            if member_id in self._in_flight or (
+                answered is not None and answered(member_id)
+            ):
+                continue
             if member_id != proposal.member_id:
                 return member_id
-        return free[0] if free else None
+            fallback = member_id
+        return fallback
 
     def _drop(self) -> None:
         self._dropped += 1

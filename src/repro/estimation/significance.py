@@ -89,6 +89,10 @@ class Assessment:
     uncertainty: float
     n: int
 
+    def __reduce__(self) -> tuple:
+        # Positional, like RuleStats: a checkpoint pickles every one.
+        return Assessment, (self.decision, self.probability_significant, self.uncertainty, self.n)
+
 
 class SignificanceTest:
     """Classify rules and quantify their uncertainty.

@@ -49,6 +49,10 @@ class QuestionEvent:
         """True for a dry open answer."""
         return self.kind is QuestionKind.OPEN and self.rule is None
 
+    def __reduce__(self) -> tuple:
+        # Positional, like RuleStats: a checkpoint pickles the whole log.
+        return QuestionEvent, (self.index, self.kind, self.member_id, self.rule, self.stats)
+
 
 @dataclass(slots=True)
 class MiningResult:

@@ -22,7 +22,7 @@ Three pieces:
 
 from __future__ import annotations
 
-from collections.abc import Collection
+from collections.abc import Collection, Iterator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -132,6 +132,9 @@ class CachingCrowd:
 
     def available_members(self) -> list[str]:
         return self.inner.available_members()
+
+    def iter_available(self) -> Iterator[str]:
+        return self.inner.iter_available()
 
     def available_count(self) -> int:
         return self.inner.available_count()

@@ -29,8 +29,9 @@ What is deliberately rebuilt rather than stored:
 - each rule's cached aggregate summary and each member's habit pool —
   recomputed, identically, on first use;
 - each crowd partition's member-id list and available set — rebuilt
-  from the crowd and the partition's slice, so a sharded checkpoint
-  stays flat in crowd size;
+  from the crowd's ids at the partition's slice alone, replaying the
+  crowd's departure log, so a sharded checkpoint stays flat in crowd
+  size and restoring it formats each member id once;
 - a serve session's wall clock — the resuming session manager attaches
   its own.
 
@@ -66,7 +67,9 @@ if TYPE_CHECKING:
 #: cache. Format 4: members report departures to the crowd's rotation,
 #: which keeps the availability generation. Format 5: the dispatcher
 #: seat travels as the live object, not as a snapshot document.
-CHECKPOINT_FORMAT = 5
+#: Format 6: a crowd's rotation keeps a departure log in place of the
+#: availability generation.
+CHECKPOINT_FORMAT = 6
 
 
 def capture_session(

@@ -20,6 +20,18 @@ of access order, crowd size paging, or shard layout. Pickling stores
 only the recipe ``(model, n, transactions, entropy)``; state is
 regenerated on demand after a restore.
 
+Queries answer from occasion *bitsets*: one Python int per stream, one
+bit per transaction. A query plans the streams its items need (the
+member-independent part of the plan and of every key is precomputed
+per population), hashes them all in one numpy pass, packs each row
+with ``np.packbits``, ORs rows into item presence, ANDs items into a
+rule's body and antecedent, and counts with ``int.bit_count``.
+:meth:`~ArrayPopulation.rule_stats_at`,
+:meth:`~ArrayPopulation.item_matrix` and
+:meth:`~ArrayPopulation.mean_itemset_support` share that one kernel,
+so a closed answer costs one hashing pass and a few integer
+operations.
+
 The layout is *not* stream-compatible with
 :func:`~repro.synth.population.build_population` (which interleaves
 data-dependent draws on one generator); equivalence tests therefore
@@ -66,11 +78,6 @@ def _absorb(h: int, value: int) -> int:
     return h ^ (h >> 31)
 
 
-def _stream_key(entropy: int, kind: int, a: int, b: int) -> int:
-    """64-bit key for the occasion stream ``(entropy, kind, a, b)``."""
-    return _absorb(_absorb(_absorb(entropy & _MASK64, kind), a), b)
-
-
 _U64_GAMMA = np.uint64(_SM_GAMMA)
 _U64_MIX1 = np.uint64(_SM_MIX1)
 _U64_MIX2 = np.uint64(_SM_MIX2)
@@ -80,33 +87,46 @@ _U64_31 = np.uint64(31)
 _U64_11 = np.uint64(11)
 
 
+def _pack_rows(rows: np.ndarray) -> list[int]:
+    """Each boolean row as a Python-int bitset (``np.packbits`` order).
+
+    Padding bits are 0, so ANDs, ORs and ``int.bit_count`` over the
+    bitsets count exactly the row's true elements.
+    """
+    packed = np.packbits(rows, axis=1)
+    width = packed.shape[1]
+    buf = packed.tobytes()
+    return [int.from_bytes(buf[i : i + width], "big") for i in range(0, len(buf), width)]
+
+
+def _threshold(rate: float) -> int:
+    """A stream fires where its top 53 hash bits fall below this:
+    P(true) = ``rate`` to within 2⁻⁵³."""
+    return int(rate * (1 << 53))
+
+
 def _bernoulli_streams(
-    keys: list[int], idx: np.ndarray, rates: list[float]
+    keys: list[int], steps: np.ndarray, thresholds: list[int]
 ) -> np.ndarray:
-    """Deterministic Bernoulli columns, one row per ``(key, rate)`` pair.
+    """Deterministic Bernoulli columns, one row per ``(key, threshold)``
+    pair (thresholds from :func:`_threshold`).
 
     Counter-based splitmix64 streams: element ``(r, i)`` is a pure
-    function of ``(keys[r], idx[i])``, so columns never depend on
-    access order and need no generator objects — per-call
-    ``default_rng`` seed hashing was the dominant cost of
-    materializing occasion columns at the 100k-member scale. All of a
-    question's streams hash in one 2-d pass to amortize ufunc
-    dispatch.
+    function of ``(keys[r], i)``, so columns never depend on access
+    order and need no generator objects — per-call ``default_rng``
+    seed hashing was the dominant cost of materializing occasion
+    columns at the 100k-member scale. ``steps`` is the counter axis
+    times the splitmix64 increment (``counter · γ``, fixed per
+    population). All of a question's streams hash in one 2-d pass to
+    amortize ufunc dispatch.
     """
-    x = np.asarray(keys, dtype=np.uint64)[:, None] + idx[None, :] * _U64_GAMMA
+    x = np.asarray(keys, dtype=np.uint64)[:, None] + steps[None, :]
     x ^= x >> _U64_30
     x *= _U64_MIX1
     x ^= x >> _U64_27
     x *= _U64_MIX2
     x ^= x >> _U64_31
-    # Top 53 bits against rate * 2**53: P(true) = rate to within 2⁻⁵³.
-    thresholds = np.array([int(r * (1 << 53)) for r in rates], dtype=np.uint64)
-    return (x >> _U64_11) < thresholds[:, None]
-
-
-def _bernoulli_stream(key: int, idx: np.ndarray, rate: float) -> np.ndarray:
-    """Single-stream convenience wrapper over :func:`_bernoulli_streams`."""
-    return _bernoulli_streams([key], idx, [rate])[0]
+    return (x >> _U64_11) < np.array(thresholds, dtype=np.uint64)[:, None]
 
 
 class ArrayPopulation:
@@ -151,7 +171,6 @@ class ArrayPopulation:
         model = self.model
         self.domain: ItemDomain = model.domain
         self._items: tuple[str, ...] = tuple(model.domain.items)
-        self._item_index = {item: j for j, item in enumerate(self._items)}
         patterns = model.patterns
         self._n_patterns = len(patterns)
         self._prevalence = np.array([p.prevalence for p in patterns])
@@ -159,20 +178,31 @@ class ArrayPopulation:
         self._cond_mean = np.array([p.conditional_rate for p in patterns])
         self._rate_std = np.array([p.rate_std for p in patterns])
         self._is_itemset = [p.rule.is_itemset_rule for p in patterns]
-        self._ant_items = [tuple(p.rule.antecedent) for p in patterns]
-        self._cons_items = [tuple(p.rule.consequent) for p in patterns]
-        self._body_items = [tuple(p.rule.body) for p in patterns]
-        # item -> patterns whose occasion draws can place the item.
-        touches: dict[str, list[int]] = {}
+        # The occasion-stream plan, everything in it independent of the
+        # member: per item, its column and the patterns whose draws can
+        # place it, each with whether the item is in that pattern's
+        # (non-empty) antecedent — then the pattern's antecedent draws
+        # place it, otherwise only its full-body draws do.
+        touches: dict[str, list[tuple[int, bool]]] = {}
         for p, pattern in enumerate(patterns):
-            for item in pattern.rule.body:
-                touches.setdefault(item, []).append(p)
-        self._item_patterns = touches
+            rule = pattern.rule
+            for item in rule.body:
+                touches.setdefault(item, []).append((p, item in rule.antecedent))
+        self._item_plan: dict[str, tuple[int, tuple[tuple[int, bool], ...]]] = {
+            item: (j, tuple(touches.get(item, ()))) for j, item in enumerate(self._items)
+        }
+        # Stream keys hash (entropy, kind, member, stream); the
+        # member-independent (entropy, kind) prefix is absorbed once.
+        entropy = self.entropy & _MASK64
+        self._habit_prefix = _absorb(entropy, 1)
+        self._background_prefix = _absorb(entropy, 2)
+        self._background_threshold = _threshold(model.background_rate)
         # Counter axis shared by every occasion stream (1-based so a
-        # zero key never meets a zero counter).
-        self._stream_idx = np.arange(
-            1, self.transactions_per_member + 1, dtype=np.uint64
-        )
+        # zero key never meets a zero counter), premultiplied by γ.
+        t = self.transactions_per_member
+        self._stream_steps = np.arange(1, t + 1, dtype=np.uint64) * _U64_GAMMA
+        #: Bitset with a bit for every occasion (``np.packbits`` layout).
+        self._all_occasions = _pack_rows(np.ones((1, t), dtype=bool))[0]
         # Lazy caches (never pickled).
         self._profile_blocks: dict[int, tuple] = {}
         self._facades: OrderedDict[int, Member] = OrderedDict()
@@ -277,98 +307,73 @@ class ArrayPopulation:
 
     # -- occasion draws -------------------------------------------------------
 
-    def _habit_fires(self, k: int, p: int, ant_rate: float, cond_rate: float):
-        """Occasion vectors for held habit ``p`` of member ``k``.
+    def _item_bits(self, k: int, items: tuple[str, ...]) -> list[int]:
+        """Occasion bitsets of ``items`` in member ``k``'s database.
 
-        Returns ``(ant_fire, body_fire)`` boolean vectors over the
-        member's transactions: occasions where the antecedent items
-        appear, and occasions where the full body appears.
-        """
-        idx = self._stream_idx
-        if self._is_itemset[p]:
-            key = _stream_key(self.entropy, 1, k, 2 * p)
-            fire = _bernoulli_stream(key, idx, ant_rate * cond_rate)
-            return fire, fire
-        ant_fire = _bernoulli_stream(_stream_key(self.entropy, 1, k, 2 * p), idx, ant_rate)
-        cond_fire = _bernoulli_stream(
-            _stream_key(self.entropy, 1, k, 2 * p + 1), idx, cond_rate
-        )
-        return ant_fire, ant_fire & cond_fire
-
-    def _background_column(self, k: int, j: int) -> np.ndarray:
-        rate = self.model.background_rate
-        if rate <= 0.0:
-            return np.zeros(self.transactions_per_member, dtype=bool)
-        key = _stream_key(self.entropy, 2, k, j)
-        return _bernoulli_stream(key, self._stream_idx, rate)
-
-    def _columns_for(self, k: int, items: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Presence columns of ``items`` in member ``k``'s database.
-
+        One Python int per item, one bit per transaction (the
+        :func:`_pack_rows` layout); an item outside the domain is 0.
         Only the requested items are generated — a closed question
-        touches two to four columns, never the full item matrix — and
-        all their occasion streams hash in one batched pass (the keys
-        match :meth:`_background_column` / :meth:`_habit_fires` stream
-        for stream).
+        touches two to four of them, never the full item matrix. An
+        item is present on an occasion when its background draw fires
+        (``(entropy, 2, member, item)`` at the model's background
+        rate) or a held habit places it: the habit's antecedent draws
+        ``(entropy, 1, member, 2·pattern)`` place its antecedent items,
+        and those draws AND its conditional draws ``(…, 2·pattern+1)``
+        place the whole body (an itemset habit draws its body once, at
+        the product rate). Every stream hashes in one pass.
         """
-        has, ant, cond = self._profile_row(k)
-        t = self.transactions_per_member
-        bg_rate = self.model.background_rate
-        entropy = self.entropy
-        # Plan every stream the requested items need, then hash once.
+        has, ant, cond = (row.tolist() for row in self._profile_row(k))
+        bg_threshold = self._background_threshold
+        habit_key = _absorb(self._habit_prefix, k)
+        background_key = _absorb(self._background_prefix, k)
+        is_itemset = self._is_itemset
         keys: list[int] = []
-        rates: list[float] = []
+        thresholds: list[int] = []
         pattern_rows: dict[int, tuple[int, int]] = {}
-        plan: list[tuple[str, int | None, tuple[int, ...]]] = []
+        plan: list[tuple[int | None, list[tuple[int, bool]]]] = []
         for item in items:
-            j = self._item_index.get(item)
-            if j is None:
-                plan.append((item, None, ()))
+            entry = self._item_plan.get(item)
+            if entry is None:
+                plan.append((None, []))
                 continue
+            j, placers = entry
             bg_row: int | None = None
-            if bg_rate > 0.0:
+            if bg_threshold:
                 bg_row = len(keys)
-                keys.append(_stream_key(entropy, 2, k, j))
-                rates.append(bg_rate)
-            held = tuple(p for p in self._item_patterns.get(item, ()) if has[p])
-            for p in held:
+                keys.append(_absorb(background_key, j))
+                thresholds.append(bg_threshold)
+            held = [(p, in_antecedent) for p, in_antecedent in placers if has[p]]
+            for p, _ in held:
                 if p in pattern_rows:
                     continue
                 row = len(keys)
-                if self._is_itemset[p]:
-                    keys.append(_stream_key(entropy, 1, k, 2 * p))
-                    rates.append(float(ant[p]) * float(cond[p]))
+                keys.append(_absorb(habit_key, 2 * p))
+                if is_itemset[p]:
+                    thresholds.append(_threshold(ant[p] * cond[p]))
                     pattern_rows[p] = (row, row)
                 else:
-                    keys.append(_stream_key(entropy, 1, k, 2 * p))
-                    rates.append(float(ant[p]))
-                    keys.append(_stream_key(entropy, 1, k, 2 * p + 1))
-                    rates.append(float(cond[p]))
+                    keys.append(_absorb(habit_key, 2 * p + 1))
+                    thresholds.extend((_threshold(ant[p]), _threshold(cond[p])))
                     pattern_rows[p] = (row, row + 1)
-            plan.append((item, bg_row, held))
-        streams = _bernoulli_streams(keys, self._stream_idx, rates) if keys else None
-        body_fires: dict[int, np.ndarray] = {}
-        columns: dict[str, np.ndarray] = {}
-        for item, bg_row, held in plan:
-            if bg_row is None and not held:
-                columns[item] = np.zeros(t, dtype=bool)
-                continue
-            col = streams[bg_row].copy() if bg_row is not None else np.zeros(t, dtype=bool)
-            for p in held:
+            plan.append((bg_row, held))
+        if not keys:
+            return [0] * len(items)
+        rows = _pack_rows(_bernoulli_streams(keys, self._stream_steps, thresholds))
+        bodies: dict[int, int] = {}
+        out: list[int] = []
+        for bg_row, held in plan:
+            bits = 0 if bg_row is None else rows[bg_row]
+            for p, in_antecedent in held:
                 ant_row, cond_row = pattern_rows[p]
-                if item in self._ant_items[p] and not self._is_itemset[p]:
-                    col |= streams[ant_row]
+                if in_antecedent:
+                    bits |= rows[ant_row]
                     continue
-                body = body_fires.get(p)
+                body = bodies.get(p)
                 if body is None:
-                    if self._is_itemset[p]:
-                        body = streams[ant_row]
-                    else:
-                        body = streams[ant_row] & streams[cond_row]
-                    body_fires[p] = body
-                col |= body
-            columns[item] = col
-        return columns
+                    body = bodies[p] = rows[ant_row] & rows[cond_row]
+                bits |= body
+            out.append(bits)
+        return out
 
     def item_matrix(self, index: int) -> np.ndarray:
         """Member ``index``'s full boolean (transactions × items) matrix."""
@@ -376,8 +381,12 @@ class ArrayPopulation:
         if cached is not None:
             self._matrices.move_to_end(index)
             return cached
-        columns = self._columns_for(index, self._items)
-        matrix = np.column_stack([columns[item] for item in self._items])
+        t = self.transactions_per_member
+        width = (t + 7) // 8
+        bits = self._item_bits(index, self._items)
+        packed = np.frombuffer(b"".join(b.to_bytes(width, "big") for b in bits), dtype=np.uint8)
+        unpacked = np.unpackbits(packed.reshape(len(bits), width), axis=1, count=t)
+        matrix = unpacked.T.astype(bool, order="C")
         self._matrices[index] = matrix
         while len(self._matrices) > FACADE_CACHE:
             self._matrices.popitem(last=False)
@@ -392,18 +401,19 @@ class ArrayPopulation:
         both divide the same integer occasion counts.
         """
         t = self.transactions_per_member
-        columns = self._columns_for(index, tuple(rule.body))
-        body = np.ones(t, dtype=bool)
-        for item in rule.body:
-            body &= columns[item]
-        body_count = int(body.sum())
+        antecedent = rule.antecedent.items
+        bits = self._item_bits(index, antecedent + rule.consequent.items)
+        ant = self._all_occasions
+        for item_bits in bits[: len(antecedent)]:
+            ant &= item_bits
+        body = ant
+        for item_bits in bits[len(antecedent) :]:
+            body &= item_bits
+        body_count = body.bit_count()
         support = body_count / t
         if rule.is_itemset_rule:
             return RuleStats(support, support)
-        ant = np.ones(t, dtype=bool)
-        for item in rule.antecedent:
-            ant &= columns[item]
-        ant_count = int(ant.sum())
+        ant_count = ant.bit_count()
         confidence = 0.0 if ant_count == 0 else body_count / ant_count
         return RuleStats(support, confidence)
 
@@ -474,11 +484,10 @@ class ArrayPopulation:
         items = tuple(itemset)
         total = 0
         for k in range(self.n_members):
-            columns = self._columns_for(k, items)
-            row = np.ones(t, dtype=bool)
-            for item in items:
-                row &= columns[item]
-            total += int(row.sum())
+            row = self._all_occasions
+            for bits in self._item_bits(k, items):
+                row &= bits
+            total += row.bit_count()
         return total / (self.n_members * t)
 
     def union_db(self) -> TransactionDB:

@@ -14,7 +14,13 @@ of picks, departures, quarantines and patience exhaustion, the object
 crowd (over simulated, garbled and stream members), the columnar
 crowd, a one-partition view of either, and the serving roster pick
 the same member at every step and agree on who is still available.
+
+A partition follows its crowd's departure log, so when it was built,
+and whether it went through a pickle round trip, never changes how it
+schedules.
 """
+
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -280,3 +286,83 @@ class TestOneRotation:
 
         with pytest.raises(TypeError):
             SimulatedCrowd([Hookless()])
+
+
+#: Member indices that leave before the first partition is built (the
+#: object crowd's members leave before the crowd itself exists).
+GONE_BEFORE = st.frozensets(st.integers(0, N_MEMBERS - 1), max_size=N_MEMBERS - 1)
+
+
+def _crowd_with_early_leavers(kind, gone_before):
+    if kind == "simulated":
+        members = _simulated_members()
+        for index in gone_before:
+            members[index].leave()
+        return SimulatedCrowd(members, seed=0)
+    crowd = _array_crowd()
+    for index in sorted(gone_before):
+        crowd.crash(_IDS[index])
+    return crowd
+
+
+def _views(parts):
+    return [(p.available_members(), list(p.iter_available()), p.available_count()) for p in parts]
+
+
+def _drive_views(worlds, ops):
+    """Apply ``ops`` to (crowd, partitions) worlds; their views must agree.
+
+    Facts go to each distinct crowd once; picks go to every partition.
+    """
+    crowds = list({id(crowd): crowd for crowd, _parts in worlds}.values())
+    for op, arg in ops:
+        if op == "pick":
+            busy = {_IDS[i] for i in arg}
+            picks = [[_pick(part, busy) for part in parts] for _crowd, parts in worlds]
+            assert all(p == picks[0] for p in picks), picks
+        else:
+            for crowd in crowds:
+                getattr(_CrowdDriver(crowd), op)(_IDS[arg])
+        views = [_views(parts) for _crowd, parts in worlds]
+        assert all(v == views[0] for v in views), views
+        for members, walked, count in views[0]:
+            assert walked == members and count == len(members)
+
+
+class TestPartitionViews:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["simulated", "array"]),
+        shards=st.integers(1, 3),
+        gone_before=GONE_BEFORE,
+        facts=OPS,
+        ops=OPS,
+    )
+    def test_partition_built_after_departures_schedules_alike(
+        self, kind, shards, gone_before, facts, ops
+    ):
+        crowd = _crowd_with_early_leavers(kind, gone_before)
+        early = crowd.partitions(shards)
+        for op, arg in facts:
+            if op != "pick":
+                getattr(_CrowdDriver(crowd), op)(_IDS[arg])
+        late = crowd.partitions(shards)
+        assert sorted(m for part in late for m in part.available_members()) == sorted(
+            crowd.available_members()
+        )
+        _drive_views([(crowd, early), (crowd, late)], ops)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["simulated", "array"]),
+        shards=st.integers(1, 3),
+        gone_before=GONE_BEFORE,
+        before=OPS,
+        after=OPS,
+    )
+    def test_pickled_partition_schedules_alike(self, kind, shards, gone_before, before, after):
+        crowd = _crowd_with_early_leavers(kind, gone_before)
+        world = (crowd, crowd.partitions(shards))
+        _drive_views([world], before)
+        twin = pickle.loads(pickle.dumps(world))
+        _drive_views([world, twin], after)

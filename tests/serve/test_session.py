@@ -23,6 +23,7 @@ from repro.serve import (
     SessionManager,
     run_session_inprocess,
 )
+from repro.serve.differential import drive_inprocess
 from repro.storage import capture_session, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=30, budget=40)
@@ -282,6 +283,19 @@ class TestSnapshotRoundTrip:
         reoffered = fresh.next_question()
         assert reoffered["status"] == "ok"
         assert reoffered["question"] == outstanding
+
+    def test_finished_session_payload_stays_compact(self):
+        # A checkpoint re-pickles the whole question log; its records
+        # pickle as their constructor arguments. 43,204 bytes is this
+        # session's payload when they pickled through dataclass
+        # reflection instead.
+        scenario = Scenario(n_members=8, transactions_per_member=40, budget=400)
+        session, pool = run_session_inprocess(scenario)
+        drive_inprocess(session, pool)
+        assert session.miner.questions_asked == 400
+        payload = capture_session(session.miner, session)
+        assert len(payload) <= 43_204
+        assert round_trip(session).result().fingerprint() == session.result().fingerprint()
 
     def test_question_ids_continue_after_restore(self):
         session, pool = run_session_inprocess(SCENARIO)

@@ -239,15 +239,16 @@ class TestRestoreEdges:
         # layout before one rotation and one dispatcher snapshot),
         # format 2 (before personal databases travelled as rows alone
         # and rule knowledge without its summary cache), format 3
-        # (before members reported departures to the crowd's rotation)
-        # and format 4 (before the dispatcher seat travelled as the live
-        # object instead of a snapshot document).
+        # (before members reported departures to the crowd's rotation),
+        # format 4 (before the dispatcher seat travelled as the live
+        # object instead of a snapshot document) and format 5 (before
+        # rotations kept a departure log instead of a generation).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4):
+        for old in (1, 2, 3, 4, 5):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(

@@ -88,6 +88,21 @@ class TestCheckpointSizeAtScale:
             f"{len(large_payload)} bytes over a 100x crowd"
         )
 
+    def test_sharded_restore_formats_each_member_id_once(self, monkeypatch):
+        # Each lane rebuilds its id list from its own slice of the crowd:
+        # a restore formats every id once, not once per lane.
+        payload = sharded_array_payload(n_members=2_000)
+        formatted = [0]
+        member_id_at = ArrayPopulation.member_id_at
+
+        def counting(self, index):
+            formatted[0] += 1
+            return member_id_at(self, index)
+
+        monkeypatch.setattr(ArrayPopulation, "member_id_at", counting)
+        restore_session(payload)
+        assert formatted[0] <= 2_000
+
     def test_restored_large_session_still_answers(self):
         miner = array_session(n_members=100_000, questions=40)
         restored, dispatcher = restore_session(capture_session(miner))

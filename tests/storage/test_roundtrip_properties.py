@@ -5,6 +5,9 @@ trip to text and back for *any* rule the system can produce: item
 names are natural-language text (unicode, punctuation, whitespace).
 Personal databases, which travel inside the checkpoint pickle as their
 rows alone, must come back answering every support query the same.
+The per-question records a checkpoint re-pickles in bulk (answers,
+log events, assessments) pickle as their constructor arguments and
+must come back equal.
 """
 
 import json
@@ -14,8 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Rule, TransactionDB
+from repro.core import Rule, RuleStats, TransactionDB
+from repro.estimation.significance import Assessment, Decision
 from repro.io import PersistenceError
+from repro.miner.result import QuestionEvent, QuestionKind
 from repro.storage import rule_from_key, rule_key
 
 # Natural-language item names: arbitrary unicode, punctuation included —
@@ -73,3 +78,32 @@ class TestTransactionDBPickle:
         cut = data.draw(st.integers(0, len(body) - 1))
         rule = Rule(body[:cut], body[cut:])
         assert restored.rule_stats(rule) == db.rule_stats(rule)
+
+
+fractions = st.floats(0.0, 1.0, allow_nan=False)
+stats = st.tuples(fractions, fractions).map(lambda pair: RuleStats(*sorted(pair)))
+
+
+class TestRecordPickle:
+    @settings(max_examples=100, deadline=None)
+    @given(stats)
+    def test_rule_stats_round_trip(self, value):
+        assert pickle.loads(pickle.dumps(value)) == value
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 10**6),
+        st.sampled_from(QuestionKind),
+        item_text,
+        st.one_of(st.none(), st.tuples(rules, stats)),
+    )
+    def test_question_event_round_trips(self, index, kind, member_id, answer):
+        rule, value = answer if answer is not None else (None, None)
+        event = QuestionEvent(index, kind, member_id, rule, value)
+        assert pickle.loads(pickle.dumps(event)) == event
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(Decision), fractions, fractions, st.integers(0, 10**6))
+    def test_assessment_round_trips(self, decision, probability, uncertainty, n):
+        assessment = Assessment(decision, probability, uncertainty, n)
+        assert pickle.loads(pickle.dumps(assessment)) == assessment

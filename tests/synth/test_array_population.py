@@ -4,7 +4,9 @@ The contract under test (``docs/scaling.md``):
 
 - array queries and object facades are two views of the same data —
   ``rule_stats_at`` divides the same integer counts as the facade's
-  ``TransactionDB``, bit for bit;
+  ``TransactionDB``, bit for bit, and the item matrix holds exactly the
+  occasion draws the stream layout specifies (checked against a
+  test-local, one-element-at-a-time splitmix64 reference);
 - member state is a pure function of the root entropy: access order,
   cache eviction and fresh instances never change a member;
 - pickles carry the recipe, not the state — size stays flat however
@@ -15,10 +17,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Rule
 from repro.errors import ConfigurationError
-from repro.synth import ArrayPopulation, folk_remedies_model
+from repro.synth import (
+    ArrayPopulation,
+    folk_remedies_model,
+    random_domain,
+    random_habit_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +52,111 @@ def random_rules(model, count, seed):
     return sorted(rules, key=str)
 
 
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def _mix(h):
+    h ^= h >> 30
+    h = (h * 0xBF58476D1CE4E5B9) & _MASK
+    h ^= h >> 27
+    h = (h * 0x94D049BB133111EB) & _MASK
+    return h ^ (h >> 31)
+
+
+def _absorb(h, value):
+    return _mix((h + value + _GAMMA) & _MASK)
+
+
+def reference_matrix(population, k):
+    """Member ``k``'s item matrix, one splitmix64 draw at a time.
+
+    The stream layout of the module docstring, written out directly:
+    background draws ``(entropy, 2, member, item)``; a held habit's
+    antecedent draws ``(entropy, 1, member, 2·pattern)`` place its
+    antecedent items, and those AND its conditional draws
+    ``(…, 2·pattern+1)`` place its consequent (an itemset habit draws
+    its body once, at the product rate).
+    """
+    t = population.transactions_per_member
+    items = list(population.domain.items)
+    patterns = population.model.patterns
+
+    def draws(kind, stream, rate):
+        key = _absorb(_absorb(_absorb(population.entropy & _MASK, kind), k), stream)
+        threshold = int(rate * (1 << 53))
+        return np.array(
+            [(_mix((key + i * _GAMMA) & _MASK) >> 11) < threshold for i in range(1, t + 1)]
+        )
+
+    matrix = np.zeros((t, len(items)), dtype=bool)
+    if population.model.background_rate > 0.0:
+        for j in range(len(items)):
+            matrix[:, j] |= draws(2, j, population.model.background_rate)
+    for habit in population.profile_at(k).habits:
+        p = patterns.index(habit.pattern)
+        rule = habit.pattern.rule
+        if rule.is_itemset_rule:
+            body = draws(1, 2 * p, habit.antecedent_rate * habit.conditional_rate)
+        else:
+            ant = draws(1, 2 * p, habit.antecedent_rate)
+            body = ant & draws(1, 2 * p + 1, habit.conditional_rate)
+            for item in rule.antecedent:
+                matrix[:, items.index(item)] |= ant
+        for item in rule.consequent:
+            matrix[:, items.index(item)] |= body
+    return matrix
+
+
+def _overlapping_model(background_rate):
+    # Itemset habits, habits sharing items, and rates clipped to exactly
+    # 0 and 1 (a wide rate_std): every branch of the occasion plan.
+    return random_habit_model(
+        random_domain(14, seed=3),
+        n_patterns=9,
+        seed=4,
+        antecedent_size=(0, 2),
+        consequent_size=(1, 2),
+        conditional_rate_range=(0.6, 1.0),
+        rate_std=0.4,
+        background_rate=background_rate,
+        allow_overlap=True,
+    )
+
+
+#: Populations the kernel property draws from: the folk domain, and an
+#: overlapping itemset-heavy model with and without background noise.
+KERNEL_POPULATIONS = (
+    ArrayPopulation(folk_remedies_model(seed=1), n_members=60, transactions_per_member=80, seed=7),
+    ArrayPopulation(_overlapping_model(0.0), n_members=50, transactions_per_member=45, seed=8),
+    ArrayPopulation(_overlapping_model(0.05), n_members=50, transactions_per_member=64, seed=9),
+)
+
+
+@st.composite
+def member_and_rule(draw):
+    """A population, one of its members, and a rule over its items
+    (itemset rules and items outside the domain included)."""
+    population = draw(st.sampled_from(KERNEL_POPULATIONS))
+    index = draw(st.integers(0, len(population) - 1))
+    items = list(population.domain.items) + ["not an item", "nor this"]
+    body = draw(st.lists(st.sampled_from(items), min_size=1, max_size=5, unique=True))
+    cut = draw(st.integers(0, len(body) - 1))
+    return population, index, Rule(body[:cut], body[cut:])
+
+
 class TestFacadeEquality:
+    @settings(max_examples=120, deadline=None)
+    @given(member_and_rule())
+    def test_kernel_matches_reference_draws(self, case):
+        population, index, rule = case
+        assert population.rule_stats_at(index, rule) == population.db_at(
+            index
+        ).rule_stats(rule)
+        assert np.array_equal(
+            population.item_matrix(index), reference_matrix(population, index)
+        )
+
     def test_rule_stats_match_facade_db_bit_for_bit(self, model, population):
         for rule in random_rules(model, 25, seed=11):
             for index in (0, 7, 31, 59):
