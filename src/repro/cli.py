@@ -178,7 +178,10 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             max_retries=args.retries,
             seed=args.seed + 4,
         )
-        result = Dispatcher(miner, dispatch_config, shards=args.shards).run()
+        # Kept in scope: the miner holds its dispatcher weakly, and the
+        # final checkpoint below must capture it.
+        dispatcher = Dispatcher(miner, dispatch_config, shards=args.shards)
+        result = dispatcher.run()
     else:
         result = miner.run()
     if storage is not None:

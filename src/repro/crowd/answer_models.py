@@ -175,9 +175,19 @@ class LikertAnswerModel(AnswerModel):
         if len(grid) < 2:
             raise ValueError("a Likert grid needs at least two levels")
         self.grid = np.array(sorted(clamp01(g) for g in grid))
+        self._levels = tuple(self.grid.tolist())
 
     def _snap(self, value: float) -> float:
-        return float(self.grid[np.argmin(np.abs(self.grid - value))])
+        # The nearest level, ties to the lower one: ``argmin`` over
+        # ``abs(grid - value)``, one float at a time (no array per call).
+        levels = self._levels
+        best = levels[0]
+        best_gap = abs(best - value)
+        for level in levels[1:]:
+            gap = abs(level - value)
+            if gap < best_gap:
+                best, best_gap = level, gap
+        return best
 
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
         return _coherent(self._snap(stats.support), self._snap(stats.confidence))

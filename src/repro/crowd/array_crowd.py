@@ -18,6 +18,22 @@ draws, true stats divide the same integer counts, and per-member
 generators consume the same stream. ``tests/crowd/test_array_crowd.py``
 pins this.
 
+Answers simulated at first read: an asynchronous closed question is
+issued as a :class:`~repro.crowd.questions.DeferredClosedAnswer` — the
+recipe (member index, rule) — and its ``(support, confidence)`` is
+simulated only when the miner first reads it. The miner reads stats
+only after its malformed, rejected and stale gates, so stale, late,
+lost, crashed and quarantined-member answers are never simulated.
+Patience, :class:`~repro.crowd.crowd.CrowdStats`, the delivery token
+and the latency draw stay at issue. Byte identity needs one rule: a
+member's answers are simulated in issue order. Before anything else
+draws from a member's generator (a later answer's read, a synchronous
+closed question, an open question), that member's earlier unread
+answers are simulated (and kept, should they still be read). A model
+that never draws (``consumes_rng = False``) needs no such queue. The
+shared answer model must draw only from the generator it is handed,
+as every model in :mod:`repro.crowd.answer_models` does.
+
 Heterogeneous behaviour (per-member answer models, adversary mixes)
 needs per-member objects and is deliberately not supported here — use
 the object path for fault experiments.
@@ -25,8 +41,9 @@ the object path for fault experiments.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from collections.abc import Collection, Iterator
+from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -42,6 +59,7 @@ from repro.crowd.open_behavior import HabitPool, OpenAnswerPolicy
 from repro.crowd.questions import (
     ClosedAnswer,
     ClosedQuestion,
+    DeferredClosedAnswer,
     InFlightAnswer,
     OpenAnswer,
     OpenQuestion,
@@ -61,6 +79,20 @@ POOL_CACHE = 1024
 #: Shared generator handed to answer models that never draw (see
 #: ``ArrayCrowd._answer_rng``); its state is irrelevant by contract.
 _INERT_RNG = np.random.default_rng(0)
+
+
+class _Unread:
+    """The recipe of one issued closed answer; ``stats`` once simulated."""
+
+    __slots__ = ("index", "rule", "stats")
+
+    def __init__(self, index: int, rule: Rule, stats: RuleStats | None = None) -> None:
+        self.index = index
+        self.rule = rule
+        self.stats = stats
+
+    def __reduce__(self):
+        return (_Unread, (self.index, self.rule, self.stats))
 
 
 def _generator_from_state(state: dict) -> np.random.Generator:
@@ -115,6 +147,9 @@ class ArrayCrowd:
         self._answered: dict[int, int] = {}
         self._member_rngs: dict[int, np.random.Generator] = {}
         self._volunteered: dict[int, set[Rule]] = {}
+        #: Per member, the closed answers issued but not yet simulated,
+        #: in issue order (drawing answer models only).
+        self._unread: dict[int, deque[_Unread]] = {}
         self._departed: set[int] = set()
         self._quarantined: set[int] = set()
         self._init_runtime()
@@ -292,18 +327,51 @@ class ArrayCrowd:
             self._pools.move_to_end(index)
         return pool
 
+    def _simulate(self, index: int, rule: Rule) -> RuleStats:
+        """The member's reported stats for ``rule``: one answer's simulation."""
+        true_stats = self._population.rule_stats_at(index, rule)
+        return self.answer_model.report_rule(rule, true_stats, self._answer_rng(index))
+
+    def _catch_up(self, index: int, through: _Unread | None = None) -> None:
+        """Simulate the member's unread answers in issue order.
+
+        All of them, or up to and including ``through``. Runs before
+        anything else draws from the member's generator.
+        """
+        queue = self._unread.get(index)
+        if queue is None:
+            return
+        while queue:
+            unread = queue.popleft()
+            unread.stats = self._simulate(index, unread.rule)
+            if unread is through:
+                break
+        if not queue:
+            del self._unread[index]
+
+    def _settle(self, unread: _Unread) -> RuleStats:
+        """A deferred answer's stats, simulated at its first read."""
+        if unread.stats is None:
+            if unread.index in self._unread:
+                self._catch_up(unread.index, through=unread)
+            else:  # an rng-free model: nothing to keep in order
+                unread.stats = self._simulate(unread.index, unread.rule)
+        return unread.stats
+
+    def _count_closed(self, member_id: str, rule: Rule) -> None:
+        self.stats.closed_questions += 1
+        self.stats.per_member[member_id] += 1
+        self.stats.unique_rules_asked.add(rule)
+
     def ask_closed(self, member_id: str, rule: Rule) -> ClosedAnswer:
         """Pose a closed question about ``rule`` to ``member_id``."""
         index = self._index(member_id)
         self._consume_patience(index)
-        true_stats = self._population.rule_stats_at(index, rule)
-        reported = self.answer_model.report_rule(
-            rule, true_stats, self._answer_rng(index)
+        self._catch_up(index)
+        answer = ClosedAnswer(
+            member_id, ClosedQuestion(rule), self._simulate(index, rule)
         )
-        answer = ClosedAnswer(member_id, ClosedQuestion(rule), reported)
-        self.stats.closed_questions += 1
-        self.stats.per_member[member_id] += 1
-        self.stats.unique_rules_asked.add(rule)
+        self._count_closed(member_id, rule)
         return answer
 
     def ask_open(
@@ -315,6 +383,7 @@ class ArrayCrowd:
         """Pose an open question to ``member_id``."""
         index = self._index(member_id)
         self._consume_patience(index)
+        self._catch_up(index)
         question = OpenQuestion(context or Itemset.empty())
         avoid = chain(self._volunteered.get(index, ()), exclude or ())
         choice = self._pool(index).choose(
@@ -345,7 +414,7 @@ class ArrayCrowd:
         rng: np.random.Generator,
         now: float = 0.0,
     ) -> InFlightAnswer:
-        """Wrap a resolved answer in the async envelope (fresh token)."""
+        """Wrap an answer in the async envelope (fresh token)."""
         self._tokens += 1
         return InFlightAnswer(
             answer=answer,
@@ -363,8 +432,24 @@ class ArrayCrowd:
         rng: np.random.Generator,
         now: float = 0.0,
     ) -> InFlightAnswer:
-        """Closed question with simulated-latency delivery."""
-        answer = self.ask_closed(member_id, rule)
+        """Closed question with simulated-latency delivery.
+
+        The answer is a recipe, simulated when first read (see the
+        module docstring); patience, statistics, token and latency are
+        settled now.
+        """
+        index = self._index(member_id)
+        self._consume_patience(index)
+        unread = _Unread(index, rule)
+        if self.answer_model.consumes_rng:
+            queue = self._unread.get(index)
+            if queue is None:
+                queue = self._unread[index] = deque()
+            queue.append(unread)
+        answer = DeferredClosedAnswer(
+            member_id, ClosedQuestion(rule), partial(self._settle, unread)
+        )
+        self._count_closed(member_id, rule)
         return self.make_in_flight(answer, latency=latency, rng=rng, now=now)
 
     def ask_open_async(
@@ -416,9 +501,7 @@ class ArrayCrowd:
                     RuleStats(float(reported[i, 0]), float(reported[i, 1])),
                 )
             )
-            self.stats.closed_questions += 1
-            self.stats.per_member[member_id] += 1
-            self.stats.unique_rules_asked.add(rule)
+            self._count_closed(member_id, rule)
         return answers
 
     # -- pickling: sparse state only --------------------------------------------
@@ -437,6 +520,7 @@ class ArrayCrowd:
             "answered": self._answered,
             "member_rngs": self._member_rngs,
             "volunteered": self._volunteered,
+            "unread": self._unread,
             "departed": sorted(self._departed),
             "quarantined": sorted(self._quarantined),
         }
@@ -457,6 +541,7 @@ class ArrayCrowd:
         self._answered = state["answered"]
         self._member_rngs = state["member_rngs"]
         self._volunteered = state["volunteered"]
+        self._unread = state["unread"]
         self._departed = set(state["departed"])
         self._quarantined = set(state["quarantined"])
         self._init_runtime()

@@ -18,6 +18,7 @@ group samples per member, and so per-member consistency checks
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.core.itemset import Itemset
@@ -69,6 +70,54 @@ class ClosedAnswer:
     def rule(self) -> Rule:
         """The rule the answer is about."""
         return self.question.rule
+
+
+class DeferredClosedAnswer(ClosedAnswer):
+    """A closed answer whose ``stats`` are simulated at their first read.
+
+    A simulated crowd issues one in place of a resolved
+    :class:`ClosedAnswer` when simulating can wait. It carries the
+    recipe (member and question) and a ``simulate`` callable, which
+    the first read of :attr:`stats` calls once; the result is kept and
+    the callable released. The miner reads an answer's stats only
+    after its malformed, rejected and stale gates, so an answer
+    discarded in flight — or never delivered — is never simulated.
+    ``simulate`` must return exactly what simulating at issue would
+    have (see :class:`~repro.crowd.array_crowd.ArrayCrowd` for how a
+    crowd keeps each member's answers in issue order).
+
+    An unread answer pickles as its recipe and callable, and nothing
+    is simulated; a read one pickles as a plain :class:`ClosedAnswer`.
+    """
+
+    __slots__ = ("_simulate", "_stats")
+
+    def __init__(
+        self,
+        member_id: str,
+        question: ClosedQuestion,
+        simulate: Callable[[], RuleStats],
+    ) -> None:
+        # Frozen: set the slots the way the generated __init__ does.
+        object.__setattr__(self, "member_id", member_id)
+        object.__setattr__(self, "question", question)
+        object.__setattr__(self, "_simulate", simulate)
+        object.__setattr__(self, "_stats", None)
+
+    @property
+    def stats(self) -> RuleStats:  # type: ignore[override]
+        """The reported stats, simulated now if this is the first read."""
+        stats = self._stats
+        if stats is None:
+            stats = self._simulate()
+            object.__setattr__(self, "_stats", stats)
+            object.__setattr__(self, "_simulate", None)
+        return stats
+
+    def __reduce__(self):
+        if self._stats is None:
+            return (type(self), (self.member_id, self.question, self._simulate))
+        return (ClosedAnswer, (self.member_id, self.question, self._stats))
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,11 +179,14 @@ AnyAnswer = Answer | MalformedAnswer
 class InFlightAnswer:
     """An answer travelling through simulated time.
 
-    The asynchronous crowd interface resolves the answer's *content*
-    immediately (the member's reply does not depend on when it is
-    read) but stamps it with the simulated instant it becomes visible
-    to the miner. ``arrives_at`` of ``inf`` models mid-flight loss —
-    the member closed the tab and the answer never lands.
+    The asynchronous crowd interface fixes the answer at issue — the
+    member's reply does not depend on when it is read — and stamps it
+    with the simulated instant it becomes visible to the miner. The
+    object crowd simulates the content right away; the columnar crowd
+    hands back a :class:`DeferredClosedAnswer` for a closed question,
+    simulated when the miner first reads its stats, to the same value.
+    ``arrives_at`` of ``inf`` models mid-flight loss — the member
+    closed the tab and the answer never lands.
 
     ``token`` is a crowd-assigned delivery token, unique per issued
     question, so receivers can recognise duplicate deliveries of the

@@ -36,12 +36,19 @@ class ScheduledEvent:
 
     time: float
     seq: int
-    action: Callable[[], None] = field(repr=False)
+    #: ``None`` once cancelled.
+    action: Callable[[], None] | None = field(repr=False)
     cancelled: bool = False
 
     def cancel(self) -> None:
-        """Disarm the event; it will be skipped when its turn comes."""
+        """Disarm the event; it will be skipped when its turn comes.
+
+        The action is released at once: it is usually a bound method
+        of whatever scheduled it, which a queue still holding the
+        cancelled event would otherwise keep alive in a cycle.
+        """
         self.cancelled = True
+        self.action = None
 
 
 @runtime_checkable

@@ -42,12 +42,14 @@ instead, so ``shards=2`` is a different, equally deterministic
 schedule.
 
 Determinism: every latency draw comes from a seeded generator, every
-tie on a clock breaks by schedule order, and a question's answer
-content is resolved at issue time — so one seed tuple (crowd, miner,
-dispatch, shard count) replays byte-identically. With ``window=1`` and
-zero latency the dispatcher reduces *exactly* to the synchronous loop:
-same questions, same order, same knowledge base
-(``tests/dispatch/test_equivalence.py`` pins this).
+tie on a clock breaks by schedule order, and a question's answer is
+fixed at issue time — the object crowd simulates its content then,
+the columnar crowd when the miner first reads a closed answer's stats,
+keeping each member's answers in issue order, to the same values — so
+one seed tuple (crowd, miner, dispatch, shard count) replays
+byte-identically. With ``window=1`` and zero latency the dispatcher
+reduces *exactly* to the synchronous loop: same questions, same order,
+same knowledge base (``tests/dispatch/test_equivalence.py`` pins this).
 
 Durability: a checkpoint pickles the live dispatcher next to the miner
 (see :mod:`repro.storage.checkpoint`). Every clock action is a bound

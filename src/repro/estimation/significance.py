@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from repro._util import check_fraction, check_positive
 from repro.estimation.normal import (
@@ -188,7 +188,8 @@ class SignificanceTest:
         mean = float(summary.mean[0])
         if var <= 0:
             return 1.0 if mean >= self.thresholds.support else 0.0
-        return float(norm.sf(self.thresholds.support, loc=mean, scale=math.sqrt(var)))
+        # The kernel ``norm.sf`` reduces to, without its dispatch.
+        return float(ndtr(-(self.thresholds.support - mean) / math.sqrt(var)))
 
     def assess(self, summary: EstimateSummary) -> Assessment:
         """Full three-way assessment of a rule's evidence."""

@@ -26,6 +26,7 @@ settled and every member's open-answer memory dry).
 from __future__ import annotations
 
 import enum
+import weakref
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -281,8 +282,6 @@ class CrowdMiner:
         #: session purely in-process. Never pickled — resume re-attaches
         #: the live backend (see ``repro.storage.checkpoint``).
         self.storage = storage
-        #: Back-reference set by the asynchronous dispatcher, so
-        #: checkpoint requests can be deferred to an event boundary.
         self.dispatcher = None
         #: Session instrumentation, shared with the knowledge base.
         self.obs = obs or Instrumentation()
@@ -326,6 +325,25 @@ class CrowdMiner:
         self._expanded: set[Rule] = set()
 
     # -- progress ------------------------------------------------------------
+
+    @property
+    def dispatcher(self):
+        """The object in the dispatcher seat, or ``None``.
+
+        Set by the asynchronous dispatcher or a serve session, so
+        checkpoint requests can be deferred to an event boundary, and
+        checkpoints capture the seat with the miner. Held weakly: the
+        seat owns the miner, and a strong back-reference would leave a
+        finished session for the cyclic collector to free. Whoever
+        drives the seat keeps it alive for as long as the session may
+        checkpoint; :meth:`checkpoint` refuses once it is gone.
+        """
+        seat = self._seat
+        return None if seat is None else seat()
+
+    @dispatcher.setter
+    def dispatcher(self, seat) -> None:
+        self._seat = None if seat is None else weakref.ref(seat)
 
     @property
     def questions_asked(self) -> int:
@@ -504,10 +522,13 @@ class CrowdMiner:
         """Put the question to the crowd's asynchronous interface.
 
         Returns the crowd's
-        :class:`~repro.crowd.questions.InFlightAnswer` — content
-        resolved now, visibility delayed by a ``latency`` draw on
-        ``rng``. The dispatcher owns the event clock and hands the
-        wrapped answer back to :meth:`ingest_answer` when it lands.
+        :class:`~repro.crowd.questions.InFlightAnswer` — content fixed
+        now, visibility delayed by a ``latency`` draw on ``rng``. The
+        object crowd simulates the content at once; the columnar crowd
+        simulates a closed answer's stats when :meth:`ingest_answer`
+        first reads them, past its gates, to the same value. The
+        dispatcher owns the event clock and hands the wrapped answer
+        back to :meth:`ingest_answer` when it lands.
         """
         if proposal.kind is QuestionKind.CLOSED:
             assert proposal.rule is not None
@@ -861,6 +882,14 @@ class CrowdMiner:
         """
         if self.storage is None:
             return None
+        seat = self.dispatcher
+        if seat is None and self._seat is not None:
+            # Capturing without it would resume a dispatched session as
+            # a synchronous one.
+            raise ConfigurationError(
+                "the miner's dispatcher seat was freed; keep a reference to "
+                "the dispatcher while its session can checkpoint"
+            )
         from repro.storage.backend import StorageError
         from repro.storage.checkpoint import capture_session
 
@@ -870,7 +899,7 @@ class CrowdMiner:
                 # first N log records are durable — flush any append
                 # backlog first, or skip this checkpoint entirely.
                 self._flush_log_backlog()
-                payload = capture_session(self, self.dispatcher)
+                payload = capture_session(self, seat)
                 info = self.storage.save_checkpoint(
                     payload, questions=self._questions, kb_rules=len(self.state)
                 )
@@ -888,7 +917,7 @@ class CrowdMiner:
         # checkpoint's own entry; resume re-attaches both.
         state = self.__dict__.copy()
         state["storage"] = None
-        state["dispatcher"] = None
+        state["_seat"] = None
         return state
 
     # -- running to completion -------------------------------------------------------

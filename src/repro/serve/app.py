@@ -79,7 +79,7 @@ class MinerServer:
         #: Chaos seam: called with each parsed request before routing
         #: (the kill-schedule runner SIGKILLs mid-request here).
         self.request_hook = request_hook
-        self._requested_port = port
+        self._port = port
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()
         self._aborted = False
@@ -88,9 +88,7 @@ class MinerServer:
     @property
     def port(self) -> int:
         """The bound port (resolves ``port=0`` to the kernel's pick)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
+        return self._port
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -98,8 +96,21 @@ class MinerServer:
         """Bind the socket and arm the wall clock's runner."""
         self.manager.clock.start()
         self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self._requested_port
+            self._serve_connection, self.host, self._port
         )
+        self._port = self._server.sockets[0].getsockname()[1]
+
+    async def _close_listener(self) -> None:
+        """Stop accepting connections and let go of the listening server.
+
+        Its protocol factory is a bound method of this server, so
+        keeping it after shutdown would hold every session alive until
+        the cyclic collector ran.
+        """
+        server, self._server = self._server, None
+        if server is not None:
+            server.close()
+            await server.wait_closed()
 
     def request_shutdown(self) -> None:
         """Begin graceful shutdown (idempotent, safe from signal handlers)."""
@@ -147,9 +158,7 @@ class MinerServer:
         """
         self._aborted = True
         self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+        await self._close_listener()
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -159,9 +168,7 @@ class MinerServer:
 
     async def _graceful_stop(self) -> int:
         """Stop accepting, finish in-flight requests, drain sessions."""
-        assert self._server is not None
-        self._server.close()
-        await self._server.wait_closed()
+        await self._close_listener()
         # Give in-flight request handlers one loop turn to finish the
         # response they are writing, then cut the stragglers.
         for _ in range(20):

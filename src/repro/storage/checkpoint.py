@@ -15,6 +15,12 @@ objects) plus the live object in the miner's dispatcher seat, if any:
 - a :class:`~repro.serve.session.ServeSession`, which pickles its
   pending book as re-offers (see its ``__getstate__``).
 
+A columnar crowd's closed answer still unread when the checkpoint is
+taken — in flight, or discarded unread — travels as its recipe
+(member, rule), and nothing is simulated for the capture; the resumed
+session simulates it, in issue order, exactly as the uninterrupted one
+would (see :mod:`repro.crowd.array_crowd`).
+
 Everything travels in a *single* pickle so shared objects (the
 instrumentation layer, the trust sources inside the aggregator, rules
 referenced from proposals and the knowledge base alike, the crowd a
@@ -68,8 +74,10 @@ if TYPE_CHECKING:
 #: which keeps the availability generation. Format 5: the dispatcher
 #: seat travels as the live object, not as a snapshot document.
 #: Format 6: a crowd's rotation keeps a departure log in place of the
-#: availability generation.
-CHECKPOINT_FORMAT = 6
+#: availability generation. Format 7: the columnar crowd keeps its
+#: members' unread closed answers as recipes, and an unread answer
+#: pickles as its recipe.
+CHECKPOINT_FORMAT = 7
 
 
 def capture_session(

@@ -86,6 +86,31 @@ class TestLikert:
         with pytest.raises(ValueError):
             LikertAnswerModel(grid=(0.5,))
 
+    @pytest.mark.parametrize(
+        "grid", [LIKERT5, (0.0, 0.5, 1.0), (0.1, 0.3), (0.9, 0.0, 1 / 3, 2 / 3)]
+    )
+    def test_snap_matches_numpy_argmin(self, grid):
+        model = LikertAnswerModel(grid=grid)
+        levels = model.grid
+        rng = np.random.default_rng(11)
+        midpoints = (levels[:-1] + levels[1:]) / 2
+        values = np.concatenate(
+            [
+                rng.random(5_000),
+                rng.uniform(-2.0, 3.0, 1_000),
+                midpoints,
+                np.nextafter(midpoints, -np.inf),
+                np.nextafter(midpoints, np.inf),
+                levels,
+                [-0.0, -1e-300, 1.0 + 1e-12],
+            ]
+        )
+        for value in values.tolist():
+            expected = float(levels[np.argmin(np.abs(levels - value))])
+            snapped = model._snap(value)
+            assert type(snapped) is float
+            assert snapped == expected, (grid, value)
+
 
 class TestForgetful:
     def test_underreports_support_on_average(self, rng):

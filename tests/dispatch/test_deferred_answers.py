@@ -1,0 +1,239 @@
+"""Answers simulated at first read: the columnar crowd's deferred closed answers.
+
+An asynchronous closed question to an ``ArrayCrowd`` comes back as a
+recipe whose ``(support, confidence)`` is simulated when the miner
+first reads it — past its malformed, rejected and stale gates — so
+answers the session throws away are never simulated. The contract
+(``repro/crowd/array_crowd.py``): every observable stays byte-identical
+to simulating at issue, because each member's answers are simulated in
+issue order. Pinned here:
+
+- a dispatched ``ArrayCrowd`` session equals the same session over the
+  eager ``SimulatedCrowd`` built on ``population.materialize()`` — log,
+  knowledge base and dispatch books — with a drawing answer model and
+  members asked again after an answer of theirs was discarded unread;
+- the work saved is counted: a session of the ``sharded_closed`` shape
+  simulates at most its completed answers plus the first window;
+- a checkpoint taken with unread answers queued resumes byte-identically.
+"""
+
+import pickle
+
+import numpy as np
+import pytest
+
+from repro.core import Rule
+from repro.crowd import (
+    ArrayCrowd,
+    NoisyAnswerModel,
+    SimulatedCrowd,
+    standard_answer_model,
+)
+from repro.crowd.questions import ClosedAnswer, DeferredClosedAnswer
+from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
+from repro.estimation import Thresholds
+from repro.eval.runner import ExperimentConfig, build_world
+from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
+from repro.storage import capture_session, restore_session
+from repro.synth import ArrayPopulation, folk_remedies_model
+
+from tests.dispatch.test_equivalence import kb_fingerprint, log_fingerprint
+
+THRESHOLDS = Thresholds(0.10, 0.5)
+
+
+@pytest.fixture(scope="module")
+def population():
+    # Small enough that members are asked again within one session.
+    return ArrayPopulation(
+        folk_remedies_model(seed=1), n_members=30, transactions_per_member=60, seed=2
+    )
+
+
+def random_rules(items, count, seed):
+    """``count`` distinct rules with 2–4 item bodies."""
+    rng = np.random.default_rng(seed)
+    rules: set[Rule] = set()
+    while len(rules) < count:
+        size = int(rng.integers(2, 5))
+        chosen = [items[k] for k in rng.choice(len(items), size=size, replace=False)]
+        cut = int(rng.integers(1, size))
+        rules.add(Rule(chosen[:cut], chosen[cut:]))
+    return sorted(rules, key=str)
+
+
+def dispatched(crowd, shards, window, budget=240):
+    miner = CrowdMiner(crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=budget))
+    return Dispatcher(
+        miner,
+        DispatchConfig(
+            window=window, timeout=240.0, latency=LognormalLatency(60.0, 1.0), seed=9
+        ),
+        shards=shards,
+    )
+
+
+def count_catch_ups(monkeypatch):
+    """Count unread answers simulated because a later draw came first."""
+    caught_up = [0]
+    catch_up = ArrayCrowd._catch_up
+
+    def counted(self, index, through=None):
+        queue = self._unread.get(index, ())
+        ahead = len(queue) if through is None else list(queue).index(through)
+        caught_up[0] += ahead
+        catch_up(self, index, through)
+
+    monkeypatch.setattr(ArrayCrowd, "_catch_up", counted)
+    return caught_up
+
+
+class TestDispatchedEquivalence:
+    @pytest.mark.parametrize("shards, window", [(1, 8), (4, 1)])
+    def test_array_crowd_matches_eager_object_crowd(
+        self, monkeypatch, population, shards, window
+    ):
+        caught_up = count_catch_ups(monkeypatch)
+        array_session = dispatched(
+            ArrayCrowd(population, answer_model=standard_answer_model(), seed=5),
+            shards,
+            window,
+        )
+        object_session = dispatched(
+            SimulatedCrowd.from_population(
+                population.materialize(), answer_model=standard_answer_model(), seed=5
+            ),
+            shards,
+            window,
+        )
+        ours = array_session.run()
+        theirs = object_session.run()
+
+        assert log_fingerprint(array_session.miner) == log_fingerprint(object_session.miner)
+        assert kb_fingerprint(array_session.miner) == kb_fingerprint(object_session.miner)
+        assert ours.dispatch == theirs.dispatch
+        assert ours.fingerprint() == theirs.fingerprint()
+        # The session did throw answers away, and asked some of their
+        # members again: discarded answers were simulated late, in order.
+        assert ours.dispatch.stale_discarded + ours.dispatch.timeouts > 0
+        assert caught_up[0] > 0
+
+
+class TestCrowdLevelOrder:
+    def test_later_draws_catch_up_unread_answers_in_issue_order(self, population):
+        # Unrounded noise: any change in the order of draws shows.
+        rules = random_rules(population.domain.items, 4, seed=21)
+        array_crowd = ArrayCrowd(population, answer_model=NoisyAnswerModel(0.1), seed=5)
+        object_crowd = SimulatedCrowd.from_population(
+            population.materialize(), answer_model=NoisyAnswerModel(0.1), seed=5
+        )
+        member = array_crowd.member_ids[4]
+        eager = [object_crowd.ask_closed(member, rule).stats for rule in rules]
+        latency, rng = LognormalLatency(60.0, 1.0), np.random.default_rng(1)
+        unread = [
+            array_crowd.ask_closed_async(member, rule, latency=latency, rng=rng).answer
+            for rule in rules[:3]
+        ]
+        assert all(isinstance(answer, DeferredClosedAnswer) for answer in unread)
+        # Reading the second answer first simulates the first ahead of it.
+        assert unread[1].stats == eager[1]
+        # A synchronous question draws next: the third unread answer is
+        # simulated ahead of it.
+        assert array_crowd.ask_closed(member, rules[3]).stats == eager[3]
+        assert [answer.stats for answer in unread] == eager[:3]
+        assert array_crowd.ask_open(member).stats == object_crowd.ask_open(member).stats
+
+    def test_unread_answer_pickles_as_its_recipe(self, population):
+        crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=5)
+        member = crowd.member_ids[2]
+        (rule,) = random_rules(population.domain.items, 1, seed=22)
+        answer = crowd.ask_closed_async(
+            member, rule, latency=LognormalLatency(60.0, 1.0), rng=np.random.default_rng(1)
+        ).answer
+        crowd_copy, answer_copy = pickle.loads(pickle.dumps((crowd, answer)))
+        assert type(answer_copy) is DeferredClosedAnswer
+        assert answer_copy._stats is None  # nothing simulated by the capture
+        assert answer_copy.stats == answer.stats
+        read = pickle.loads(pickle.dumps(answer))
+        assert type(read) is ClosedAnswer
+        assert read == ClosedAnswer(member, answer.question, answer.stats)
+
+
+class TestSimulationCount:
+    def test_sharded_session_simulates_only_what_it_reads(self, monkeypatch):
+        # The sharded_closed world shape: a 100k-member columnar crowd,
+        # 2,000 seeded rules, closed questions only, 4 shards x 8 in
+        # flight. Eager simulation ran once per issued question (3,000
+        # against 1,670 completed).
+        shards, window, budget = 4, 8, 3_000
+        config = ExperimentConfig(
+            name="deferred-answers",
+            budget=budget,
+            checkpoints=(budget,),
+            repetitions=1,
+            n_items=80,
+            n_patterns=10,
+            n_members=100_000,
+            transactions_per_member=100,
+            population_backend="array",
+        )
+        model, population, _ = build_world(config, seed=201, ground_truth=False)
+        rules = random_rules(model.domain.items, 2_000, seed=11)
+        miner = CrowdMiner(
+            ArrayCrowd(population, answer_model=standard_answer_model(), seed=12),
+            CrowdMinerConfig(
+                thresholds=THRESHOLDS,
+                budget=budget,
+                seed_rules=tuple(rules),
+                open_policy=FixedRatioPolicy(0.0, fallback_to_open=False),
+                expand_generalizations=False,
+                expand_splits=False,
+                seed=13,
+            ),
+        )
+        simulations = [0]
+        rule_stats_at = type(population).rule_stats_at
+
+        def counted(self, index, rule):
+            simulations[0] += 1
+            return rule_stats_at(self, index, rule)
+
+        monkeypatch.setattr(type(population), "rule_stats_at", counted)
+        result = Dispatcher(
+            miner,
+            DispatchConfig(window=window, latency=LognormalLatency(60.0, 1.0), seed=14),
+            shards=shards,
+        ).run()
+        books = result.dispatch
+        assert books.issued == budget
+        assert books.stale_discarded > 500
+        assert simulations[0] <= books.completed + shards * window, (
+            simulations[0],
+            books,
+        )
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("shards, window", [(1, 8), (4, 4)])
+    def test_resume_with_unread_answers_queued(self, population, shards, window):
+        def session():
+            return dispatched(
+                ArrayCrowd(population, answer_model=standard_answer_model(), seed=5),
+                shards,
+                window,
+            )
+
+        uninterrupted = session().run()
+        dispatcher = session()
+        dispatcher._fill_window()
+        while dispatcher.miner.questions_asked < 100 and dispatcher._step():
+            pass
+        crowd = dispatcher.miner.crowd
+        assert dispatcher.in_flight_count
+        # Unread answers are queued: in flight, and discarded unread.
+        assert sum(map(len, crowd._unread.values())) > dispatcher.in_flight_count
+        payload = capture_session(dispatcher.miner, dispatcher)
+        _miner, restored = restore_session(payload)
+        resumed = restored.run()
+        assert resumed.fingerprint() == uninterrupted.fingerprint()
+        assert resumed.dispatch == uninterrupted.dispatch

@@ -1,21 +1,31 @@
 """Tests for the asynchronous dispatcher: windows, timeouts, staleness."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
-from repro.crowd import ExactAnswerModel, SimulatedCrowd, standard_answer_model
+from repro.crowd import (
+    ArrayCrowd,
+    ExactAnswerModel,
+    SimulatedCrowd,
+    standard_answer_model,
+)
 from repro.dispatch import (
     ConstantLatency,
     DispatchConfig,
     Dispatcher,
     DroppingLatency,
     LatencyProfile,
+    LognormalLatency,
     heavy_tail_latency,
 )
 from repro.errors import ConfigurationError
 from repro.estimation import Thresholds
 from repro.miner import CrowdMiner, CrowdMinerConfig, QuestionKind
+from repro.storage import MemoryBackend
+from repro.synth import ArrayPopulation, folk_remedies_model
 
 THRESHOLDS = Thresholds(0.10, 0.5)
 
@@ -297,3 +307,51 @@ class TestReporting:
         assert dispatcher.clock.now == 100.0
         dispatcher.advance_to(10_000.0)
         assert miner.questions_asked == 40
+
+
+class TestLifetime:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_finished_session_is_freed_without_the_cyclic_gc(self, shards):
+        # The miner holds its dispatcher seat weakly, a cancelled clock
+        # event lets go of its action, and an unread answer's recipe
+        # does not point back at its crowd: reference counting alone
+        # frees a finished session, unread answers still queued.
+        population = ArrayPopulation(
+            folk_remedies_model(seed=1), n_members=60, transactions_per_member=60, seed=2
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=5)
+            miner = CrowdMiner(
+                crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=300)
+            )
+            dispatcher = Dispatcher(
+                miner,
+                DispatchConfig(
+                    window=8, timeout=240.0, latency=LognormalLatency(60.0, 1.0), seed=9
+                ),
+                shards=shards,
+            )
+            result = dispatcher.run()
+            assert result.dispatch.timeouts > 0
+            assert crowd._unread, "want unread answers queued at the end"
+            alive = [weakref.ref(obj) for obj in (crowd, miner, dispatcher)]
+            del crowd, miner, dispatcher, result
+            assert [ref() for ref in alive] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_checkpoint_refuses_once_the_seat_is_freed(self, folk_population):
+        # A capture without the dispatcher would resume the session as a
+        # synchronous one; the miner refuses instead of writing it.
+        miner = make_miner(folk_population, budget=20)
+        miner.storage = MemoryBackend()
+        dispatcher = Dispatcher(
+            miner, DispatchConfig(window=2, latency=ConstantLatency(10.0), seed=1)
+        )
+        dispatcher.run()
+        assert miner.checkpoint() is not None
+        del dispatcher
+        with pytest.raises(ConfigurationError, match="dispatcher seat was freed"):
+            miner.checkpoint()

@@ -1,7 +1,12 @@
 """Tests for the significance test."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import norm
 
 from repro.core import Rule, RuleStats
 from repro.errors import InvalidThresholdError
@@ -79,6 +84,22 @@ class TestProbability:
         assert test.probability_support_exceeds(summary) > 0.95
         summary_low = evidence([(0.01, 0.02 + 0.01 * i) for i in range(8)])
         assert test.probability_support_exceeds(summary_low) < 0.05
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        threshold=st.floats(0.0, 1.0),
+        mean=st.floats(-1.0, 2.0),
+        var=st.one_of(st.floats(1e-300, 1e-12), st.floats(1e-12, 4.0)),
+    )
+    def test_support_marginal_equals_norm_sf(self, threshold, mean, var):
+        # No variance floor, so the marginal's variance is ``var`` itself,
+        # tiny positive values included.
+        test = SignificanceTest(Thresholds(threshold, 0.5), variance_floor=0.0)
+        summary = EstimateSummary(
+            n=4, mean=np.array([mean, 0.5]), mean_cov=np.diag([var, var])
+        )
+        expected = float(norm.sf(threshold, loc=mean, scale=math.sqrt(var)))
+        assert test.probability_support_exceeds(summary) == expected
 
 
 class TestDecisions:

@@ -9,6 +9,8 @@ discipline across a network boundary and a wall clock.
 """
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 
@@ -221,3 +223,49 @@ class TestServiceSurface:
 
         drained = asyncio.run(scenario())
         assert drained == (0 if kind == "delete" else 1)
+
+
+class TestLifetime:
+    def test_server_round_frees_its_sessions_without_the_cyclic_gc(self, tmp_path):
+        # A session's miner holds its seat weakly, and the server lets go
+        # of its listener (whose protocol factory is a bound method of the
+        # server) once closed: after shutdown, reference counting alone
+        # frees the server, every session and every miner.
+        scenarios = [
+            Scenario(n_members=6, transactions_per_member=40, budget=40, miner_seed=seed)
+            for seed in (21, 22)
+        ]
+        alive: list[weakref.ref] = []
+
+        async def scenario():
+            manager = SessionManager(data_dir=tmp_path)
+            server = MinerServer(manager, "127.0.0.1", 0)
+            await server.start()
+            port = server.port
+            run_task = asyncio.create_task(server.run(install_signals=False))
+            client = JsonClient("127.0.0.1", port)
+            for index, sc in enumerate(scenarios):
+                crowd = sc.build_crowd()
+                status, _ = await client.request(
+                    "POST",
+                    "/v1/sessions",
+                    sc.session_spec(crowd.member_ids, id=f"s{index}", checkpoint_every=10),
+                )
+                assert status == 201
+                await drive_session(client, f"s{index}", SimulatedWorkerPool(crowd))
+            for session in manager.sessions.values():
+                alive.extend([weakref.ref(session), weakref.ref(session.miner)])
+            alive.append(weakref.ref(server))
+            server.request_shutdown()
+            await client.aclose()
+            assert await run_task == len(scenarios)
+            assert server.port == port
+
+        gc.collect()
+        gc.disable()
+        try:
+            asyncio.run(scenario())
+            assert len(alive) == 2 * len(scenarios) + 1
+            assert [ref() for ref in alive] == [None] * len(alive)
+        finally:
+            gc.enable()

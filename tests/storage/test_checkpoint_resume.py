@@ -241,14 +241,16 @@ class TestRestoreEdges:
         # and rule knowledge without its summary cache), format 3
         # (before members reported departures to the crowd's rotation),
         # format 4 (before the dispatcher seat travelled as the live
-        # object instead of a snapshot document) and format 5 (before
-        # rotations kept a departure log instead of a generation).
+        # object instead of a snapshot document), format 5 (before
+        # rotations kept a departure log instead of a generation) and
+        # format 6 (before a columnar crowd kept unread answers as
+        # recipes).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4, 5):
+        for old in (1, 2, 3, 4, 5, 6):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(

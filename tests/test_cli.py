@@ -59,6 +59,27 @@ class TestExecution:
         out = capsys.readouterr().out
         assert "frequent itemsets" in out
 
+    def test_dispatched_session_resumes_to_its_fingerprint(self, capsys, tmp_path):
+        # The final checkpoint must capture the dispatcher, or the resume
+        # would continue the finished session as a synchronous one.
+        store = str(tmp_path / "sharded.db")
+        code = main(
+            [
+                "mine", "--population-backend", "array", "--members", "200",
+                "--shards", "2", "--in-flight", "4", "--latency", "lognormal:60:1.0",
+                "--budget", "80", "--seed", "4", "--checkpoint", store,
+            ]
+        )
+        assert code == 0
+        first = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fingerprint: ")]
+        assert main(["kb", store]) == 0
+        assert "dispatched session" in capsys.readouterr().out
+        assert main(["mine", "--resume", "--checkpoint", store]) == 0
+        again = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("fingerprint: ")]
+        assert first and again == first
+
     def test_mine_save_cache_then_replay(self, capsys, tmp_path):
         cache_path = tmp_path / "answers.json"
         code = main(
