@@ -38,7 +38,7 @@ def check_fraction(value: float, name: str) -> float:
     for supports, confidences, probabilities and mixing ratios.
     """
     value = float(value)
-    if not 0.0 <= value <= 1.0 or not np.isfinite(value):
+    if not 0.0 <= value <= 1.0:  # also false for NaN
         raise InvalidThresholdError(f"{name} must be in [0, 1], got {value!r}")
     return value
 

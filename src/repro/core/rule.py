@@ -91,14 +91,13 @@ class Rule:
     def __hash__(self) -> int:
         return self._hash
 
-    def __getstate__(self) -> tuple[Itemset, Itemset]:
-        # The cached hash is salted per-process; the cached ``body``
-        # (held in ``__dict__``) is dropped and recomputed lazily.
-        return (self._antecedent, self._consequent)
-
-    def __setstate__(self, state: tuple[Itemset, Itemset]) -> None:
-        self._antecedent, self._consequent = state
-        self._hash = hash((self._antecedent, self._consequent))
+    def __reduce__(self) -> tuple:
+        # Positional, as the two item tuples: a checkpoint pickles every
+        # known rule, and two plain tuples cost less than two nested
+        # Itemset states. The cached hash is salted per-process and the
+        # cached ``body`` (held in ``__dict__``) is recomputed lazily;
+        # loading re-runs the constructor's validation.
+        return Rule, (self._antecedent._items, self._consequent._items)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Rule):

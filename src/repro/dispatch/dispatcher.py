@@ -75,7 +75,7 @@ from repro.dispatch.clock import EventClock, ScheduledEvent
 from repro.dispatch.latency import ConstantLatency, LatencyModel, LatencyProfile
 from repro.errors import ConfigurationError, CrowdExhaustedError
 from repro.miner.crowdminer import CrowdMiner, Discard, QuestionProposal
-from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
+from repro.miner.result import MiningResult, QuestionKind
 
 @dataclass(slots=True)
 class DispatchConfig:
@@ -249,9 +249,6 @@ class Dispatcher:
         )
         self._lanes = self._make_lanes()
         self._in_flight: dict[str, _InFlight] = {}
-        #: (simulated time, event) for every ingested answer, in
-        #: completion order — the raw material of quality-vs-time curves.
-        self.timeline: list[tuple[float, QuestionEvent]] = []
         self._issued = 0
         self._completed = 0
         self._timeouts = 0
@@ -466,7 +463,6 @@ class Dispatcher:
         self._stalled = False
         if event is not None:
             self._completed += 1
-            self.timeline.append((entry.lane.clock.now, event))
         elif self.miner.last_discard is Discard.MALFORMED:
             self._malformed += 1
         elif self.miner.last_discard is Discard.REJECTED:

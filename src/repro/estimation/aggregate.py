@@ -224,9 +224,7 @@ class WeightedAggregator(Aggregator):
         members = sorted(samples.member_ids)
         if not members:
             return EstimateSummary(0, np.zeros(2), np.zeros((2, 2)))
-        data = np.array(
-            [samples.observation_of(m).as_tuple() for m in members]  # type: ignore[union-attr]
-        )
+        data = np.array([samples.pair_of(m) for m in members])
         w = np.array([self.weights.get(m, self.default_weight) for m in members])
         if w.sum() <= 0:
             # Every contributor has zero trust (e.g. all quarantined,

@@ -42,6 +42,11 @@ class EstimateSummary:
 class RuleSamples:
     """All evidence collected about one rule.
 
+    Each member's observation is kept as a ``(support, confidence)``
+    float pair — a session checkpoints every store, and pairs pickle
+    far cheaper than one :class:`RuleStats` per answer. The
+    :class:`RuleStats` accessors build their values on demand.
+
     >>> store = RuleSamples(None)
     >>> store.add("u1", RuleStats(0.2, 0.6))
     >>> store.add("u2", RuleStats(0.4, 0.8))
@@ -53,17 +58,22 @@ class RuleSamples:
 
     def __init__(self, rule: Rule | None) -> None:
         self.rule = rule
-        self._by_member: dict[str, RuleStats] = {}
+        self._by_member: dict[str, tuple[float, float]] = {}
         self._estimator = StreamingMeanCov()
         self._version = 0
+
+    def __reduce__(self) -> tuple:
+        # Positional: a checkpoint pickles one store per known rule.
+        return _restore, (self.rule, self._by_member, self._estimator, self._version)
 
     def add(self, member_id: str, stats: RuleStats) -> None:
         """Record (or revise) ``member_id``'s observation."""
         previous = self._by_member.get(member_id)
         if previous is not None:
-            self._estimator.remove(previous.as_tuple())
-        self._by_member[member_id] = stats
-        self._estimator.add(stats.as_tuple())
+            self._estimator.remove(previous)
+        pair = (stats.support, stats.confidence)
+        self._by_member[member_id] = pair
+        self._estimator.add(pair)
         self._version += 1
 
     def remove(self, member_id: str) -> bool:
@@ -76,7 +86,7 @@ class RuleSamples:
         previous = self._by_member.pop(member_id, None)
         if previous is None:
             return False
-        self._estimator.remove(previous.as_tuple())
+        self._estimator.remove(previous)
         self._version += 1
         return True
 
@@ -104,22 +114,29 @@ class RuleSamples:
         """True when ``member_id`` already contributed an observation."""
         return member_id in self._by_member
 
+    def pair_of(self, member_id: str) -> tuple[float, float] | None:
+        """The member's current ``(support, confidence)`` pair, or ``None``."""
+        return self._by_member.get(member_id)
+
     def observation_of(self, member_id: str) -> RuleStats | None:
         """The member's current observation, or ``None``."""
-        return self._by_member.get(member_id)
+        pair = self._by_member.get(member_id)
+        return None if pair is None else RuleStats(*pair)
 
     def observations(self) -> list[tuple[str, RuleStats]]:
         """All ``(member_id, stats)`` pairs, in answer-arrival order.
 
         The deterministic iteration the storage layer serializes from.
         """
-        return list(self._by_member.items())
+        return [
+            (member_id, RuleStats(*pair)) for member_id, pair in self._by_member.items()
+        ]
 
     def as_array(self) -> np.ndarray:
         """All observations as an ``(n, 2)`` array (member order arbitrary)."""
         if not self._by_member:
             return np.zeros((0, 2))
-        return np.array([s.as_tuple() for s in self._by_member.values()])
+        return np.array(list(self._by_member.values()))
 
     def summary(self) -> EstimateSummary:
         """The streaming (plain-mean) estimate snapshot."""
@@ -131,3 +148,16 @@ class RuleSamples:
 
     def __repr__(self) -> str:
         return f"RuleSamples({self.rule}, n={self.n})"
+
+
+def _restore(
+    rule: Rule | None,
+    by_member: dict[str, tuple[float, float]],
+    estimator: StreamingMeanCov,
+    version: int,
+) -> RuleSamples:
+    """Rebuild a sample store from its positional pickle."""
+    store = RuleSamples.__new__(RuleSamples)
+    store.rule, store._by_member = rule, by_member
+    store._estimator, store._version = estimator, version
+    return store

@@ -13,6 +13,23 @@ from __future__ import annotations
 import numpy as np
 
 
+def _pair(observation: tuple[float, float] | np.ndarray) -> tuple[float, float]:
+    """The observation as two floats; anything but a 2-vector is refused."""
+    if type(observation) is tuple and len(observation) == 2:
+        x0, x1 = observation
+        if type(x0) is float and type(x1) is float:
+            return observation
+    x = np.asarray(observation, dtype=float)
+    if x.shape != (2,):
+        raise ValueError(f"observation must be a 2-vector, got shape {x.shape}")
+    return float(x[0]), float(x[1])
+
+
+def _clamp(value: float) -> float:
+    """``np.maximum(value, 0.0)``: −0.0 and tiny negatives become 0.0."""
+    return value if value > 0.0 or value != value else 0.0
+
+
 class StreamingMeanCov:
     """Online sample mean and covariance of 2-D observations.
 
@@ -21,6 +38,13 @@ class StreamingMeanCov:
     (ddof = 1) sample covariance. With fewer than two observations the
     covariance is reported as the zero matrix (callers apply their own
     priors/floors; see :mod:`repro.estimation.significance`).
+
+    The state is seven Python floats — the count, the mean and the
+    full 2×2 co-moment matrix ``M2`` (whose off-diagonal entries round
+    differently, so both are kept) — updated in the operation order of
+    the elementwise numpy formulation, so every result is bit-identical
+    to it. Sessions checkpoint one estimator per known rule, and floats
+    pickle far cheaper than arrays.
 
     >>> est = StreamingMeanCov()
     >>> for x in [(0.2, 0.5), (0.4, 0.7)]:
@@ -31,43 +55,33 @@ class StreamingMeanCov:
     True
     """
 
-    __slots__ = ("_n", "_mean", "_m2")
+    __slots__ = ("_n", "_mean0", "_mean1", "_m00", "_m01", "_m10", "_m11")
 
     def __init__(self) -> None:
         self._n = 0
-        self._mean = np.zeros(2)
-        self._m2 = np.zeros((2, 2))
+        self._mean0 = self._mean1 = 0.0
+        self._m00 = self._m01 = self._m10 = self._m11 = 0.0
 
-    def __getstate__(self) -> tuple:
-        # Plain floats, not arrays: sessions checkpoint one estimator
-        # per known rule, and pickling thousands of tiny numpy arrays
-        # dominates the checkpoint budget. float() is exact, so the
-        # round trip is bit-identical.
-        return (
-            self._n,
-            (float(self._mean[0]), float(self._mean[1])),
-            (
-                float(self._m2[0, 0]), float(self._m2[0, 1]),
-                float(self._m2[1, 0]), float(self._m2[1, 1]),
-            ),
+    def __reduce__(self) -> tuple:
+        return _restore, (
+            self._n, self._mean0, self._mean1,
+            self._m00, self._m01, self._m10, self._m11,
         )
-
-    def __setstate__(self, state: tuple) -> None:
-        n, mean, m2 = state
-        self._n = n
-        self._mean = np.array(mean)
-        self._m2 = np.array([[m2[0], m2[1]], [m2[2], m2[3]]])
 
     def add(self, observation: tuple[float, float] | np.ndarray) -> None:
         """Incorporate one ``(support, confidence)`` observation."""
-        x = np.asarray(observation, dtype=float)
-        if x.shape != (2,):
-            raise ValueError(f"observation must be a 2-vector, got shape {x.shape}")
-        self._n += 1
-        delta = x - self._mean
-        self._mean = self._mean + delta / self._n
-        delta2 = x - self._mean
-        self._m2 = self._m2 + np.outer(delta, delta2)
+        x0, x1 = _pair(observation)
+        n = self._n = self._n + 1
+        delta0 = x0 - self._mean0
+        delta1 = x1 - self._mean1
+        mean0 = self._mean0 = self._mean0 + delta0 / n
+        mean1 = self._mean1 = self._mean1 + delta1 / n
+        after0 = x0 - mean0
+        after1 = x1 - mean1
+        self._m00 = self._m00 + delta0 * after0
+        self._m01 = self._m01 + delta0 * after1
+        self._m10 = self._m10 + delta1 * after0
+        self._m11 = self._m11 + delta1 * after1
 
     def remove(self, observation: tuple[float, float] | np.ndarray) -> None:
         """Remove a previously-added observation (reverse Welford).
@@ -76,20 +90,27 @@ class StreamingMeanCov:
         revises an answer, the old sample is removed and the new one
         added, keeping estimates exact without replaying history.
         """
-        x = np.asarray(observation, dtype=float)
-        if self._n == 0:
+        x0, x1 = _pair(observation)
+        n = self._n
+        if n == 0:
             raise ValueError("cannot remove from an empty estimator")
-        if self._n == 1:
+        if n == 1:
             self.__init__()  # back to the empty state
             return
-        mean_prev = (self._n * self._mean - x) / (self._n - 1)
-        delta = x - mean_prev
-        delta2 = x - self._mean
-        self._m2 = self._m2 - np.outer(delta, delta2)
-        self._mean = mean_prev
-        self._n -= 1
+        previous0 = (n * self._mean0 - x0) / (n - 1)
+        previous1 = (n * self._mean1 - x1) / (n - 1)
+        delta0 = x0 - previous0
+        delta1 = x1 - previous1
+        after0 = x0 - self._mean0
+        after1 = x1 - self._mean1
         # Guard against tiny negative diagonals from cancellation.
-        np.fill_diagonal(self._m2, np.maximum(np.diag(self._m2), 0.0))
+        self._m00 = _clamp(self._m00 - delta0 * after0)
+        self._m01 = self._m01 - delta0 * after1
+        self._m10 = self._m10 - delta1 * after0
+        self._m11 = _clamp(self._m11 - delta1 * after1)
+        self._mean0 = previous0
+        self._mean1 = previous1
+        self._n = n - 1
 
     @property
     def n(self) -> int:
@@ -99,29 +120,46 @@ class StreamingMeanCov:
     @property
     def mean(self) -> np.ndarray:
         """Sample mean (2-vector). Zeros when empty."""
-        return self._mean.copy()
+        return np.array((self._mean0, self._mean1))
 
     @property
     def cov(self) -> np.ndarray:
         """Unbiased sample covariance (2×2). Zeros when ``n < 2``."""
         if self._n < 2:
             return np.zeros((2, 2))
-        return self._m2 / (self._n - 1)
+        k = self._n - 1
+        return np.array(
+            ((self._m00 / k, self._m01 / k), (self._m10 / k, self._m11 / k))
+        )
 
     @property
     def sem_cov(self) -> np.ndarray:
         """Covariance of the *sample mean*: ``cov / n`` (zeros when n<2)."""
-        if self._n < 2:
+        n = self._n
+        if n < 2:
             return np.zeros((2, 2))
-        return self.cov / self._n
+        k = n - 1
+        return np.array(
+            (
+                (self._m00 / k / n, self._m01 / k / n),
+                (self._m10 / k / n, self._m11 / k / n),
+            )
+        )
 
     def copy(self) -> "StreamingMeanCov":
         """An independent copy of the estimator state."""
-        clone = StreamingMeanCov()
-        clone._n = self._n
-        clone._mean = self._mean.copy()
-        clone._m2 = self._m2.copy()
-        return clone
+        restore, state = self.__reduce__()
+        return restore(*state)
 
     def __repr__(self) -> str:
-        return f"StreamingMeanCov(n={self._n}, mean={self._mean.round(4).tolist()})"
+        return f"StreamingMeanCov(n={self._n}, mean={self.mean.round(4).tolist()})"
+
+
+def _restore(
+    n: int, mean0: float, mean1: float, m00: float, m01: float, m10: float, m11: float
+) -> StreamingMeanCov:
+    """Rebuild an estimator from its positional pickle."""
+    est = StreamingMeanCov.__new__(StreamingMeanCov)
+    est._n, est._mean0, est._mean1 = n, mean0, mean1
+    est._m00, est._m01, est._m10, est._m11 = m00, m01, m10, m11
+    return est

@@ -218,10 +218,11 @@ class LatentAbilityModel:
         self.trust_floor = float(trust_floor)
         self.min_answers = check_positive(min_answers, "min_answers")
         self.reestimate_every = check_positive(reestimate_every, "reestimate_every")
-        # The answer matrix: member → rule → latest parsed stats. A
-        # member revising a rule overwrites their cell, matching the
-        # one-observation-per-member contract of RuleSamples.
-        self._answers: dict[str, dict[Rule, RuleStats]] = {}
+        # The answer matrix: member → rule → latest parsed
+        # ``(support, confidence)`` pair. A member revising a rule
+        # overwrites their cell, matching the one-observation-per-member
+        # contract of RuleSamples.
+        self._answers: dict[str, dict[Rule, tuple[float, float]]] = {}
         self._malformed: dict[str, int] = {}
         # The coherence tally: running support-antitonicity violation
         # totals over each member's own comparable rule pairs, updated
@@ -260,14 +261,15 @@ class LatentAbilityModel:
         body = rule.body
         violation = self._violation.get(member_id, 0.0)
         pairs = self._pairs.get(member_id, 0)
-        for other_rule, other_stats in cells.items():
+        support = stats.support
+        for other_rule, (other_support, _) in cells.items():
             other_body = other_rule.body
             if body < other_body:
-                gap = other_stats.support - stats.support
+                gap = other_support - support
             elif other_body < body:
-                gap = stats.support - other_stats.support
+                gap = support - other_support
             elif body == other_body and other_rule != rule:
-                gap = abs(stats.support - other_stats.support)
+                gap = abs(support - other_support)
             else:
                 continue
             pairs += 1
@@ -276,7 +278,7 @@ class LatentAbilityModel:
             violation += max(0.0, gap - COHERENCE_MARGIN)
         self._violation[member_id] = violation
         self._pairs[member_id] = pairs
-        cells[rule] = stats
+        cells[rule] = (support, stats.confidence)
         self._since_estimate += 1
 
     def incoherence_of(self, member_id: str) -> float:
@@ -344,7 +346,7 @@ class LatentAbilityModel:
                 index = rule_order.setdefault(rule, len(rule_order))
                 rows.append(member_index[member_id])
                 cols.append(index)
-                values.append(cells[rule].as_tuple())
+                values.append(cells[rule])
         abilities: dict[str, MemberAbility] = {}
         if values:
             incoherence = np.array(

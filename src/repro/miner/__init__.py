@@ -21,7 +21,7 @@ from repro.miner.open_policy import (
     make_open_policy,
 )
 from repro.miner.oracle import GroundTruth, compute_ground_truth
-from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
+from repro.miner.result import MiningResult, QuestionEvent, QuestionKind, QuestionLog
 from repro.miner.session import AnswerCache, CacheStats, CachingCrowd, reevaluate
 from repro.miner.state import MiningState, RuleIndex, RuleKnowledge, RuleOrigin
 from repro.miner.termination import (
@@ -62,6 +62,7 @@ __all__ = [
     "OpenClosedPolicy",
     "QuestionEvent",
     "QuestionKind",
+    "QuestionLog",
     "QuestionProposal",
     "QuestionStrategy",
     "RandomStrategy",

@@ -49,7 +49,7 @@ from repro.estimation.samples import EstimateSummary
 from repro.estimation.significance import Decision, SignificanceTest, Thresholds
 from repro.faults.latent import LatentAbilityModel
 from repro.miner.open_policy import AdaptiveOpenPolicy, OpenClosedPolicy
-from repro.miner.result import MiningResult, QuestionEvent, QuestionKind
+from repro.miner.result import MiningResult, QuestionEvent, QuestionKind, QuestionLog
 from repro.miner.state import MiningState, RuleOrigin
 from repro.miner.strategy import MaxUncertaintyStrategy, QuestionStrategy
 from repro.obs import Instrumentation
@@ -316,7 +316,8 @@ class CrowdMiner:
         )
         for rule in config.seed_rules:
             self.state.add_rule(rule, RuleOrigin.SEED)
-        self.log: list[QuestionEvent] = []
+        #: Every counted question, as columns (see :class:`QuestionLog`).
+        self.log = QuestionLog()
         #: Why the latest :meth:`ingest_answer` dropped its answer
         #: (``None`` when it was counted).
         self.last_discard: Discard | None = None
@@ -945,7 +946,7 @@ class CrowdMiner:
 
     def result(self, mode: str = "point") -> MiningResult:
         """Snapshot the session outcome (see ``MiningState.significant_rules``)."""
-        closed = sum(1 for e in self.log if e.kind is QuestionKind.CLOSED)
+        closed = self.log.count_kind(QuestionKind.CLOSED)
         return MiningResult(
             significant=self.state.significant_rules(mode=mode),
             questions_asked=self._questions,

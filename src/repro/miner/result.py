@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -50,8 +52,98 @@ class QuestionEvent:
         return self.kind is QuestionKind.OPEN and self.rule is None
 
     def __reduce__(self) -> tuple:
-        # Positional, like RuleStats: a checkpoint pickles the whole log.
+        # Positional, like RuleStats.
         return QuestionEvent, (self.index, self.kind, self.member_id, self.rule, self.stats)
+
+
+#: Kind codes of the question log's kind column.
+_KINDS: tuple[QuestionKind, ...] = tuple(QuestionKind)
+_KIND_CODES: dict[QuestionKind, int] = {kind: code for code, kind in enumerate(_KINDS)}
+
+
+class QuestionLog(Sequence[QuestionEvent]):
+    """A session's question-by-question log, stored as columns.
+
+    Appending takes a :class:`QuestionEvent`; reading (indexing,
+    iteration) builds one per position, equal to the appended event.
+    The event's index is its position, so it is not stored. The columns
+    are a kind code per question, the member ids, the rules (``None``
+    for a dry open answer) and support/confidence as ``array('d')``
+    (0.0 where a dry open answer has no stats): a checkpoint pickles
+    the whole log, and columns pickle as a few arrays and lists
+    instead of one event and one :class:`RuleStats` per question.
+
+    >>> log = QuestionLog()
+    >>> event = QuestionEvent(0, QuestionKind.OPEN, "u1", None, None)
+    >>> log.append(event)
+    >>> log == [event]
+    True
+    """
+
+    __slots__ = ("_kinds", "_members", "_rules", "_support", "_confidence")
+
+    def __init__(self) -> None:
+        self._kinds = bytearray()
+        self._members: list[str] = []
+        self._rules: list[Rule | None] = []
+        self._support = array("d")
+        self._confidence = array("d")
+
+    def append(self, event: QuestionEvent) -> None:
+        """Record the next question's event (its index must be the log length)."""
+        if event.index != len(self._members):
+            raise ValueError(
+                f"event index {event.index} does not follow a log of "
+                f"{len(self._members)} questions"
+            )
+        stats = event.stats
+        if (stats is None) != (event.rule is None):
+            raise ValueError("an event has stats exactly when it has a rule")
+        self._kinds.append(_KIND_CODES[event.kind])
+        self._members.append(event.member_id)
+        self._rules.append(event.rule)
+        self._support.append(0.0 if stats is None else stats.support)
+        self._confidence.append(0.0 if stats is None else stats.confidence)
+
+    def count_kind(self, kind: QuestionKind) -> int:
+        """How many logged questions were of ``kind``."""
+        return self._kinds.count(_KIND_CODES[kind])
+
+    def _event(self, index: int) -> QuestionEvent:
+        rule = self._rules[index]
+        return QuestionEvent(
+            index,
+            _KINDS[self._kinds[index]],
+            self._members[index],
+            rule,
+            None
+            if rule is None
+            else RuleStats(self._support[index], self._confidence[index]),
+        )
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._event(i) for i in range(*index.indices(len(self)))]
+        size = len(self)
+        if not -size <= index < size:
+            raise IndexError("question log index out of range")
+        return self._event(index % size)
+
+    def __iter__(self) -> Iterator[QuestionEvent]:
+        return map(self._event, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"QuestionLog({len(self)} questions)"
 
 
 @dataclass(slots=True)

@@ -81,17 +81,11 @@ class RuleKnowledge:
     # found in the heap are stale and get discarded on pop.
     _heap_stamp: int = field(default=0, init=False, repr=False)
 
-    def __getstate__(self) -> tuple:
-        # The summary cache stays behind: it is keyed by the sample and
-        # aggregator versions, so its first use after a restore
-        # recomputes the identical summary.
-        return _knowledge_state(self)
-
-    def __setstate__(self, state: tuple) -> None:
-        for name, value in zip(_KNOWLEDGE_FIELDS, state):
-            setattr(self, name, value)
-        self._summary = None
-        self._summary_token = None
+    def __reduce__(self) -> tuple:
+        # Positional. The summary cache stays behind: it is keyed by the
+        # sample and aggregator versions, so its first use after a
+        # restore recomputes the identical summary.
+        return _restore_knowledge, _knowledge_state(self)
 
     @property
     def is_resolved(self) -> bool:
@@ -117,6 +111,16 @@ _KNOWLEDGE_FIELDS = tuple(
     f.name for f in fields(RuleKnowledge) if f.name not in ("_summary", "_summary_token")
 )
 _knowledge_state = attrgetter(*_KNOWLEDGE_FIELDS)
+
+
+def _restore_knowledge(*state) -> RuleKnowledge:
+    """Rebuild a knowledge record from its positional pickle."""
+    knowledge = RuleKnowledge.__new__(RuleKnowledge)
+    for name, value in zip(_KNOWLEDGE_FIELDS, state):
+        setattr(knowledge, name, value)
+    knowledge._summary = None
+    knowledge._summary_token = None
+    return knowledge
 
 
 #: Bodies up to this size answer generalization queries by direct

@@ -7,8 +7,8 @@ objects) plus the live object in the miner's dispatcher seat, if any:
 
 - a :class:`~repro.dispatch.dispatcher.Dispatcher`, pickled as it
   stands: each lane's clock with every pending event, its random
-  streams, the in-flight book, the outcome counters, the
-  delivery-token guard and the completion timeline. Every clock action
+  streams, the in-flight book, the outcome counters and the
+  delivery-token guard. Every clock action
   is a bound method or a ``functools.partial`` of one, so the event
   heaps pickle too, and so does a fault injector whose faults are
   still scheduled;
@@ -76,8 +76,11 @@ if TYPE_CHECKING:
 #: Format 6: a crowd's rotation keeps a departure log in place of the
 #: availability generation. Format 7: the columnar crowd keeps its
 #: members' unread closed answers as recipes, and an unread answer
-#: pickles as its recipe.
-CHECKPOINT_FORMAT = 7
+#: pickles as its recipe. Format 8: the question log is columnar, sample
+#: stores keep float pairs, the streaming estimator keeps floats, rules
+#: pickle as their item tuples, and the dispatcher keeps no completion
+#: timeline.
+CHECKPOINT_FORMAT = 8
 
 
 def capture_session(

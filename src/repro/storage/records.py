@@ -15,11 +15,19 @@ JSON escaping keeps the key unambiguous and round-trippable either way.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from repro.core.rule import Rule
 from repro.io import PersistenceError
 
+#: Rules whose keys :func:`rule_key` remembers. A served open question
+#: lists the key of every known rule, and the answer log keys every
+#: answer, so the same few hundred rules are keyed over and over; the
+#: bound keeps the cache from growing across sessions.
+_RULE_KEY_CACHE_SIZE = 4096
 
+
+@lru_cache(maxsize=_RULE_KEY_CACHE_SIZE)
 def rule_key(rule: Rule) -> str:
     """The canonical text key of a rule (unicode-safe, round-trippable)."""
     return json.dumps(

@@ -1,7 +1,11 @@
 """Tests for mining results."""
 
+import pickle
+
+import pytest
+
 from repro.core import Rule, RuleStats
-from repro.miner import MiningResult, QuestionEvent, QuestionKind
+from repro.miner import MiningResult, QuestionEvent, QuestionKind, QuestionLog
 
 
 def make_result(significant):
@@ -92,3 +96,62 @@ class TestQuestionEvent:
             0, QuestionKind.CLOSED, "u1", Rule(["a"], ["b"]), RuleStats(0.2, 0.5)
         )
         assert not event.is_empty_open
+
+
+def _events():
+    rule = Rule(["a"], ["b"])
+    return [
+        QuestionEvent(0, QuestionKind.CLOSED, "u1", rule, RuleStats(0.2, 0.5)),
+        QuestionEvent(1, QuestionKind.OPEN, "u2", None, None),
+        QuestionEvent(2, QuestionKind.OPEN, "u1", Rule(["x"], ["y"]), RuleStats(0.1, 0.9)),
+        QuestionEvent(3, QuestionKind.CLOSED, "u2", rule, RuleStats(0.0, 0.0)),
+    ]
+
+
+def _log(events):
+    log = QuestionLog()
+    for event in events:
+        log.append(event)
+    return log
+
+
+class TestQuestionLog:
+    def test_reads_back_the_appended_events(self):
+        events = _events()
+        log = _log(events)
+        assert len(log) == 4
+        assert list(log) == events
+        assert [log[i] for i in range(4)] == events
+        assert log[-1] == events[-1]
+        assert log[1:3] == events[1:3]
+        assert log == events and events == log
+        assert log != events[:3]
+
+    def test_counts_kinds(self):
+        log = _log(_events())
+        assert log.count_kind(QuestionKind.CLOSED) == 2
+        assert log.count_kind(QuestionKind.OPEN) == 2
+
+    def test_index_out_of_range(self):
+        log = _log(_events())
+        with pytest.raises(IndexError):
+            log[4]
+        with pytest.raises(IndexError):
+            log[-5]
+
+    def test_refuses_events_out_of_order(self):
+        log = _log(_events()[:1])
+        with pytest.raises(ValueError, match="does not follow"):
+            log.append(_events()[2])
+
+    def test_refuses_stats_without_rule(self):
+        with pytest.raises(ValueError, match="exactly when"):
+            QuestionLog().append(
+                QuestionEvent(0, QuestionKind.OPEN, "u1", None, RuleStats(0.1, 0.2))
+            )
+
+    def test_pickles_as_columns(self):
+        log = _log(_events())
+        restored = pickle.loads(pickle.dumps(log))
+        assert restored == log
+        assert list(restored) == _events()
