@@ -1,8 +1,15 @@
 """Frequent-itemset mining over transaction-id bitsets.
 
-The one itemset miner of the library. Each item's transactions are one
-Python ``int`` bitset, and the support of an itemset is the popcount
-of the AND of its items' bitsets (Zaki's vertical layout, as in Eclat).
+The one itemset miner of the library. It reads the database's own
+index (:meth:`~repro.core.transactions.TransactionDB.item_bitsets`:
+one Python ``int`` bitset per item), and the support of an itemset is
+the popcount of the AND of its items' bitsets (Zaki's vertical layout,
+as in Eclat). The recursion keys itemsets by an ``int`` mask over the
+frequent items ranked by name, so bit ``r`` stands for the ``r``-th
+item in sorted order and a mask's set bits, read upwards, spell the
+itemset's sorted tuple. :func:`frequent_itemsets` decodes the masks
+for its callers; habit pools (:mod:`repro.crowd.open_behavior`) keep
+them.
 
 The miner returns FP-Growth's result in FP-Growth's emission order
 (Han, Pei & Yin, SIGMOD 2000), not just the same set. At each level the
@@ -21,86 +28,96 @@ from __future__ import annotations
 import math
 from itertools import combinations
 
-from repro._util import check_fraction
+from repro._util import check_fraction, check_positive
 from repro.core.itemset import Itemset
 from repro.core.transactions import TransactionDB
 from repro.errors import EmptyDatabaseError
 
 
 def _grow(
-    level: list[tuple[str, int, int]],
-    suffix: tuple[str, ...],
+    level: list[tuple[int, int, int]],
+    suffix: int,
+    size: int,
     min_count: int,
     max_size: int | None,
-    out: dict[tuple[str, ...], int],
+    out: dict[int, int],
 ) -> None:
     """Emit every frequent extension of ``suffix`` by the ``level`` items.
 
-    ``level`` holds ``(item, bitset, count)`` for the items frequent
-    together with ``suffix``; their bitsets are already intersected
-    with the suffix's.
+    ``suffix`` is the mask of a frequent itemset of ``size`` items, and
+    ``level`` holds ``(-count, bit, bitset)`` for the items frequent
+    together with it; their bitsets are already intersected with the
+    suffix's. Sorting the entries orders them by descending count, ties
+    broken by name (ranks follow names).
     """
-    level.sort(key=lambda entry: (-entry[2], entry[0]))
-    if all(b & a == b for (_, a, _), (_, b, _) in zip(level, level[1:])):
+    level.sort()
+    if all(b & a == b for (_, _, a), (_, _, b) in zip(level, level[1:])):
         # A single-path FP-tree: every combination is frequent, with
         # the count of its least frequent item.
         for k in range(1, len(level) + 1):
-            if max_size is not None and len(suffix) + k > max_size:
+            if max_size is not None and size + k > max_size:
                 break
             for combo in combinations(level, k):
-                items = tuple(sorted([item for item, _, _ in combo] + list(suffix)))
-                out[items] = combo[-1][2]
+                out[suffix | sum([bit for _, bit, _ in combo])] = -combo[-1][0]
         return
+    deeper = max_size is None or size + 1 < max_size
     for index in range(len(level) - 1, -1, -1):
-        item, bits, count = level[index]
-        itemset = (item,) + suffix
-        out[tuple(sorted(itemset))] = count
-        if max_size is not None and len(itemset) >= max_size:
+        negative_count, bit, bits = level[index]
+        itemset = suffix | bit
+        out[itemset] = -negative_count
+        if not deeper:
             continue
         conditional = []
-        for other, other_bits, _ in level[:index]:
+        for _, other, other_bits in level[:index]:
             joint = other_bits & bits
             joint_count = joint.bit_count()
             if joint_count >= min_count:
-                conditional.append((other, joint, joint_count))
-        if conditional:
-            _grow(conditional, itemset, min_count, max_size, out)
+                conditional.append((-joint_count, other, joint))
+        if len(conditional) == 1:
+            # One item: its only extension, emitted without a call.
+            out[itemset | conditional[0][1]] = -conditional[0][0]
+        elif conditional:
+            _grow(conditional, itemset, size + 1, min_count, max_size, out)
 
 
-def itemset_counts(
+def itemset_masks(
     db: TransactionDB, min_support: float, max_size: int | None = None
-) -> dict[tuple[str, ...], int]:
-    """Transaction count of every itemset with support ≥ ``min_support``.
+) -> tuple[tuple[str, ...], dict[int, int]]:
+    """The frequent itemsets as masks: ``(names, {mask: count})``.
 
-    The core of :func:`frequent_itemsets`, with the same parameters.
-    Keys are sorted item tuples, in FP-Growth's emission order (see the
-    module docstring). An empty database has no frequent itemsets.
+    ``names`` lists the frequent items sorted; bit ``r`` of a mask
+    stands for ``names[r]``. The counts are transaction counts, in
+    FP-Growth's emission order (see the module docstring). Parameters
+    as for :func:`frequent_itemsets`; an empty database has no
+    frequent itemsets.
     """
     check_fraction(min_support, "min_support")
     if min_support <= 0.0:
         raise ValueError("min_support must be strictly positive")
-    if max_size is not None and max_size < 1:
-        raise ValueError("max_size must be at least 1")
+    if max_size is not None:
+        check_positive(max_size, "max_size")
     min_count = max(1, math.ceil(min_support * len(db) - 1e-9))
-    width = (len(db) + 7) // 8
-    columns: dict[str, bytearray] = {}
-    for tid, row in enumerate(db):
-        byte, bit = tid >> 3, 1 << (tid & 7)
-        for item in row:
-            column = columns.get(item)
-            if column is None:
-                column = columns[item] = bytearray(width)
-            column[byte] |= bit
-    level = []
-    for item, column in columns.items():
-        bits = int.from_bytes(column, "little")
-        count = bits.bit_count()
-        if count >= min_count:
-            level.append((item, bits, count))
-    out: dict[tuple[str, ...], int] = {}
-    if level:
-        _grow(level, (), min_count, max_size, out)
-    return out
+    frequent = sorted(
+        (item, bits)
+        for item, bits in db.item_bitsets().items()
+        if bits.bit_count() >= min_count
+    )
+    names = tuple(item for item, _ in frequent)
+    out: dict[int, int] = {}
+    if frequent:
+        level = [(-bits.bit_count(), 1 << r, bits) for r, (_, bits) in enumerate(frequent)]
+        _grow(level, 0, 0, min_count, max_size, out)
+    return names, out
+
+
+def mask_items(mask: int, names: tuple[str, ...]) -> tuple[str, ...]:
+    """The sorted item tuple a mask over ``names`` stands for."""
+    items = []
+    while mask:
+        low = mask & -mask
+        items.append(names[low.bit_length() - 1])
+        mask ^= low
+    return tuple(items)
 
 
 def frequent_itemsets(
@@ -119,7 +136,7 @@ def frequent_itemsets(
         rejected: it would enumerate the full powerset of every
         transaction.
     max_size:
-        Optional cap on itemset cardinality, at least 1.
+        Optional cap on itemset cardinality, a positive integer.
 
     Returns
     -------
@@ -128,8 +145,8 @@ def frequent_itemsets(
         the empty itemset is excluded) to its relative support, in
         FP-Growth's emission order.
     """
-    counts = itemset_counts(db, min_support, max_size)
+    names, counts = itemset_masks(db, min_support, max_size)
     if len(db) == 0:
         raise EmptyDatabaseError("cannot mine an empty database")
     n = len(db)
-    return {Itemset(items): count / n for items, count in counts.items()}
+    return {Itemset(mask_items(mask, names)): count / n for mask, count in counts.items()}

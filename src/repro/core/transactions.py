@@ -6,18 +6,20 @@ miners that provide ground truth and baselines) we need their
 materialized counterpart: :class:`TransactionDB`, a bag of transactions
 where each transaction is a set of items representing one occasion.
 
-The implementation keeps a per-item inverted index (item → frozenset
-of transaction ids) so support counting of an itemset is a set
-intersection — fast enough for the tens of thousands of transactions
-the experiments use, with no native extensions. The itemset miner
-(:mod:`repro.classic.itemsets`) builds its own tid bitsets (Python
-ints) from the rows.
+The database indexes its rows once, as one tid bitset per item: a
+Python ``int`` whose bit ``t`` is set when transaction ``t`` holds the
+item (Zaki's vertical layout). Counting an itemset is an AND of its
+items' bitsets and an ``int.bit_count``, with no native extensions.
+The same bitsets serve a member's closed answers (:meth:`rule_stats`),
+the itemset miner (:mod:`repro.classic.itemsets`) and, through it,
+the habit pools of :mod:`repro.crowd.open_behavior`.
 """
 
 from __future__ import annotations
 
 import pickle
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
 
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
@@ -47,21 +49,26 @@ class TransactionDB:
     __slots__ = ("_transactions", "_index", "_pickled_rows")
 
     def __init__(self, transactions: Iterable[Iterable[str]]) -> None:
-        rows: list[frozenset[str]] = []
-        index: dict[str, set[int]] = {}
-        for tid, raw in enumerate(transactions):
-            row = frozenset(raw)
-            rows.append(row)
+        rows = tuple(map(frozenset, transactions))
+        # One byte column per item, set bit by bit, then read as an int:
+        # OR-ing into growing ints would cost a copy per occurrence.
+        width = (len(rows) + 7) // 8
+        columns: dict[str, bytearray] = {}
+        for tid, row in enumerate(rows):
+            byte, bit = tid >> 3, 1 << (tid & 7)
             for item in row:
-                index.setdefault(item, set()).add(tid)
-        self._transactions: tuple[frozenset[str], ...] = tuple(rows)
-        self._index: dict[str, frozenset[int]] = {
-            item: frozenset(tids) for item, tids in index.items()
+                column = columns.get(item)
+                if column is None:
+                    column = columns[item] = bytearray(width)
+                column[byte] |= bit
+        self._transactions: tuple[frozenset[str], ...] = rows
+        self._index: dict[str, int] = {
+            item: int.from_bytes(column, "little") for item, column in columns.items()
         }
         self._pickled_rows: bytes | None = None
 
     def __getstate__(self) -> bytes:
-        # Only the rows travel; the inverted index is rebuilt on load.
+        # Only the rows travel; the bitset index is rebuilt on load.
         # The database is immutable, so its rows are encoded once and
         # every later checkpoint reuses the bytes.
         if self._pickled_rows is None:
@@ -93,30 +100,35 @@ class TransactionDB:
         """All items that occur at least once, sorted."""
         return tuple(sorted(self._index))
 
+    def item_bitsets(self) -> Mapping[str, int]:
+        """Every item's tid bitset: bit ``t`` is set when row ``t`` holds it.
+
+        A read-only view of the index, listing each item that occurs at
+        least once.
+        """
+        return MappingProxyType(self._index)
+
     # -- support queries ---------------------------------------------------------
+
+    def _cover(self, items: Iterable[str]) -> int:
+        """The tid bitset of the rows holding every one of ``items``."""
+        bits = (1 << len(self._transactions)) - 1
+        get = self._index.get
+        for item in items:
+            bits &= get(item, 0)
+        return bits
 
     def matching_ids(self, itemset: Itemset | Iterable[str]) -> frozenset[int]:
         """Ids of transactions containing every item of ``itemset``.
 
         The empty itemset matches every transaction.
         """
-        items = tuple(Itemset(itemset))
-        if not items:
-            return frozenset(range(len(self._transactions)))
-        try:
-            postings = sorted((self._index[item] for item in items), key=len)
-        except KeyError:
-            return frozenset()
-        result = set(postings[0])
-        for posting in postings[1:]:
-            result &= posting
-            if not result:
-                break
-        return frozenset(result)
+        bits = self._cover(Itemset(itemset))
+        return frozenset(t for t, bit in enumerate(reversed(bin(bits))) if bit == "1")
 
     def count(self, itemset: Itemset | Iterable[str]) -> int:
         """Number of transactions containing ``itemset``."""
-        return len(self.matching_ids(itemset))
+        return self._cover(Itemset(itemset)).bit_count()
 
     def support(self, itemset: Itemset | Iterable[str]) -> float:
         """Fraction of transactions containing ``itemset``.
@@ -135,13 +147,19 @@ class TransactionDB:
         (the conditional is vacuous), matching the convention that an
         unobserved habit is not a habit.
         """
-        if not self._transactions:
+        n = len(self._transactions)
+        if not n:
             raise EmptyDatabaseError("rule stats are undefined on an empty database")
-        body_count = self.count(rule.body)
-        support = body_count / len(self._transactions)
+        antecedent = self._cover(rule.antecedent.items)
+        get = self._index.get
+        body = antecedent
+        for item in rule.consequent.items:
+            body &= get(item, 0)
+        body_count = body.bit_count()
+        support = body_count / n
         if rule.is_itemset_rule:
             return RuleStats(support, support)
-        antecedent_count = self.count(rule.antecedent)
+        antecedent_count = antecedent.bit_count()
         confidence = 0.0 if antecedent_count == 0 else body_count / antecedent_count
         return RuleStats(support, confidence)
 
@@ -150,7 +168,7 @@ class TransactionDB:
         if not self._transactions:
             raise EmptyDatabaseError("frequencies are undefined on an empty database")
         n = len(self._transactions)
-        return {item: len(tids) / n for item, tids in self._index.items()}
+        return {item: bits.bit_count() / n for item, bits in self._index.items()}
 
     # -- derived databases ----------------------------------------------------------
 

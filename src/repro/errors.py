@@ -25,8 +25,13 @@ class InvalidRuleError(ReproError):
     """
 
 
-class InvalidThresholdError(ReproError):
-    """A support/confidence threshold is outside the ``[0, 1]`` interval."""
+class InvalidThresholdError(ReproError, ValueError):
+    """A threshold or size parameter is outside its valid range.
+
+    Supports and confidences outside ``[0, 1]``, negative rates, sizes
+    that are not positive integers. Also a :class:`ValueError`, the
+    builtin for a parameter of the right type but a wrong value.
+    """
 
 
 class EmptyDatabaseError(ReproError):

@@ -954,7 +954,7 @@ class CrowdMiner:
             open_questions=self._questions - closed,
             rules_discovered=len(self.state),
             inferred_classifications=self.state.inferred_classifications,
-            log=list(self.log),
+            log=self.log.snapshot(),
             obs=self.obs.snapshot(),
         )
 

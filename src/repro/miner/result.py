@@ -105,6 +105,19 @@ class QuestionLog(Sequence[QuestionEvent]):
         self._support.append(0.0 if stats is None else stats.support)
         self._confidence.append(0.0 if stats is None else stats.confidence)
 
+    def snapshot(self) -> "QuestionLog":
+        """A copy of the log as it stands: later appends do not reach it.
+
+        Copies the columns, not one event per question.
+        """
+        copy = QuestionLog.__new__(QuestionLog)
+        copy._kinds = self._kinds.copy()
+        copy._members = self._members.copy()
+        copy._rules = self._rules.copy()
+        copy._support = array("d", self._support)
+        copy._confidence = array("d", self._confidence)
+        return copy
+
     def count_kind(self, kind: QuestionKind) -> int:
         """How many logged questions were of ``kind``."""
         return self._kinds.count(_KIND_CODES[kind])
@@ -163,7 +176,8 @@ class MiningResult:
     inferred_classifications:
         Rules settled for free by lattice propagation.
     log:
-        The full event log, in question order.
+        The full event log, in question order: the miner hands over a
+        :meth:`QuestionLog.snapshot`, which builds each event when read.
     obs:
         Snapshot of the session's instrumentation (hot-path counters
         and timers), when the miner collected one.
@@ -180,7 +194,7 @@ class MiningResult:
     open_questions: int
     rules_discovered: int
     inferred_classifications: int
-    log: list[QuestionEvent] = field(default_factory=list)
+    log: Sequence[QuestionEvent] = field(default_factory=list)
     obs: ObsSnapshot | None = None
     dispatch: "DispatchStats | None" = None
 

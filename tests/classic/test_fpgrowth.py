@@ -100,6 +100,14 @@ class TestSmallCases:
         with pytest.raises(ValueError, match="max_size"):
             frequent_itemsets(db, 0.3, max_size=max_size)
 
+    @pytest.mark.parametrize("max_size", [2.5, 1.5, "2"])
+    def test_fractional_max_size_rejected(self, max_size):
+        # A cap of 2.5 used to stop the single-path expansion at 2 but
+        # let the branching walk emit 3-itemsets.
+        db = TransactionDB([["a", "b", "c"], ["a", "b"], ["a", "c"], ["b", "c", "d"]])
+        with pytest.raises(ValueError, match="max_size"):
+            frequent_itemsets(db, 0.1, max_size=max_size)
+
     def test_empty_db_raises(self):
         with pytest.raises(EmptyDatabaseError):
             frequent_itemsets(TransactionDB([]), 0.5)

@@ -51,6 +51,12 @@ class TestPersonalRules:
         with pytest.raises(ValueError):
             OpenAnswerPolicy(max_body_size=0)
 
+    @pytest.mark.parametrize("size", [2.5, 0.5, -1])
+    def test_body_size_must_be_a_positive_integer(self, size):
+        # A cap of 2.5 used to be accepted and to yield 3-item habits.
+        with pytest.raises(ValueError, match="max_body_size"):
+            OpenAnswerPolicy(max_body_size=size)
+
 
 class TestChoose:
     def test_prominence_prefers_strong_rules(self, db, rng):

@@ -51,6 +51,19 @@ class TestStepping:
         assert miner.log == events
 
 
+    def test_result_log_is_a_snapshot(self, folk_population, thresholds):
+        miner = make_miner(folk_population, thresholds, budget=40)
+        events = [miner.step() for _ in range(15)]
+        result = miner.result()
+        fingerprint = result.fingerprint()
+        miner.run()
+        assert miner.questions_asked > 15
+        # The miner asked more; the result handed over before did not grow.
+        assert len(result.log) == 15
+        assert list(result.log) == events
+        assert result.fingerprint() == fingerprint
+
+
 class TestRun:
     def test_run_respects_budget(self, folk_population, thresholds):
         miner = make_miner(folk_population, thresholds, budget=50)

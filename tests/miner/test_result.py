@@ -155,3 +155,15 @@ class TestQuestionLog:
         restored = pickle.loads(pickle.dumps(log))
         assert restored == log
         assert list(restored) == _events()
+
+    def test_snapshot_stays_as_taken(self):
+        events = _events()
+        log = _log(events[:2])
+        snapshot = log.snapshot()
+        for event in events[2:]:
+            log.append(event)
+        assert len(snapshot) == 2
+        assert list(snapshot) == events[:2]
+        assert snapshot.count_kind(QuestionKind.CLOSED) + snapshot.count_kind(
+            QuestionKind.OPEN
+        ) == 2
