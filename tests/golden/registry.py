@@ -4,10 +4,10 @@ The equivalence suites compare execution modes with each other inside
 one commit; this registry pins absolute :meth:`MiningResult.fingerprint`
 values, so a change that moves every mode alike (a numerics change, a
 reordered draw, a habit pool that volunteers a different rule) fails
-too. Every session here asks open questions, so each one exercises the
-members' habit pools.
+too.
 
-The sessions:
+The sessions that ask open questions, so each one exercises the
+members' habit pools:
 
 - ``sync_open/<world>/s<seed>``: the ``sync_open`` benchmark recipe
   (four object-crowd worlds, 250 questions, seeds 1-3), driven by
@@ -20,12 +20,31 @@ The sessions:
   restored from the checkpoint bytes and run to the end; its members
   rebuild their habit pools after the restore.
 
+The sessions that schedule over crowd partitions or a serving roster,
+each recorded with its books (``DispatchStats`` or the serve
+counters) beside its fingerprint:
+
+- ``sharded_closed/<world>/s1``: the ``sharded_closed`` benchmark
+  recipe (a 100,000-member columnar crowd, 2,000 seeded rules, closed
+  questions only, four shards of eight in flight), both worlds;
+- ``sharded_patience/s1``: four shards over a 2,000-member columnar
+  crowd with patience 1, so every answer is a departure that every
+  lane applies;
+- ``sharded_simulated/s1``: four shards over an object crowd whose
+  patience runs out before the budget does;
+- ``sharded_resume/s1``: a patience-1 four-shard session captured at
+  an event boundary with questions in flight, restored from the
+  checkpoint bytes and run to the end;
+- ``served/s1``: one ``served_durable`` scenario driven in-process
+  through a ``ServeSession`` over its ``WorkerRoster``, checkpointed
+  every 25 questions to a memory store.
+
 The registry file records the Python, numpy and scipy versions it was
 made with. numpy does not promise ``Generator`` streams across
 versions, so a mismatch report prints both version sets: a stream
 change can then be told apart from a code change.
 
-Check the running code against every session (about 3 s) with::
+Check the running code against every session (about 5 s) with::
 
     PYTHONPATH=src python -m tests.golden.registry
 
@@ -36,6 +55,7 @@ the ``TIER1`` subset (``pytest tests/golden``).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import platform
 import sys
@@ -45,11 +65,14 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from repro.core import Rule
 from repro.crowd import ArrayCrowd, SimulatedCrowd, standard_answer_model
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import ExperimentConfig, build_world
-from repro.miner import CrowdMiner, CrowdMinerConfig
+from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
+from repro.serve.differential import Scenario, drive_inprocess, run_session_inprocess
+from repro.storage import open_backend
 from repro.storage.checkpoint import capture_session, restore_session
 
 REGISTRY = Path(__file__).with_name("registry.json")
@@ -63,6 +86,29 @@ SEEDS = (1, 2, 3)
 #: Questions answered before the resumed session is captured.
 RESUME_AFTER = 120
 
+#: The ``sharded_closed`` benchmark's world shape, catalogue and recipe.
+SHARDED_WORLD = dict(
+    n_items=80,
+    n_patterns=10,
+    n_members=100_000,
+    transactions_per_member=100,
+    population_backend="array",
+)
+SHARDED_WORLD_SEEDS = (201, 202)
+SHARDED_SEED_RULES = 2_000
+SHARDED_BUDGET = 3_000
+SHARDS = 4
+WINDOW = 8
+#: The smaller sharded sessions: columnar crowd size, and the
+#: simulated time at which the resumed one is captured.
+SHARDED_MEMBERS = 2_000
+SHARDED_CAPTURE_AT = 240.0
+
+#: The first ``served_durable`` session slot.
+SERVE_WORLD_SEED = 301
+SERVE_SCENARIO = dict(n_members=8, transactions_per_member=40, budget=400)
+SERVE_CHECKPOINT_EVERY = 25
+
 
 def session_seeds(seed: int, index: int, n: int = 3) -> list[int]:
     """``n`` independent 63-bit seeds for session ``index`` of a run."""
@@ -70,21 +116,22 @@ def session_seeds(seed: int, index: int, n: int = 3) -> list[int]:
     return [int(value >> np.uint64(1)) for value in state]
 
 
-def _world(world_seed: int, **overrides):
+def _world(world_seed: int, budget: int = BUDGET, shape=SYNC_WORLD, **overrides):
     config = ExperimentConfig(
         name="golden",
-        budget=BUDGET,
-        checkpoints=(BUDGET,),
+        budget=budget,
+        checkpoints=(budget,),
         repetitions=1,
-        **{**SYNC_WORLD, **overrides},
+        **{**shape, **overrides},
     )
-    _model, population, _ = build_world(config, seed=world_seed, ground_truth=False)
-    return population
+    model, population, _ = build_world(config, seed=world_seed, ground_truth=False)
+    return model, population
 
 
 def _sync_miner(world_seed: int, seeds: list[int]) -> CrowdMiner:
+    _model, population = _world(world_seed)
     crowd = SimulatedCrowd.from_population(
-        _world(world_seed), answer_model=standard_answer_model(), seed=seeds[0]
+        population, answer_model=standard_answer_model(), seed=seeds[0]
     )
     return CrowdMiner(
         crowd, CrowdMinerConfig(thresholds=THRESHOLDS, budget=BUDGET, seed=seeds[1])
@@ -98,7 +145,9 @@ def sync_open(world: int, seed: int) -> str:
 
 def array_session(seed: int) -> str:
     seeds = session_seeds(seed, 0)
-    population = _world(SYNC_WORLD_SEEDS[0], n_members=200, population_backend="array")
+    _model, population = _world(
+        SYNC_WORLD_SEEDS[0], n_members=200, population_backend="array"
+    )
     crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[0])
     miner = CrowdMiner(
         crowd, CrowdMinerConfig(thresholds=THRESHOLDS, budget=BUDGET, seed=seeds[1])
@@ -122,8 +171,121 @@ def resumed_session(seed: int) -> str:
     return restored.run().fingerprint()
 
 
-#: Every registered session: name -> a function computing its fingerprint.
-SESSIONS: dict[str, Callable[[], str]] = {
+def _dispatched(dispatcher: Dispatcher, **extra) -> dict:
+    """Run a dispatched session: its fingerprint and its books."""
+    result = dispatcher.run()
+    return {
+        "fingerprint": result.fingerprint(),
+        "dispatch": dataclasses.asdict(result.dispatch),
+        **extra,
+    }
+
+
+def _seed_rules(items, count: int, rng: np.random.Generator) -> tuple[Rule, ...]:
+    """``count`` distinct random candidate rules (2–4 item bodies)."""
+    rules: set[Rule] = set()
+    while len(rules) < count:
+        size = int(rng.integers(2, 5))
+        chosen = [items[k] for k in rng.choice(len(items), size=size, replace=False)]
+        cut = int(rng.integers(1, size))
+        rules.add(Rule(chosen[:cut], chosen[cut:]))
+    return tuple(sorted(rules, key=str))
+
+
+def sharded_closed(world: int, seed: int) -> dict:
+    seeds = session_seeds(seed, SHARDED_WORLD_SEEDS.index(world))
+    model, population = _world(world, budget=SHARDED_BUDGET, shape=SHARDED_WORLD)
+    rules = _seed_rules(
+        model.domain.items, SHARDED_SEED_RULES, np.random.default_rng(seeds[0])
+    )
+    crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
+    miner = CrowdMiner(
+        crowd,
+        CrowdMinerConfig(
+            thresholds=THRESHOLDS,
+            budget=SHARDED_BUDGET,
+            seed_rules=rules,
+            open_policy=FixedRatioPolicy(0.0, fallback_to_open=False),
+            expand_generalizations=False,
+            expand_splits=False,
+            seed=seeds[2],
+        ),
+    )
+    config = DispatchConfig(
+        window=WINDOW, latency=LognormalLatency(median=60.0, sigma=1.0), seed=seeds[2] + 1
+    )
+    return _dispatched(Dispatcher(miner, config, shards=SHARDS))
+
+
+def _sharded_array(world_seed: int, seeds: list[int], **dispatch) -> Dispatcher:
+    """Four shards over a patience-1 columnar crowd: every answer departs."""
+    _model, population = _world(
+        world_seed, n_members=SHARDED_MEMBERS, population_backend="array"
+    )
+    crowd = ArrayCrowd(
+        population, answer_model=standard_answer_model(), patience=1, seed=seeds[0]
+    )
+    miner = CrowdMiner(
+        crowd, CrowdMinerConfig(thresholds=THRESHOLDS, budget=BUDGET, seed=seeds[1])
+    )
+    config = DispatchConfig(
+        window=WINDOW,
+        latency=LognormalLatency(median=60.0, sigma=1.0),
+        seed=seeds[2],
+        **dispatch,
+    )
+    return Dispatcher(miner, config, shards=SHARDS)
+
+
+def sharded_patience(seed: int) -> dict:
+    return _dispatched(_sharded_array(SYNC_WORLD_SEEDS[0], session_seeds(seed, 0)))
+
+
+def sharded_simulated(seed: int) -> dict:
+    seeds = session_seeds(seed, 1)
+    _model, population = _world(SYNC_WORLD_SEEDS[1], n_members=40)
+    # 40 members x patience 5 < the budget: every lane runs dry.
+    crowd = SimulatedCrowd.from_population(
+        population, answer_model=standard_answer_model(), patience=5, seed=seeds[0]
+    )
+    miner = CrowdMiner(
+        crowd, CrowdMinerConfig(thresholds=THRESHOLDS, budget=BUDGET, seed=seeds[1])
+    )
+    config = DispatchConfig(
+        window=WINDOW, latency=LognormalLatency(median=60.0, sigma=1.0), seed=seeds[2]
+    )
+    return _dispatched(Dispatcher(miner, config, shards=SHARDS))
+
+
+def sharded_resume(seed: int) -> dict:
+    # A finite timeout: retries walk a restored lane's available members.
+    dispatcher = _sharded_array(SYNC_WORLD_SEEDS[2], session_seeds(seed, 2), timeout=240.0)
+    dispatcher.advance_to(SHARDED_CAPTURE_AT)
+    in_flight = dispatcher.in_flight_count
+    _miner, restored = restore_session(capture_session(dispatcher.miner, dispatcher))
+    return _dispatched(restored, in_flight_at_capture=in_flight)
+
+
+def served_session(seed: int) -> dict:
+    crowd_seed, miner_seed = session_seeds(seed, 0, 2)
+    scenario = Scenario(
+        model_seed=SERVE_WORLD_SEED,
+        crowd_seed=crowd_seed % 2**31,
+        miner_seed=miner_seed % 2**31,
+        **SERVE_SCENARIO,
+    )
+    session, pool = run_session_inprocess(
+        scenario,
+        storage=open_backend(None, "memory"),
+        checkpoint_every=SERVE_CHECKPOINT_EVERY,
+    )
+    result = drive_inprocess(session, pool)
+    return {"fingerprint": result.fingerprint(), "serve": session.stats()}
+
+
+#: Every registered session: name -> a function computing its fingerprint,
+#: or its fingerprint and books.
+SESSIONS: dict[str, Callable[[], str | dict]] = {
     **{
         f"sync_open/{world}/s{seed}": (lambda w=world, s=seed: sync_open(w, s))
         for seed in SEEDS
@@ -132,11 +294,26 @@ SESSIONS: dict[str, Callable[[], str]] = {
     "array/s1": lambda: array_session(1),
     "dispatch_w8/s1": lambda: dispatched_session(1),
     "resume/s1": lambda: resumed_session(1),
+    **{
+        f"sharded_closed/{world}/s1": (lambda w=world: sharded_closed(w, 1))
+        for world in SHARDED_WORLD_SEEDS
+    },
+    "sharded_patience/s1": lambda: sharded_patience(1),
+    "sharded_simulated/s1": lambda: sharded_simulated(1),
+    "sharded_resume/s1": lambda: sharded_resume(1),
+    "served/s1": lambda: served_session(1),
 }
 
 #: The subset tier-1 checks: one session per execution mode and per
-#: resume kind, plus every ``sync_open`` world at seed 1.
-TIER1 = tuple(name for name in SESSIONS if name.endswith("/s1"))
+#: resume kind, every ``sync_open`` world at seed 1, and a small
+#: sharded session with departures.
+TIER1 = (
+    *(f"sync_open/{world}/s1" for world in SYNC_WORLD_SEEDS),
+    "array/s1",
+    "dispatch_w8/s1",
+    "resume/s1",
+    "sharded_patience/s1",
+)
 
 
 def versions() -> dict[str, str]:
