@@ -86,6 +86,10 @@ def weighted_choice(
     Falls back to a uniform choice when all weights are zero (or the
     weight vector is degenerate), which is the behaviour the sampling
     call-sites want: "no preference" rather than an error.
+
+    The draw is numpy's own inverse-CDF step of
+    ``rng.choice(len(options), p=weights / total)`` — one uniform, the
+    same index — without ``choice``'s re-validation of ``p``.
     """
     if len(options) != len(weights):
         raise ValueError("options and weights must have equal length")
@@ -98,5 +102,7 @@ def weighted_choice(
     if total <= 0:
         index = int(rng.integers(len(options)))
     else:
-        index = int(rng.choice(len(options), p=w / total))
+        cdf = (w / total).cumsum()
+        cdf /= cdf[-1]
+        index = int(cdf.searchsorted(rng.random(), side="right"))
     return options[index]

@@ -3,11 +3,19 @@
 :class:`ArrayCrowd` speaks the same question protocol as
 :class:`~repro.crowd.crowd.SimulatedCrowd` — same scheduling
 semantics, same statistics, same async envelope — but keeps **no
-per-member objects**. Member state is columnar (seeds, availability
-mask) or sparse (per-member generators, patience counters, volunteered
-sets exist only for members actually questioned), so a million-member
-crowd costs megabytes, and a checkpoint of one stays sublinear in
-crowd size.
+per-member objects**. Member state is columnar (seeds) or sparse
+(per-member generators, patience counters, volunteered sets exist only
+for members actually questioned), so a million-member crowd costs
+megabytes, and a checkpoint of one stays sublinear in crowd size.
+
+Scheduling works in crowd positions: availability is a
+:class:`~repro.crowd.rotation.Rotation` over ``range(len(crowd))``
+(nothing per member until the first departure), the departure log
+holds positions, and an id is formatted (``member_id_at``) only for
+the member a pick returns or a walk of :meth:`ArrayCrowd.iter_available`
+reaches; a busy id is parsed back (``position_of``). So neither this
+crowd nor its :meth:`~ArrayCrowd.partitions` build any per-member id
+list, and a restored crowd formats none.
 
 Byte-identity contract: for the same population columns, seed, shared
 answer model and patience, an ``ArrayCrowd`` answers every question
@@ -142,7 +150,6 @@ class ArrayCrowd:
         self._rng = rng
         self.stats = CrowdStats()
         self._tokens = 0
-        self._rotation = Rotation()
         # Sparse per-member state: populated only for questioned members.
         self._answered: dict[int, int] = {}
         self._member_rngs: dict[int, np.random.Generator] = {}
@@ -155,28 +162,23 @@ class ArrayCrowd:
         self._init_runtime()
 
     def _init_runtime(self) -> None:
-        n = len(self._population)
         gone = self._departed | self._quarantined
         if self.patience is not None:
             gone |= {k for k, count in self._answered.items() if count >= self.patience}
-        self._active = np.ones(n, dtype=bool)
-        self._active[list(gone)] = False
-        self._n_active = n - len(gone)
-        #: Ids that stopped being available, in order: the append-only
-        #: departure log partitions follow (as on ``SimulatedCrowd``).
-        #: A restored crowd logs them in index order, which may differ
-        #: from the live order; a partition's available list is in
-        #: crowd order whatever order it discarded them in.
-        self.departures: list[str] = [self._id(k) for k in sorted(gone)]
-        self._avail_idx: np.ndarray | None = None
+        # A restored crowd logs its departures in index order, which
+        # may differ from the live order; a partition's available set
+        # is in crowd order whatever order it discarded them in.
+        self._rotation = Rotation(range(len(self._population)), sorted(gone))
         self._pools: OrderedDict[int, HabitPool] = OrderedDict()
 
     # -- identity -------------------------------------------------------------
 
-    def _id(self, index: int) -> str:
-        return self._population.member_id_at(index)
+    def member_id_at(self, position: int) -> str:
+        """The id of the member at crowd ``position`` (formats one id)."""
+        return self._population.member_id_at(position)
 
-    def _index(self, member_id: str) -> int:
+    def position_of(self, member_id: str) -> int:
+        """The crowd position of ``member_id``; ``KeyError`` when unknown."""
         return self._population.index_of(member_id)
 
     def __len__(self) -> int:
@@ -190,14 +192,16 @@ class ArrayCrowd:
     @property
     def member_ids(self) -> list[str]:
         """All member ids, in index order (materializes the list)."""
-        return self.member_ids_in(slice(None))
+        return [self.member_id_at(k) for k in range(len(self._population))]
 
     # -- availability ---------------------------------------------------------
 
-    def _avail_indices(self) -> np.ndarray:
-        if self._avail_idx is None:
-            self._avail_idx = np.flatnonzero(self._active)
-        return self._avail_idx
+    @property
+    def departures(self) -> list[int]:
+        """Positions that stopped being available, in order: the
+        append-only departure log partitions follow (as on
+        ``SimulatedCrowd``)."""
+        return self._rotation.departures
 
     def available_members(self) -> list[str]:
         """Ids of members still willing to answer (and not quarantined)."""
@@ -206,23 +210,15 @@ class ArrayCrowd:
     def iter_available(self) -> Iterator[str]:
         """The available members in index order, each id formatted only
         when the walk reaches it."""
-        for k in self._avail_indices():
-            yield self._id(int(k))
+        return map(self.member_id_at, self._rotation)
 
     def available_count(self) -> int:
         """How many members can still be routed a question — O(1)."""
-        return self._n_active
+        return len(self._rotation)
 
     def is_member_available(self, member_id: str) -> bool:
         """True when ``member_id`` may still be routed a question."""
-        return bool(self._active[self._index(member_id)])
-
-    def _deactivate(self, index: int) -> None:
-        if self._active[index]:
-            self._active[index] = False
-            self._n_active -= 1
-            self.departures.append(self._id(index))
-            self._avail_idx = None
+        return self.position_of(member_id) in self._rotation
 
     def _answerable(self, index: int) -> bool:
         """Whether the member can still *answer* (quarantine ignored —
@@ -234,12 +230,12 @@ class ArrayCrowd:
     def _consume_patience(self, index: int) -> None:
         if not self._answerable(index):
             raise CrowdExhaustedError(
-                f"member {self._id(index)} has left after "
+                f"member {self.member_id_at(index)} has left after "
                 f"{self._answered.get(index, 0)} questions"
             )
         self._answered[index] = self._answered.get(index, 0) + 1
         if not self._answerable(index):
-            self._deactivate(index)
+            self._rotation.discard(index)
 
     def _member_rng(self, index: int) -> np.random.Generator:
         rng = self._member_rngs.get(index)
@@ -265,43 +261,38 @@ class ArrayCrowd:
 
     def quarantine(self, member_id: str) -> None:
         """Stop routing questions to ``member_id`` (idempotent)."""
-        index = self._index(member_id)
+        index = self.position_of(member_id)
         self._quarantined.add(index)
-        self._deactivate(index)
+        self._rotation.discard(index)
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""
-        return self._index(member_id) in self._quarantined
+        return self.position_of(member_id) in self._quarantined
 
     @property
     def quarantined_members(self) -> set[str]:
         """Ids currently under quarantine (a copy)."""
-        return {self._id(k) for k in self._quarantined}
+        return {self.member_id_at(k) for k in self._quarantined}
 
     def crash(self, member_id: str) -> None:
         """The member abruptly leaves the session for good."""
-        index = self._index(member_id)
+        index = self.position_of(member_id)
         self._departed.add(index)
-        self._deactivate(index)
+        self._rotation.discard(index)
 
     # -- scheduling -----------------------------------------------------------
 
     def next_member(self, exclude: Collection[str] = ()) -> str | None:
         """Round-robin over available members; same contract as
         :meth:`SimulatedCrowd.next_member`."""
-        idx = self._avail_indices()
-        busy: set[int] = set()
-        for mid in exclude:
+        busy = []
+        for member_id in exclude:
             try:
-                k = self._index(mid)
+                busy.append(self.position_of(member_id))
             except KeyError:
                 continue
-            if self._active[k]:
-                # ``idx`` is sorted and id order equals index order,
-                # so searchsorted gives the availability-list position.
-                busy.add(int(np.searchsorted(idx, k)))
-        pos = self._rotation.turn(idx.size, busy)
-        return None if pos is None else self._id(int(idx[pos]))
+        position = self._rotation.next(busy)
+        return None if position is None else self.member_id_at(position)
 
     def partitions(self, shards: int) -> list["CrowdPartition"]:
         """Interleaved scheduling partitions (see ``SimulatedCrowd``)."""
@@ -309,10 +300,6 @@ class ArrayCrowd:
 
         check_positive(shards, "shards")
         return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
-
-    def member_ids_in(self, positions: slice) -> list[str]:
-        """The ids at crowd ``positions`` (formats only that slice)."""
-        return [self._id(k) for k in range(len(self._population))[positions]]
 
     # -- the question protocol ------------------------------------------------
 
@@ -365,7 +352,7 @@ class ArrayCrowd:
 
     def ask_closed(self, member_id: str, rule: Rule) -> ClosedAnswer:
         """Pose a closed question about ``rule`` to ``member_id``."""
-        index = self._index(member_id)
+        index = self.position_of(member_id)
         self._consume_patience(index)
         self._catch_up(index)
         answer = ClosedAnswer(
@@ -381,7 +368,7 @@ class ArrayCrowd:
         context: Itemset | None = None,
     ) -> OpenAnswer:
         """Pose an open question to ``member_id``."""
-        index = self._index(member_id)
+        index = self.position_of(member_id)
         self._consume_patience(index)
         self._catch_up(index)
         question = OpenQuestion(context or Itemset.empty())
@@ -438,7 +425,7 @@ class ArrayCrowd:
         module docstring); patience, statistics, token and latency are
         settled now.
         """
-        index = self._index(member_id)
+        index = self.position_of(member_id)
         self._consume_patience(index)
         unread = _Unread(index, rule)
         if self.answer_model.consumes_rng:
@@ -483,7 +470,7 @@ class ArrayCrowd:
         stream than scalar asking. The sharded dispatcher only batches
         when more than one question is in flight.
         """
-        indices = [self._index(mid) for mid in member_ids]
+        indices = [self.position_of(mid) for mid in member_ids]
         for index in indices:
             self._consume_patience(index)
         true = np.empty((len(indices), 2), dtype=float)
@@ -536,8 +523,6 @@ class ArrayCrowd:
         self._rng = _generator_from_state(state["rng_state"])
         self.stats = state["stats"]
         self._tokens = state["tokens"]
-        self._rotation = Rotation()
-        self._rotation.cursor = state["rr_cursor"]
         self._answered = state["answered"]
         self._member_rngs = state["member_rngs"]
         self._volunteered = state["volunteered"]
@@ -545,6 +530,7 @@ class ArrayCrowd:
         self._departed = set(state["departed"])
         self._quarantined = set(state["quarantined"])
         self._init_runtime()
+        self._rotation.cursor = state["rr_cursor"]
 
     def __repr__(self) -> str:
-        return f"ArrayCrowd({len(self)} members, {self._n_active} available)"
+        return f"ArrayCrowd({len(self)} members, {len(self._rotation)} available)"

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Callable, Collection, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,7 +37,7 @@ from repro.crowd.questions import (
     OpenAnswer,
     OpenQuestion,
 )
-from repro.crowd.rotation import MemberRotation
+from repro.crowd.rotation import Rotation
 from repro.errors import CrowdExhaustedError
 from repro.synth.population import Population
 
@@ -59,6 +60,11 @@ class CrowdStats:
     def total_questions(self) -> int:
         """All questions posed, of both types."""
         return self.closed_questions + self.open_questions
+
+
+def _depart(positions: dict[str, int], rotation: Rotation, member_id: str) -> None:
+    """A member's departure hook: drop their position from the rotation."""
+    rotation.discard(positions[member_id])
 
 
 class SimulatedCrowd:
@@ -96,22 +102,26 @@ class SimulatedCrowd:
             )
         self._members: dict[str, SimulatedMember] = {m.member_id: m for m in members}
         self._order: list[str] = list(ids)
+        #: Each member's crowd position: their index in ``_order``.
+        self._positions: dict[str, int] = {mid: k for k, mid in enumerate(ids)}
         self._rng = as_rng(seed)
         self.stats = CrowdStats()
         #: Members the quality-control layer has barred from routing.
         self._quarantined: set[str] = set()
         #: Monotonic delivery-token counter for in-flight answers.
         self._tokens = 0
-        self._rotation = MemberRotation(ids)
-        # The hook holds the rotation, not the crowd: a crowd → member →
-        # crowd cycle would leave every finished session's crowd, with
-        # its databases and habit pools, to the cyclic collector.
+        self._rotation = Rotation(range(len(ids)))
+        # The hook holds the positions and the rotation, not the crowd:
+        # a crowd → member → crowd cycle would leave every finished
+        # session's crowd, with its databases and habit pools, to the
+        # cyclic collector.
+        hook = partial(_depart, self._positions, self._rotation)
         for m in members:
-            m.on_unavailable = self._rotation.discard
+            m.on_unavailable = hook
             if not m.is_available:
                 # Logged like any later departure, so partitions over
                 # the crowd learn of it from the departure log too.
-                self._rotation.discard(m.member_id)
+                hook(m.member_id)
 
     # -- construction ---------------------------------------------------------
 
@@ -163,13 +173,21 @@ class SimulatedCrowd:
         """All member ids, in arrival order."""
         return list(self._order)
 
+    def member_id_at(self, position: int) -> str:
+        """The id of the member at crowd ``position`` (arrival order)."""
+        return self._order[position]
+
+    def position_of(self, member_id: str) -> int:
+        """The crowd position of ``member_id``; ``KeyError`` when unknown."""
+        return self._positions[member_id]
+
     def available_members(self) -> list[str]:
         """Ids of members still willing to answer (and not quarantined)."""
-        return self._rotation.members()
+        return list(self.iter_available())
 
     def iter_available(self) -> Iterator[str]:
         """The available members, in order, lazily (no list is built)."""
-        return iter(self._rotation)
+        return map(self._order.__getitem__, self._rotation)
 
     def available_count(self) -> int:
         """How many members are still willing to answer — O(1)."""
@@ -177,11 +195,12 @@ class SimulatedCrowd:
 
     def is_member_available(self, member_id: str) -> bool:
         """True when ``member_id`` may still be routed a question."""
-        return member_id in self._rotation
+        position = self._positions.get(member_id)
+        return position is not None and position in self._rotation
 
     @property
-    def departures(self) -> list[str]:
-        """Ids that stopped being available, in order (append-only log).
+    def departures(self) -> list[int]:
+        """Positions that stopped being available, in order (append-only log).
 
         Departures, quarantines and exhausted patience all land here;
         partitions follow the log with a cursor (the live list, not a
@@ -201,7 +220,7 @@ class SimulatedCrowd:
         if member_id not in self._members:
             raise KeyError(f"unknown member {member_id!r}")
         self._quarantined.add(member_id)
-        self._rotation.discard(member_id)
+        self._rotation.discard(self._positions[member_id])
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""
@@ -243,7 +262,9 @@ class SimulatedCrowd:
         everyone-left exhaustion above; with an empty ``exclude`` the
         return value is never ``None``.
         """
-        return self._rotation.next(exclude)
+        positions = self._positions
+        position = self._rotation.next(positions[m] for m in exclude if m in positions)
+        return None if position is None else self._order[position]
 
     def partitions(self, shards: int) -> list["CrowdPartition"]:
         """Split the crowd into ``shards`` interleaved scheduling views.
@@ -257,10 +278,6 @@ class SimulatedCrowd:
 
         check_positive(shards, "shards")
         return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
-
-    def member_ids_in(self, positions: slice) -> list[str]:
-        """The ids at crowd ``positions``, in arrival order."""
-        return self._order[positions]
 
     # -- the question protocol ----------------------------------------------------
 

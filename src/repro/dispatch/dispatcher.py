@@ -199,8 +199,10 @@ class _Lane:
     rng: np.random.Generator
     #: Stream of batched closed answering; ``None`` = never batch.
     batch_rng: np.random.Generator | None = None
-    #: Questions this lane has in flight (its share of the window).
-    busy: int = 0
+    #: Members holding this lane's in-flight questions (its share of
+    #: the window). A lane picks only from its own members, so these
+    #: are all it has to skip.
+    busy: set[str] = field(default_factory=set)
 
 
 @dataclass(slots=True)
@@ -329,12 +331,12 @@ class Dispatcher:
 
     def _fill_lane(self, lane: _Lane) -> None:
         window = self.config.window
-        while lane.busy < window and self.budget_left > 0 and not self._stalled:
+        while len(lane.busy) < window and self.budget_left > 0 and not self._stalled:
             batch: list[QuestionProposal] = []
-            exclude = set(self._in_flight)
+            exclude = set(lane.busy)
             progressed = False
             while (
-                lane.busy + len(batch) < window
+                len(lane.busy) + len(batch) < window
                 and self.budget_left > len(batch)
                 and not self._stalled
             ):
@@ -428,7 +430,7 @@ class Dispatcher:
                 timeout, partial(self._timeout, member_id)
             )
         self._in_flight[member_id] = entry
-        lane.busy += 1
+        lane.busy.add(member_id)
         self._issued += 1
         self.obs.count("dispatch.issued")
         if attempt > 0:
@@ -439,7 +441,7 @@ class Dispatcher:
     def _take(self, member_id: str) -> _InFlight:
         """Remove a question from the in-flight book (landed or lost)."""
         entry = self._in_flight.pop(member_id)
-        entry.lane.busy -= 1
+        entry.lane.busy.discard(member_id)
         self.obs.gauge("dispatch.in_flight", len(self._in_flight))
         return entry
 

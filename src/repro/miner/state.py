@@ -237,6 +237,9 @@ class MiningState:
         self._priority_heap: list[tuple] = []
         self._heap_pushes = 0
         self._version = 0
+        #: Rules whose decision is INSIGNIFICANT: until one is, no new
+        #: rule can inherit a condemnation, and seeding skips the scan.
+        self._insignificant = 0
         #: Counters the evaluation harness reads.
         self.inferred_classifications = 0
 
@@ -454,6 +457,8 @@ class MiningState:
 
     def _inherit_insignificance(self, knowledge: RuleKnowledge) -> None:
         """Condemn a new rule if a known generalization is support-dead."""
+        if not self._insignificant:
+            return
         for other in self.known_generalizations(knowledge.rule):
             if (
                 other.is_resolved
@@ -522,7 +527,11 @@ class MiningState:
         if decision is previous:
             return
         self._version += 1
-        if decision is not Decision.INSIGNIFICANT:
+        if previous is Decision.INSIGNIFICANT:
+            self._insignificant -= 1
+        if decision is Decision.INSIGNIFICANT:
+            self._insignificant += 1
+        else:
             knowledge.propagated = False
         if decision is Decision.SIGNIFICANT:
             self._newly_significant.append(knowledge.rule)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections.abc import Collection, Sequence
 
-from repro.crowd.rotation import MemberRotation
+from repro.crowd.rotation import Rotation
 from repro.errors import CrowdExhaustedError
 
 
@@ -41,8 +41,10 @@ class WorkerRoster:
         if len(set(ids)) != len(ids):
             raise ValueError("member ids must be unique")
         self._order: list[str] = ids
+        #: Each member's position: their index in ``_order``.
+        self._positions: dict[str, int] = {mid: k for k, mid in enumerate(ids)}
         self._quarantined: set[str] = set()
-        self._rotation = MemberRotation(ids)
+        self._rotation = Rotation(range(len(ids)))
 
     # -- membership ------------------------------------------------------------
 
@@ -56,7 +58,7 @@ class WorkerRoster:
 
     def available_members(self) -> list[str]:
         """Ids still routable (not departed, not quarantined), in order."""
-        return self._rotation.members()
+        return [self._order[p] for p in self._rotation]
 
     def available_count(self) -> int:
         """How many members are still routable."""
@@ -64,15 +66,16 @@ class WorkerRoster:
 
     def is_member_available(self, member_id: str) -> bool:
         """True when ``member_id`` may still be routed a question."""
-        return member_id in self._rotation
+        position = self._positions.get(member_id)
+        return position is not None and position in self._rotation
 
     # -- availability facts ----------------------------------------------------
 
     def depart(self, member_id: str) -> None:
         """Record that ``member_id`` left the session for good. Idempotent."""
-        if member_id not in self._order:
+        if member_id not in self._positions:
             raise KeyError(f"unknown member {member_id!r}")
-        self._rotation.discard(member_id)
+        self._rotation.discard(self._positions[member_id])
 
     def crash(self, member_id: str) -> None:
         """Fault-surface alias of :meth:`depart` (the injector's verb)."""
@@ -80,10 +83,10 @@ class WorkerRoster:
 
     def quarantine(self, member_id: str) -> None:
         """Stop routing questions to ``member_id``. Idempotent."""
-        if member_id not in self._order:
+        if member_id not in self._positions:
             raise KeyError(f"unknown member {member_id!r}")
         self._quarantined.add(member_id)
-        self._rotation.discard(member_id)
+        self._rotation.discard(self._positions[member_id])
 
     def is_quarantined(self, member_id: str) -> bool:
         """True when the member is barred from routing."""
@@ -106,7 +109,9 @@ class WorkerRoster:
         (nobody free *right now*), and only a successful pick advances
         the rotation cursor.
         """
-        return self._rotation.next(exclude)
+        positions = self._positions
+        position = self._rotation.next(positions[m] for m in exclude if m in positions)
+        return None if position is None else self._order[position]
 
     # -- the question protocol (absent on purpose) ------------------------------
 

@@ -79,8 +79,10 @@ if TYPE_CHECKING:
 #: pickles as its recipe. Format 8: the question log is columnar, sample
 #: stores keep float pairs, the streaming estimator keeps floats, rules
 #: pickle as their item tuples, and the dispatcher keeps no completion
-#: timeline.
-CHECKPOINT_FORMAT = 8
+#: timeline. Format 9: rotations and departure logs hold crowd positions
+#: instead of member ids, a dispatcher lane keeps the set of its busy
+#: members, and the knowledge base counts its INSIGNIFICANT decisions.
+CHECKPOINT_FORMAT = 9
 
 
 def capture_session(

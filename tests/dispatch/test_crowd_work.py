@@ -2,6 +2,10 @@
 
 Counted, never timed:
 
+- set-up: lanes take their turns over crowd positions, so building a
+  4-shard dispatcher over a 100,000-member columnar crowd, or restoring
+  one from its checkpoint, formats no member id;
+
 - departures: a lane learns who left from the crowd's departure log,
   so with patience 1 (every answer is a departure) the availability
   work of a whole 4-shard session is O(departures × shards), never a
@@ -18,11 +22,12 @@ import pytest
 
 from repro.core import Rule
 from repro.crowd import ArrayCrowd, ExactAnswerModel, SimulatedCrowd
-from repro.crowd.rotation import MemberRotation
+from repro.crowd.rotation import Rotation
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.estimation.samples import RuleSamples
 from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
+from repro.storage import capture_session, restore_session
 from repro.synth import ArrayPopulation, folk_remedies_model
 
 SHARDS = 4
@@ -71,6 +76,56 @@ CROWDS = {
 }
 
 
+@pytest.fixture
+def formatted(monkeypatch):
+    """How many member ids the columnar population has formatted."""
+    count = [0]
+    member_id_at = ArrayPopulation.member_id_at
+
+    def counting(self, index):
+        count[0] += 1
+        return member_id_at(self, index)
+
+    monkeypatch.setattr(ArrayPopulation, "member_id_at", counting)
+    return count
+
+
+class TestSetupWork:
+    @pytest.fixture(scope="class")
+    def large_population(self):
+        return ArrayPopulation(
+            folk_remedies_model(seed=1), n_members=100_000, transactions_per_member=40, seed=3
+        )
+
+    def sharded(self, population):
+        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), patience=1, seed=5)
+        miner = closed_miner(crowd, population.domain.items, budget=120)
+        return Dispatcher(
+            miner,
+            DispatchConfig(window=8, latency=LognormalLatency(60.0, 1.0), seed=9),
+            shards=SHARDS,
+        )
+
+    def test_building_a_sharded_dispatcher_formats_no_id(
+        self, large_population, formatted
+    ):
+        self.sharded(large_population)
+        assert formatted[0] == 0
+
+    def test_restoring_a_sharded_session_formats_no_id(self, large_population, formatted):
+        dispatcher = self.sharded(large_population)
+        dispatcher.advance_to(90.0)
+        # Questions in flight, and departures (patience 1) to replay.
+        assert dispatcher.in_flight_count and dispatcher.miner.crowd.departures
+        payload = capture_session(dispatcher.miner, dispatcher)
+        formatted[0] = 0
+        _miner, restored = restore_session(payload)
+        assert formatted[0] == 0
+        # Running on formats only the ids the session hands out.
+        result = restored.run()
+        assert formatted[0] <= 2 * result.dispatch.issued
+
+
 class TestDepartureWork:
     @pytest.mark.parametrize("kind", sorted(CROWDS))
     def test_availability_work_is_linear_in_departures(
@@ -88,7 +143,7 @@ class TestDepartureWork:
 
         # Every way a scheduler can learn of a departure: asking the
         # crowd about a member, or dropping one from a rotation.
-        monkeypatch.setattr(MemberRotation, "discard", counted(MemberRotation.discard))
+        monkeypatch.setattr(Rotation, "discard", counted(Rotation.discard))
         monkeypatch.setattr(
             type(crowd), "is_member_available", counted(type(crowd).is_member_available)
         )

@@ -517,3 +517,89 @@ class TestPriorityView:
                     assert got is None
                 else:
                     assert got is expected
+
+
+def random_rules(count, n_items=40, seed=0):
+    """``count`` distinct rules with 2-4 item bodies over ``n_items`` items."""
+    rng = np.random.default_rng(seed)
+    items = [f"i{k}" for k in range(n_items)]
+    rules = set()
+    while len(rules) < count:
+        size = int(rng.integers(2, 5))
+        chosen = [items[k] for k in rng.choice(n_items, size=size, replace=False)]
+        cut = int(rng.integers(1, size))
+        rules.add(Rule(chosen[:cut], chosen[cut:]))
+    return sorted(rules, key=str)
+
+
+class TestSeedingScans:
+    """A new rule can only inherit a condemnation from an INSIGNIFICANT
+    generalization, so while the KB holds none, adding a rule skips the
+    lattice scan (counted, never timed)."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = [0]
+        scan = RuleIndex.generalization_candidates
+
+        def counted(self, rule):
+            calls[0] += 1
+            return scan(self, rule)
+
+        monkeypatch.setattr(RuleIndex, "generalization_candidates", counted)
+        return calls
+
+    def test_seeding_a_miner_scans_nothing(self, scans, folk_population, thresholds):
+        from repro.crowd import SimulatedCrowd
+        from repro.miner import CrowdMiner, CrowdMinerConfig
+
+        crowd = SimulatedCrowd.from_population(folk_population, seed=1)
+        rules = tuple(random_rules(2_000))
+        miner = CrowdMiner(
+            crowd, CrowdMinerConfig(thresholds=thresholds, seed_rules=rules, seed=2)
+        )
+        assert len(miner.state) == 2_000
+        assert scans[0] == 0
+
+    def test_rule_added_after_the_first_support_death_inherits_it(self, scans):
+        state = make_state()
+        for rule in random_rules(200):
+            state.add_rule(rule, RuleOrigin.SEED)
+        assert scans[0] == 0
+        general = Rule(["a"], ["b"])
+        feed(state, general, [(0.0, 0.0)] * 4)
+        assert state.knowledge(general).decision is Decision.INSIGNIFICANT
+        k = state.add_rule(Rule(["a", "c"], ["b"]), RuleOrigin.LATTICE)
+        assert scans[0] == 1
+        assert k.decision is Decision.INSIGNIFICANT and k.inferred
+
+    def test_a_reopened_generalization_condemns_nothing_new(self, scans):
+        state = make_state()
+        general = Rule(["a"], ["b"])
+        feed(state, general, [(0.0, 0.0)] * 4)
+        # Strong direct evidence reopens the general rule: no
+        # INSIGNIFICANT decision is left to inherit.
+        for i in range(12):
+            state.record_answer(general, f"v{i}", RuleStats(0.6, 0.9), RuleOrigin.SEED)
+        assert state.knowledge(general).decision is not Decision.INSIGNIFICANT
+        scans[0] = 0
+        k = state.add_rule(Rule(["a", "c"], ["b"]), RuleOrigin.LATTICE)
+        assert scans[0] == 0
+        assert k.decision is Decision.UNDECIDED
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_follows_every_decision(self, seed):
+        rng = np.random.default_rng(seed)
+        state = make_state()
+        rules = random_rules(30, n_items=8, seed=seed)
+        for step in range(300):
+            rule = rules[int(rng.integers(len(rules)))]
+            support = float(rng.choice([0.0, 0.05, 0.3, 0.6]))
+            confidence = min(1.0, support + float(rng.random()) * 0.5)
+            state.record_answer(
+                rule, f"u{step % 7}", RuleStats(support, confidence), RuleOrigin.SEED
+            )
+            insignificant = sum(
+                k.decision is Decision.INSIGNIFICANT for k in state.rules()
+            )
+            assert state._insignificant == insignificant

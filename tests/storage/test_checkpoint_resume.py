@@ -244,14 +244,15 @@ class TestRestoreEdges:
         # object instead of a snapshot document), format 5 (before
         # rotations kept a departure log instead of a generation),
         # format 6 (before a columnar crowd kept unread answers as
-        # recipes) and format 7 (before the question log was columnar
-        # and sample stores kept float pairs).
+        # recipes), format 7 (before the question log was columnar
+        # and sample stores kept float pairs) and format 8 (before
+        # rotations and departure logs held crowd positions).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4, 5, 6, 7):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(

@@ -89,8 +89,8 @@ class TestCheckpointSizeAtScale:
         )
 
     def test_sharded_restore_formats_each_member_id_once(self, monkeypatch):
-        # Each lane rebuilds its id list from its own slice of the crowd:
-        # a restore formats every id once, not once per lane.
+        # Lanes keep crowd positions, not id lists, and the departure
+        # log holds positions: a restore formats no member id at all.
         payload = sharded_array_payload(n_members=2_000)
         formatted = [0]
         member_id_at = ArrayPopulation.member_id_at
@@ -101,7 +101,7 @@ class TestCheckpointSizeAtScale:
 
         monkeypatch.setattr(ArrayPopulation, "member_id_at", counting)
         restore_session(payload)
-        assert formatted[0] <= 2_000
+        assert formatted[0] == 0
 
     def test_restored_large_session_still_answers(self):
         miner = array_session(n_members=100_000, questions=40)

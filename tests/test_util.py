@@ -90,3 +90,34 @@ class TestWeightedChoice:
     def test_negative_weights_rejected(self, rng):
         with pytest.raises(ValueError, match="non-negative"):
             weighted_choice(rng, ["a"], [-1.0])
+
+    def test_zero_weight_is_never_drawn(self):
+        class Lowest:
+            """A generator whose uniform draw is 0.0, the lowest it can be."""
+
+            def random(self):
+                return 0.0
+
+        assert weighted_choice(Lowest(), ["never", "a"], [0.0, 1.0]) == "a"
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_draws_like_numpy_choice(self, seed):
+        # The inverse-CDF step must pick the index Generator.choice(p=...)
+        # picks and leave the generator in the same state: zero weights
+        # anywhere, a single option, up to 299 options.
+        source = np.random.default_rng(seed)
+        cases = [[1.0], [0.0, 2.0], [3.0, 0.0], [0.0, 0.0, 5.0, 0.0], [1e-300, 1.0]]
+        for _ in range(250):
+            n = int(source.integers(1, 300))
+            weights = source.random(n) * 10.0
+            weights[source.random(n) < 0.3] = 0.0
+            if not weights.any():
+                weights[-1] = 1.0
+            cases.append(weights)
+        ours = np.random.default_rng(seed)
+        numpy_ = np.random.default_rng(seed)
+        for weights in cases:
+            weights = np.asarray(weights, dtype=float)
+            index = weighted_choice(ours, range(len(weights)), weights)
+            assert index == int(numpy_.choice(len(weights), p=weights / weights.sum()))
+            assert ours.bit_generator.state == numpy_.bit_generator.state
