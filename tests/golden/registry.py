@@ -39,12 +39,28 @@ counters) beside its fingerprint:
   through a ``ServeSession`` over its ``WorkerRoster``, checkpointed
   every 25 questions to a memory store.
 
+The sessions over an adversary mix with quarantine on (a 20-member
+differential ``Scenario``, crowd built by ``build_adversarial_crowd``),
+each recorded with the sorted ids of the members it quarantined, and
+each asserting that it quarantined at least one:
+
+- ``quarantine/<mix>/s1``: synchronous sessions over the
+  ``colluder:0.3``, ``garbled:0.2`` and ``spammer:0.2,garbled:0.1``
+  mixes;
+- ``quarantine_sharded/colluder/s1``: the colluder mix dispatched over
+  two shards, with its ``DispatchStats``;
+- ``quarantine_resume/colluder/s1``: the colluder session captured
+  right after its first quarantine, restored from the checkpoint bytes
+  and run to the end;
+- ``quarantine_served/colluder/s1``: the colluder mix served in-process
+  over its ``WorkerRoster``, with the serve books.
+
 The registry file records the Python, numpy and scipy versions it was
 made with. numpy does not promise ``Generator`` streams across
 versions, so a mismatch report prints both version sets: a stream
 change can then be told apart from a code change.
 
-Check the running code against every session (about 5 s) with::
+Check the running code against every session (about 7 s) with::
 
     PYTHONPATH=src python -m tests.golden.registry
 
@@ -108,6 +124,15 @@ SHARDED_CAPTURE_AT = 240.0
 SERVE_WORLD_SEED = 301
 SERVE_SCENARIO = dict(n_members=8, transactions_per_member=40, budget=400)
 SERVE_CHECKPOINT_EVERY = 25
+
+#: The adversary mixes, by session name, and their scenario shape.
+QUARANTINE_MIXES = {
+    "colluder": (("colluder", 0.3),),
+    "garbled": (("garbled", 0.2),),
+    "spammer_garbled": (("spammer", 0.2), ("garbled", 0.1)),
+}
+QUARANTINE_SCENARIO = dict(n_members=20, budget=300, quarantine=True)
+QUARANTINE_SHARDS = 2
 
 
 def session_seeds(seed: int, index: int, n: int = 3) -> list[int]:
@@ -283,6 +308,72 @@ def served_session(seed: int) -> dict:
     return {"fingerprint": result.fingerprint(), "serve": session.stats()}
 
 
+def _quarantine_scenario(mix: str, seed: int) -> Scenario:
+    crowd_seed, miner_seed = session_seeds(seed, list(QUARANTINE_MIXES).index(mix), 2)
+    return Scenario(
+        crowd_seed=crowd_seed % 2**31,
+        miner_seed=miner_seed % 2**31,
+        adversary_mix=QUARANTINE_MIXES[mix],
+        **QUARANTINE_SCENARIO,
+    )
+
+
+def _quarantined(crowd) -> list[str]:
+    """The sorted ids ``crowd`` quarantined; a session must quarantine someone."""
+    quarantined = sorted(crowd.quarantined_members)
+    assert quarantined, "the adversary session quarantined nobody"
+    return quarantined
+
+
+def quarantine_session(mix: str, seed: int) -> dict:
+    scenario = _quarantine_scenario(mix, seed)
+    crowd = scenario.build_crowd()
+    result = CrowdMiner(crowd, scenario.miner_config()).run()
+    return {"fingerprint": result.fingerprint(), "quarantined": _quarantined(crowd)}
+
+
+def quarantine_sharded(seed: int) -> dict:
+    scenario = _quarantine_scenario("colluder", seed)
+    crowd = scenario.build_crowd()
+    miner = CrowdMiner(crowd, scenario.miner_config())
+    config = DispatchConfig(
+        window=WINDOW,
+        latency=LognormalLatency(median=60.0, sigma=1.0),
+        seed=scenario.miner_seed + 1,
+    )
+    books = _dispatched(Dispatcher(miner, config, shards=QUARANTINE_SHARDS))
+    return {**books, "quarantined": _quarantined(crowd)}
+
+
+def quarantine_resume(seed: int) -> dict:
+    scenario = _quarantine_scenario("colluder", seed)
+    miner = CrowdMiner(scenario.build_crowd(), scenario.miner_config())
+    while not miner.crowd.quarantined_members:
+        miner.step()
+    captured_at = miner.questions_asked
+    restored, _ = restore_session(capture_session(miner))
+    result = restored.run()
+    return {
+        "fingerprint": result.fingerprint(),
+        "quarantined": _quarantined(restored.crowd),
+        "captured_at": captured_at,
+    }
+
+
+def quarantine_served(seed: int) -> dict:
+    session, pool = run_session_inprocess(
+        _quarantine_scenario("colluder", seed),
+        storage=open_backend(None, "memory"),
+        checkpoint_every=SERVE_CHECKPOINT_EVERY,
+    )
+    result = drive_inprocess(session, pool)
+    return {
+        "fingerprint": result.fingerprint(),
+        "serve": session.stats(),
+        "quarantined": _quarantined(session.miner.crowd),
+    }
+
+
 #: Every registered session: name -> a function computing its fingerprint,
 #: or its fingerprint and books.
 SESSIONS: dict[str, Callable[[], str | dict]] = {
@@ -302,17 +393,26 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
     "sharded_simulated/s1": lambda: sharded_simulated(1),
     "sharded_resume/s1": lambda: sharded_resume(1),
     "served/s1": lambda: served_session(1),
+    **{
+        f"quarantine/{mix}/s1": (lambda m=mix: quarantine_session(m, 1))
+        for mix in QUARANTINE_MIXES
+    },
+    "quarantine_sharded/colluder/s1": lambda: quarantine_sharded(1),
+    "quarantine_resume/colluder/s1": lambda: quarantine_resume(1),
+    "quarantine_served/colluder/s1": lambda: quarantine_served(1),
 }
 
 #: The subset tier-1 checks: one session per execution mode and per
-#: resume kind, every ``sync_open`` world at seed 1, and a small
-#: sharded session with departures.
+#: resume kind, every ``sync_open`` world at seed 1, a small sharded
+#: session with departures, and a session resumed with members under
+#: quarantine.
 TIER1 = (
     *(f"sync_open/{world}/s1" for world in SYNC_WORLD_SEEDS),
     "array/s1",
     "dispatch_w8/s1",
     "resume/s1",
     "sharded_patience/s1",
+    "quarantine_resume/colluder/s1",
 )
 
 
