@@ -8,14 +8,16 @@ per-member objects**. Member state is columnar (seeds) or sparse
 for members actually questioned), so a million-member crowd costs
 megabytes, and a checkpoint of one stays sublinear in crowd size.
 
-Scheduling works in crowd positions: availability is a
-:class:`~repro.crowd.rotation.Rotation` over ``range(len(crowd))``
-(nothing per member until the first departure), the departure log
-holds positions, and an id is formatted (``member_id_at``) only for
-the member a pick returns or a walk of :meth:`ArrayCrowd.iter_available`
-reaches; a busy id is parsed back (``position_of``). So neither this
-crowd nor its :meth:`~ArrayCrowd.partitions` build any per-member id
-list, and a restored crowd formats none.
+Scheduling is the :class:`~repro.crowd.rotation.Roster` every crowd
+shares, with ids mapped through the population instead of an id list:
+availability is a :class:`~repro.crowd.rotation.Rotation` over
+``range(len(crowd))`` (nothing per member until the first departure),
+the departure log and the quarantine hold positions, and an id is
+formatted (``member_id_at``) only for the member a pick returns or a
+walk of ``iter_available`` reaches; a busy id is parsed back
+(``position_of``). So neither this crowd nor its partitions build any
+per-member id list, and a restored crowd formats none: it rebuilds its
+rotation from its departed, quarantined and patience-spent members.
 
 Byte-identity contract: for the same population columns, seed, shared
 answer model and patience, an ``ArrayCrowd`` answers every question
@@ -50,14 +52,13 @@ the object path for fault experiments.
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from collections.abc import Collection, Iterator
 from functools import partial
 from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._util import as_rng, check_positive
+from repro._util import as_rng
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
@@ -72,12 +73,11 @@ from repro.crowd.questions import (
     OpenAnswer,
     OpenQuestion,
 )
-from repro.crowd.rotation import Rotation
+from repro.crowd.rotation import Roster, Rotation
 from repro.errors import CrowdExhaustedError
 from repro.synth.array_population import ArrayPopulation
 
 if TYPE_CHECKING:
-    from repro.crowd.partition import CrowdPartition
     from repro.dispatch.latency import LatencyModel
 
 #: Bound on cached habit pools (least recently asked members go first).
@@ -109,7 +109,7 @@ def _generator_from_state(state: dict) -> np.random.Generator:
     return np.random.Generator(bit_generator)
 
 
-class ArrayCrowd:
+class ArrayCrowd(Roster):
     """The vectorized crowd: columnar member state, object-free answering.
 
     Parameters
@@ -158,6 +158,8 @@ class ArrayCrowd:
         #: in issue order (drawing answer models only).
         self._unread: dict[int, deque[_Unread]] = {}
         self._departed: set[int] = set()
+        # The roster's state: ids come from the population, so the
+        # roster constructor (an id list) is not called.
         self._quarantined: set[int] = set()
         self._init_runtime()
 
@@ -189,36 +191,7 @@ class ArrayCrowd:
         """The columnar population behind this crowd."""
         return self._population
 
-    @property
-    def member_ids(self) -> list[str]:
-        """All member ids, in index order (materializes the list)."""
-        return [self.member_id_at(k) for k in range(len(self._population))]
-
-    # -- availability ---------------------------------------------------------
-
-    @property
-    def departures(self) -> list[int]:
-        """Positions that stopped being available, in order: the
-        append-only departure log partitions follow (as on
-        ``SimulatedCrowd``)."""
-        return self._rotation.departures
-
-    def available_members(self) -> list[str]:
-        """Ids of members still willing to answer (and not quarantined)."""
-        return list(self.iter_available())
-
-    def iter_available(self) -> Iterator[str]:
-        """The available members in index order, each id formatted only
-        when the walk reaches it."""
-        return map(self.member_id_at, self._rotation)
-
-    def available_count(self) -> int:
-        """How many members can still be routed a question — O(1)."""
-        return len(self._rotation)
-
-    def is_member_available(self, member_id: str) -> bool:
-        """True when ``member_id`` may still be routed a question."""
-        return self.position_of(member_id) in self._rotation
+    # -- per-member state --------------------------------------------------------
 
     def _answerable(self, index: int) -> bool:
         """Whether the member can still *answer* (quarantine ignored —
@@ -257,49 +230,13 @@ class ArrayCrowd:
             return _INERT_RNG
         return self._member_rng(index)
 
-    # -- quality control and faults -------------------------------------------
-
-    def quarantine(self, member_id: str) -> None:
-        """Stop routing questions to ``member_id`` (idempotent)."""
-        index = self.position_of(member_id)
-        self._quarantined.add(index)
-        self._rotation.discard(index)
-
-    def is_quarantined(self, member_id: str) -> bool:
-        """True when the member is barred from routing."""
-        return self.position_of(member_id) in self._quarantined
-
-    @property
-    def quarantined_members(self) -> set[str]:
-        """Ids currently under quarantine (a copy)."""
-        return {self.member_id_at(k) for k in self._quarantined}
+    # -- faults -----------------------------------------------------------------
 
     def crash(self, member_id: str) -> None:
         """The member abruptly leaves the session for good."""
         index = self.position_of(member_id)
         self._departed.add(index)
         self._rotation.discard(index)
-
-    # -- scheduling -----------------------------------------------------------
-
-    def next_member(self, exclude: Collection[str] = ()) -> str | None:
-        """Round-robin over available members; same contract as
-        :meth:`SimulatedCrowd.next_member`."""
-        busy = []
-        for member_id in exclude:
-            try:
-                busy.append(self.position_of(member_id))
-            except KeyError:
-                continue
-        position = self._rotation.next(busy)
-        return None if position is None else self.member_id_at(position)
-
-    def partitions(self, shards: int) -> list["CrowdPartition"]:
-        """Interleaved scheduling partitions (see ``SimulatedCrowd``)."""
-        from repro.crowd.partition import CrowdPartition
-
-        check_positive(shards, "shards")
-        return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
 
     # -- the question protocol ------------------------------------------------
 

@@ -12,19 +12,27 @@ Everything else (databases, latent profiles) is deliberately
 unreachable from here. The crowd also keeps the session's interaction
 statistics — total questions, per-member counts, unique rules asked —
 which are exactly the cost measures the paper's evaluation reports.
+
+Who is asked next, who is still available and who is quarantined is
+not decided here: ``SimulatedCrowd`` is a
+:class:`~repro.crowd.rotation.Roster`, the scheduling half shared with
+the columnar crowd and the serving roster. What this module adds is
+the members themselves — each reports their own departure through a
+hook, and ``crash`` goes through ``member.leave()`` — and the answering
+half.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Callable, Collection, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro._util import as_rng, check_positive
+from repro._util import as_rng
 from repro.core.itemset import Itemset
 from repro.core.rule import Rule
 from repro.crowd.answer_models import AnswerModel, ExactAnswerModel
@@ -37,12 +45,10 @@ from repro.crowd.questions import (
     OpenAnswer,
     OpenQuestion,
 )
-from repro.crowd.rotation import Rotation
-from repro.errors import CrowdExhaustedError
+from repro.crowd.rotation import Roster, Rotation
 from repro.synth.population import Population
 
 if TYPE_CHECKING:  # avoids a circular import: repro.dispatch builds on the miner
-    from repro.crowd.partition import CrowdPartition
     from repro.dispatch.latency import LatencyModel
 
 
@@ -67,7 +73,7 @@ def _depart(positions: dict[str, int], rotation: Rotation, member_id: str) -> No
     rotation.discard(positions[member_id])
 
 
-class SimulatedCrowd:
+class SimulatedCrowd(Roster):
     """A pool of simulated members behind the question protocol.
 
     Parameters
@@ -87,11 +93,7 @@ class SimulatedCrowd:
         members: Sequence[SimulatedMember],
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if not members:
-            raise CrowdExhaustedError("a crowd needs at least one member")
-        ids = [m.member_id for m in members]
-        if len(set(ids)) != len(ids):
-            raise ValueError("member ids must be unique")
+        super().__init__([m.member_id for m in members])
         # Members announce their own departure through the
         # ``on_unavailable`` hook, so scheduling never rescans the crowd.
         unhooked = [m.member_id for m in members if not hasattr(m, "on_unavailable")]
@@ -101,16 +103,10 @@ class SimulatedCrowd:
                 "their departure"
             )
         self._members: dict[str, SimulatedMember] = {m.member_id: m for m in members}
-        self._order: list[str] = list(ids)
-        #: Each member's crowd position: their index in ``_order``.
-        self._positions: dict[str, int] = {mid: k for k, mid in enumerate(ids)}
         self._rng = as_rng(seed)
         self.stats = CrowdStats()
-        #: Members the quality-control layer has barred from routing.
-        self._quarantined: set[str] = set()
         #: Monotonic delivery-token counter for in-flight answers.
         self._tokens = 0
-        self._rotation = Rotation(range(len(ids)))
         # The hook holds the positions and the rotation, not the crowd:
         # a crowd → member → crowd cycle would leave every finished
         # session's crowd, with its databases and habit pools, to the
@@ -163,73 +159,7 @@ class SimulatedCrowd:
             )
         return cls(members, seed=rng)
 
-    # -- membership ------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def member_ids(self) -> list[str]:
-        """All member ids, in arrival order."""
-        return list(self._order)
-
-    def member_id_at(self, position: int) -> str:
-        """The id of the member at crowd ``position`` (arrival order)."""
-        return self._order[position]
-
-    def position_of(self, member_id: str) -> int:
-        """The crowd position of ``member_id``; ``KeyError`` when unknown."""
-        return self._positions[member_id]
-
-    def available_members(self) -> list[str]:
-        """Ids of members still willing to answer (and not quarantined)."""
-        return list(self.iter_available())
-
-    def iter_available(self) -> Iterator[str]:
-        """The available members, in order, lazily (no list is built)."""
-        return map(self._order.__getitem__, self._rotation)
-
-    def available_count(self) -> int:
-        """How many members are still willing to answer — O(1)."""
-        return len(self._rotation)
-
-    def is_member_available(self, member_id: str) -> bool:
-        """True when ``member_id`` may still be routed a question."""
-        position = self._positions.get(member_id)
-        return position is not None and position in self._rotation
-
-    @property
-    def departures(self) -> list[int]:
-        """Positions that stopped being available, in order (append-only log).
-
-        Departures, quarantines and exhausted patience all land here;
-        partitions follow the log with a cursor (the live list, not a
-        copy — do not mutate it).
-        """
-        return self._rotation.departures
-
-    # -- quality control and faults -------------------------------------------
-
-    def quarantine(self, member_id: str) -> None:
-        """Stop routing questions to ``member_id``.
-
-        The member is still *in* the crowd (their id resolves, pending
-        in-flight answers can still land and be rejected upstream) but
-        the scheduler will never pick them again. Idempotent.
-        """
-        if member_id not in self._members:
-            raise KeyError(f"unknown member {member_id!r}")
-        self._quarantined.add(member_id)
-        self._rotation.discard(self._positions[member_id])
-
-    def is_quarantined(self, member_id: str) -> bool:
-        """True when the member is barred from routing."""
-        return member_id in self._quarantined
-
-    @property
-    def quarantined_members(self) -> set[str]:
-        """Ids currently under quarantine (a copy)."""
-        return set(self._quarantined)
+    # -- faults ----------------------------------------------------------------
 
     def crash(self, member_id: str) -> None:
         """The member abruptly leaves the session for good.
@@ -245,39 +175,6 @@ class SimulatedCrowd:
                 f"member {member_id!r} ({type(member).__name__}) cannot leave"
             )
         leave()
-
-    def next_member(self, exclude: Collection[str] = ()) -> str | None:
-        """Round-robin scheduling over available members.
-
-        Mirrors the multi-user setting: members take turns being
-        "active in the system" and the miner serves whoever is next
-        (:mod:`repro.crowd.rotation`). Raises
-        :class:`~repro.errors.CrowdExhaustedError` when everyone has
-        left.
-
-        ``exclude`` skips members without ending their turn rotation —
-        the dispatcher passes the set of members already holding an
-        in-flight question. When every available member is excluded the
-        answer is ``None`` ("nobody free right now"), distinct from the
-        everyone-left exhaustion above; with an empty ``exclude`` the
-        return value is never ``None``.
-        """
-        positions = self._positions
-        position = self._rotation.next(positions[m] for m in exclude if m in positions)
-        return None if position is None else self._order[position]
-
-    def partitions(self, shards: int) -> list["CrowdPartition"]:
-        """Split the crowd into ``shards`` interleaved scheduling views.
-
-        Partition ``i`` owns crowd positions ``i::shards``; together
-        the partitions cover every member exactly once. Used by the
-        sharded dispatcher — each shard schedules only over its own
-        partition while answers merge into one ingest stream.
-        """
-        from repro.crowd.partition import CrowdPartition
-
-        check_positive(shards, "shards")
-        return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]
 
     # -- the question protocol ----------------------------------------------------
 

@@ -100,7 +100,7 @@ class CrowdPartition:
     def next_member(self, exclude: Collection[str] = ()) -> str | None:
         """Round-robin over the partition's available members.
 
-        Same contract as ``SimulatedCrowd.next_member``: raises
+        Same contract as ``Roster.next_member``: raises
         :class:`~repro.errors.CrowdExhaustedError` when the whole
         partition has left, returns ``None`` when everyone available is
         excluded (busy), and advances the cursor only on a pick.

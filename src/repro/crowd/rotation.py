@@ -33,17 +33,30 @@ a view over part of the crowd needs to follow it: a
 crowd's log and discards only the entries it has not applied yet,
 which costs O(departures) over a whole session instead of a rescan of
 its members after every departure.
+
+:class:`Roster` is the scheduling half every crowd shares, written
+once: the rotation, the quarantined members (as positions), the
+availability and quarantine surface the miner reads, ``next_member``
+and :meth:`Roster.partitions`. By default it lays ids out as an order
+list and one id→position dict; the columnar crowd maps them through its
+population instead. Its subclasses keep only what differs: how a member
+leaves, and how (or whether) a question is answered.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Collection, Iterable, Iterator
+from collections.abc import Collection, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro._util import check_positive
 from repro.errors import CrowdExhaustedError
+
+if TYPE_CHECKING:  # the partition module builds on this one
+    from repro.crowd.partition import CrowdPartition
 
 
 def _compact(positions: range, gone: list[int]) -> array:
@@ -130,3 +143,145 @@ class Rotation:
         indices = {index for index in map(self._index, busy) if index is not None}
         index = self.turn(len(self._available), indices)
         return None if index is None else self._available[index]
+
+
+class Roster:
+    """Round-robin scheduling, availability and quarantine over member ids.
+
+    ``member_ids`` lays the members out in crowd order: position ``k``
+    is ``member_ids[k]``. A subclass that maps ids through something
+    else (the columnar crowd's population) overrides ``__len__``,
+    :meth:`member_id_at` and :meth:`position_of`, and sets ``_rotation``
+    and ``_quarantined`` itself instead of calling this constructor.
+    """
+
+    def __init__(self, member_ids: Sequence[str]) -> None:
+        ids = list(member_ids)
+        if not ids:
+            raise CrowdExhaustedError("a crowd needs at least one member")
+        if len(set(ids)) != len(ids):
+            raise ValueError("member ids must be unique")
+        self._order: list[str] = ids
+        #: Each member's crowd position: their index in ``_order``.
+        self._positions: dict[str, int] = {mid: k for k, mid in enumerate(ids)}
+        self._rotation = Rotation(range(len(ids)))
+        #: Positions the quality-control layer has barred from routing.
+        self._quarantined: set[int] = set()
+
+    # -- identity --------------------------------------------------------------
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def member_id_at(self, position: int) -> str:
+        """The id of the member at crowd ``position``."""
+        return self._order[position]
+
+    def position_of(self, member_id: str) -> int:
+        """The crowd position of ``member_id``; ``KeyError`` when unknown."""
+        return self._positions[member_id]
+
+    @property
+    def member_ids(self) -> list[str]:
+        """All member ids, in crowd order."""
+        return list(map(self.member_id_at, range(len(self))))
+
+    # -- availability ----------------------------------------------------------
+
+    def available_members(self) -> list[str]:
+        """Ids still routable (not departed, not quarantined), in order."""
+        return list(self.iter_available())
+
+    def iter_available(self) -> Iterator[str]:
+        """The available members, in order, each id formatted as it is reached."""
+        return map(self.member_id_at, self._rotation)
+
+    def available_count(self) -> int:
+        """How many members can still be routed a question — O(1)."""
+        return len(self._rotation)
+
+    def is_member_available(self, member_id: str) -> bool:
+        """True when ``member_id`` may still be routed a question.
+
+        False for an id the crowd does not know.
+        """
+        try:
+            return self.position_of(member_id) in self._rotation
+        except KeyError:
+            return False
+
+    @property
+    def departures(self) -> list[int]:
+        """Positions that stopped being available, in order (append-only log).
+
+        Departures, quarantines and exhausted patience all land here;
+        partitions follow the log with a cursor (the live list, not a
+        copy — do not mutate it).
+        """
+        return self._rotation.departures
+
+    # -- quality control -------------------------------------------------------
+
+    def quarantine(self, member_id: str) -> None:
+        """Stop routing questions to ``member_id``. Idempotent.
+
+        The member is still *in* the crowd (their id resolves, pending
+        in-flight answers can still land and be rejected upstream) but
+        the scheduler will never pick them again. ``KeyError`` for an
+        unknown id.
+        """
+        position = self.position_of(member_id)
+        self._quarantined.add(position)
+        self._rotation.discard(position)
+
+    def is_quarantined(self, member_id: str) -> bool:
+        """True when the member is barred from routing (False when unknown)."""
+        try:
+            return self.position_of(member_id) in self._quarantined
+        except KeyError:
+            return False
+
+    @property
+    def quarantined_members(self) -> set[str]:
+        """Ids currently under quarantine (a copy)."""
+        return set(map(self.member_id_at, self._quarantined))
+
+    # -- scheduling ------------------------------------------------------------
+
+    def next_member(self, exclude: Collection[str] = ()) -> str | None:
+        """Round-robin scheduling over the available members.
+
+        Mirrors the multi-user setting: members take turns being
+        "active in the system" and the miner serves whoever is next.
+        Raises :class:`~repro.errors.CrowdExhaustedError` when everyone
+        has left.
+
+        ``exclude`` skips members without ending their turn rotation —
+        the dispatcher passes the members already holding an in-flight
+        question; ids the crowd does not know are ignored. When every
+        available member is excluded the answer is ``None`` ("nobody
+        free right now"), distinct from the everyone-left exhaustion
+        above; with an empty ``exclude`` the return value is never
+        ``None``. Only a successful pick advances the cursor.
+        """
+        busy = []
+        for member_id in exclude:
+            try:
+                busy.append(self.position_of(member_id))
+            except KeyError:
+                continue
+        position = self._rotation.next(busy)
+        return None if position is None else self.member_id_at(position)
+
+    def partitions(self, shards: int) -> list["CrowdPartition"]:
+        """Split the crowd into ``shards`` interleaved scheduling views.
+
+        Partition ``i`` owns crowd positions ``i::shards``; together
+        the partitions cover every member exactly once. Used by the
+        sharded dispatcher — each shard schedules only over its own
+        partition while answers merge into one ingest stream.
+        """
+        from repro.crowd.partition import CrowdPartition
+
+        check_positive(shards, "shards")
+        return [CrowdPartition(self, slice(i, None, shards)) for i in range(shards)]

@@ -19,6 +19,11 @@ events:
 Events can be cancelled (a timeout whose answer arrived, an arrival
 whose question was abandoned); cancelled events are skipped on pop
 without advancing time past live ones.
+
+The queue is written once, in :class:`SchedulerClock`: the serving
+layer's wall clock (:class:`repro.serve.clock.RealTimeClock`) runs the
+same queue and differs only in where ``now`` comes from and who fires
+the due events.
 """
 
 from __future__ import annotations
@@ -27,7 +32,6 @@ import heapq
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
 
 
 @dataclass(slots=True)
@@ -51,16 +55,15 @@ class ScheduledEvent:
         self.action = None
 
 
-@runtime_checkable
-class SchedulerClock(Protocol):
-    """The scheduling contract shared by every clock implementation.
+class SchedulerClock:
+    """The event queue every clock shares; subclasses supply ``now``.
 
-    :class:`EventClock` satisfies it over simulated time (callers
-    advance time explicitly with ``pop``/``run_until``);
-    :class:`repro.serve.clock.RealTimeClock` satisfies it over asyncio
+    :class:`EventClock` runs it over simulated time (callers advance
+    time explicitly with ``pop``/``run_until``);
+    :class:`repro.serve.clock.RealTimeClock` runs it over asyncio
     monotonic wall time (an event-loop task fires due events). The
     contract, pinned by ``tests/serve/test_clock_contract.py`` against
-    both implementations:
+    both clocks:
 
     - ``now`` is monotonically non-decreasing, starting at 0.0;
     - ``schedule(delay, action)`` arms ``action`` at ``now + delay``;
@@ -75,61 +78,38 @@ class SchedulerClock(Protocol):
       queue emptied works exactly like scheduling into a fresh clock.
     """
 
-    @property
-    def now(self) -> float: ...
-
-    def __len__(self) -> int: ...
-
-    def schedule(
-        self, delay: float, action: Callable[[], None]
-    ) -> ScheduledEvent: ...
-
-    def schedule_at(
-        self, time: float, action: Callable[[], None]
-    ) -> ScheduledEvent: ...
-
-    def peek_time(self) -> float | None: ...
-
-
-class EventClock:
-    """Simulated time plus the queue of things scheduled to happen.
-
-    >>> clock = EventClock()
-    >>> fired = []
-    >>> _ = clock.schedule(2.0, lambda: fired.append("b"))
-    >>> _ = clock.schedule(1.0, lambda: fired.append("a"))
-    >>> clock.pop(), clock.pop(), clock.pop()
-    (True, True, False)
-    >>> fired, clock.now
-    (['a', 'b'], 2.0)
-    """
-
     def __init__(self) -> None:
-        self._now = 0.0
         self._queue: list[tuple[float, int, ScheduledEvent]] = []
         self._seq = 0
 
     @property
     def now(self) -> float:
-        """Current simulated time."""
-        return self._now
+        """Current clock time; each subclass supplies its source."""
+        raise NotImplementedError
 
     def __len__(self) -> int:
         """Number of live (non-cancelled) events still scheduled."""
         return sum(1 for _, _, event in self._queue if not event.cancelled)
 
     def schedule(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``action`` to fire ``delay`` simulated seconds from now."""
+        """Schedule ``action`` to fire ``delay`` seconds from now."""
         if delay < 0 or math.isnan(delay):
             raise ValueError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule_at(self._now + delay, action)
+        # ``now`` is read once: a wall clock moves between two reads, and
+        # a zero delay must not land before the second one.
+        return self._arm(self.now + delay, action)
 
     def schedule_at(self, time: float, action: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``action`` at an absolute simulated time (≥ now)."""
-        if math.isnan(time) or time < self._now:
+        """Schedule ``action`` at an absolute clock time (≥ now)."""
+        now = self.now
+        if math.isnan(time) or time < now:
             raise ValueError(
-                f"cannot schedule at {time!r}: the clock is already at {self._now}"
+                f"cannot schedule at {time!r}: the clock is already at {now}"
             )
+        return self._arm(time, action)
+
+    def _arm(self, time: float, action: Callable[[], None]) -> ScheduledEvent:
+        """Queue ``action`` at ``time``, known to be no earlier than now."""
         if math.isinf(time):
             raise ValueError(
                 "cannot schedule at infinity; skip scheduling a lost event instead"
@@ -146,6 +126,29 @@ class EventClock:
         if not self._queue:
             return None
         return self._queue[0][0]
+
+
+class EventClock(SchedulerClock):
+    """Simulated time plus the queue of things scheduled to happen.
+
+    >>> clock = EventClock()
+    >>> fired = []
+    >>> _ = clock.schedule(2.0, lambda: fired.append("b"))
+    >>> _ = clock.schedule(1.0, lambda: fired.append("a"))
+    >>> clock.pop(), clock.pop(), clock.pop()
+    (True, True, False)
+    >>> fired, clock.now
+    (['a', 'b'], 2.0)
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._now = 0.0
+
+    @property
+    def now(self) -> float:
+        """Current simulated time."""
+        return self._now
 
     def pop(self) -> bool:
         """Advance to and fire the next live event.

@@ -6,10 +6,11 @@ support is antitone along the rule lattice, so a member who reports a
 is inconsistent with any possible personal database. Honest-but-noisy
 members violate this only slightly; spammers violate it wildly.
 
-:class:`ConsistencyChecker` accumulates every member's answers, scores
-the monotonicity violations between comparable rule pairs, and exposes
-trust weights (1 for perfectly consistent members, decaying with
-violation magnitude) suitable for
+:class:`ConsistencyChecker` accumulates every member's reported
+supports (one float per answered rule, the only part of an answer the
+check reads), scores the monotonicity violations between comparable
+rule pairs, and exposes trust weights (1 for perfectly consistent
+members, decaying with violation magnitude) suitable for
 :class:`~repro.estimation.aggregate.WeightedAggregator`.
 
 Comparability is judged on rule *bodies*: a rule's support depends only
@@ -29,9 +30,13 @@ from repro.core.rule import Rule
 
 @dataclass(slots=True)
 class MemberRecord:
-    """One member's answer history and violation tally."""
+    """One member's answer history and violation tally.
 
-    answers: dict[Rule, RuleStats] = field(default_factory=dict)
+    ``answers`` maps each rule the member answered to the support they
+    reported: support is all the monotonicity check compares.
+    """
+
+    answers: dict[Rule, float] = field(default_factory=dict)
     violation_total: float = 0.0
     comparable_pairs: int = 0
 
@@ -83,19 +88,18 @@ class ConsistencyChecker:
         self.version += 1
         record = self._members.setdefault(member_id, MemberRecord())
         body = rule.body
-        for other_rule, other_stats in record.answers.items():
+        support = stats.support
+        for other_rule, other_support in record.answers.items():
             other_body = other_rule.body
             if body < other_body:
-                general_support, specific_support = stats.support, other_stats.support
+                general_support, specific_support = support, other_support
             elif other_body < body:
-                general_support, specific_support = other_stats.support, stats.support
+                general_support, specific_support = other_support, support
             elif body == other_body and other_rule != rule:
                 # Equal bodies must report equal supports (any split of
                 # the same body has the same support); score the gap.
-                general_support = max(stats.support, other_stats.support)
-                specific_support = general_support
                 record.comparable_pairs += 1
-                record.violation_total += abs(stats.support - other_stats.support)
+                record.violation_total += abs(support - other_support)
                 continue
             else:
                 continue
@@ -103,7 +107,7 @@ class ConsistencyChecker:
             violation = max(0.0, specific_support - general_support)
             record.violation_total += violation
         # Revised answers replace the old observation.
-        record.answers[rule] = stats
+        record.answers[rule] = support
 
     def violation_score(self, member_id: str) -> float:
         """Mean violation magnitude for the member (0 when unknown)."""

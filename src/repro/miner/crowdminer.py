@@ -61,19 +61,6 @@ from repro.obs import Instrumentation
 ABILITY_BUCKETS: tuple[float, ...] = (0.5, 0.8, 1.0, 1.3, 1.8, 2.5, 4.0)
 
 
-def _available_count(crowd) -> int:
-    """Available-member count without materializing the id list.
-
-    Indexed crowds (``SimulatedCrowd``, ``ArrayCrowd``, partitions)
-    answer in O(1); duck-typed wrappers without the method fall back to
-    the list scan.
-    """
-    counter = getattr(crowd, "available_count", None)
-    if counter is not None:
-        return counter()
-    return len(crowd.available_members())
-
-
 @dataclass(frozen=True, slots=True)
 class QuestionProposal:
     """One question the miner wants asked, separated from its answer.
@@ -365,7 +352,7 @@ class CrowdMiner:
         would keep burning budget on dry open questions long after the
         remaining crowd proved empty-handed.
         """
-        available = _available_count(self.crowd)
+        available = self.crowd.available_count()
         return self._consecutive_dry_opens >= max(1, available)
 
     @property
@@ -373,7 +360,7 @@ class CrowdMiner:
         """True when no further step can make progress."""
         if self.budget_left <= 0:
             return True
-        available_n = _available_count(self.crowd)
+        available_n = self.crowd.available_count()
         if available_n == 0:
             return True
         # A rule with fewer contributors than there are available

@@ -3,8 +3,8 @@
 The simulated :class:`~repro.dispatch.EventClock` world of
 :mod:`repro.dispatch` made the miner's asynchrony *testable*; this
 package makes it *deployable* without giving that up. A
-:class:`RealTimeClock` satisfies the same
-:class:`~repro.dispatch.SchedulerClock` contract over asyncio
+:class:`RealTimeClock` runs the same
+:class:`~repro.dispatch.SchedulerClock` queue over asyncio
 monotonic time, a :class:`ServeSession` replays the dispatcher's
 single-writer issue/ingest books over an HTTP request stream, and the
 :mod:`~repro.serve.differential` harness pins the whole stack to the

@@ -1,14 +1,14 @@
 """A wall-clock implementation of the scheduling contract.
 
-:class:`RealTimeClock` satisfies the same
-:class:`~repro.dispatch.clock.SchedulerClock` protocol as the
-simulated :class:`~repro.dispatch.clock.EventClock`, over asyncio
-monotonic time: ``now`` reads ``time.monotonic()`` (re-based to 0.0 at
+:class:`RealTimeClock` runs the same
+:class:`~repro.dispatch.clock.SchedulerClock` queue as the simulated
+:class:`~repro.dispatch.clock.EventClock`, over asyncio monotonic
+time: ``now`` reads ``time.monotonic()`` (re-based to 0.0 at
 construction, like a fresh simulated clock), and due events are fired
 by an event-loop task instead of an explicit ``pop()`` driver.
 
-The determinism-relevant half of the contract is identical — events
-fire in ``(time, seq)`` order with schedule order as the only
+The determinism-relevant half of the contract is one piece of code —
+events fire in ``(time, seq)`` order with schedule order as the only
 tie-break, cancellation disarms, validation rejects the same inputs —
 which is exactly what lets the differential harness
 (:mod:`repro.serve.differential`) swap this clock in under a live
@@ -32,26 +32,25 @@ from __future__ import annotations
 
 import asyncio
 import heapq
-import math
 import time
 from collections.abc import Callable
 
-from repro.dispatch.clock import ScheduledEvent
+from repro.dispatch.clock import ScheduledEvent, SchedulerClock
 
 
-class RealTimeClock:
-    """Monotonic wall time behind the ``SchedulerClock`` protocol.
+class RealTimeClock(SchedulerClock):
+    """Monotonic wall time behind the shared ``SchedulerClock`` queue.
 
-    The queue layout — ``(time, seq, event)`` heap, monotone schedule
-    counter, cancelled events skipped on the way out — mirrors
-    :class:`~repro.dispatch.clock.EventClock` exactly; only the time
-    source differs.
+    The queue — ``(time, seq, event)`` heap, monotone schedule counter,
+    cancelled events skipped on the way out — is
+    :class:`~repro.dispatch.clock.SchedulerClock`'s, exactly as under
+    :class:`~repro.dispatch.clock.EventClock`; only the time source and
+    the firing differ.
     """
 
     def __init__(self) -> None:
+        super().__init__()
         self._origin = time.monotonic()
-        self._queue: list[tuple[float, int, ScheduledEvent]] = []
-        self._seq = 0
         self._wakeup: asyncio.Event | None = None
         self._runner: asyncio.Task | None = None
 
@@ -60,40 +59,12 @@ class RealTimeClock:
         """Seconds of wall time since this clock was created."""
         return time.monotonic() - self._origin
 
-    def __len__(self) -> int:
-        """Number of live (non-cancelled) events still scheduled."""
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
-
-    def schedule(self, delay: float, action: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``action`` to fire ``delay`` wall seconds from now."""
-        if delay < 0 or math.isnan(delay):
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
-        return self.schedule_at(self.now + delay, action)
-
-    def schedule_at(self, time: float, action: Callable[[], None]) -> ScheduledEvent:
-        """Schedule ``action`` at an absolute clock time (≥ now)."""
-        if math.isnan(time) or time < self.now:
-            raise ValueError(
-                f"cannot schedule at {time!r}: the clock is already at {self.now}"
-            )
-        if math.isinf(time):
-            raise ValueError(
-                "cannot schedule at infinity; skip scheduling a lost event instead"
-            )
-        event = ScheduledEvent(time=time, seq=self._seq, action=action)
-        self._seq += 1
-        heapq.heappush(self._queue, (event.time, event.seq, event))
+    def _arm(self, time: float, action: Callable[[], None]) -> ScheduledEvent:
+        # Wake the background runner: a nearer deadline interrupts its sleep.
+        event = super()._arm(time, action)
         if self._wakeup is not None:
             self._wakeup.set()
         return event
-
-    def peek_time(self) -> float | None:
-        """The time of the next live event, or ``None`` when idle."""
-        while self._queue and self._queue[0][2].cancelled:
-            heapq.heappop(self._queue)
-        if not self._queue:
-            return None
-        return self._queue[0][0]
 
     # -- firing ----------------------------------------------------------------
 

@@ -82,7 +82,10 @@ if TYPE_CHECKING:
 #: timeline. Format 9: rotations and departure logs hold crowd positions
 #: instead of member ids, a dispatcher lane keeps the set of its busy
 #: members, and the knowledge base counts its INSIGNIFICANT decisions.
-CHECKPOINT_FORMAT = 9
+#: Format 10: the object crowd and the serving roster hold their
+#: quarantined members as crowd positions instead of member ids, and
+#: the consistency checker keeps reported supports, not ``RuleStats``.
+CHECKPOINT_FORMAT = 10
 
 
 def capture_session(

@@ -18,6 +18,10 @@ the same member at every step and agree on who is still available.
 A partition follows its crowd's departure log, so when it was built,
 and whether it went through a pickle round trip, never changes how it
 schedules.
+
+The crowds and the roster share that surface by inheriting it from
+:class:`~repro.crowd.rotation.Roster`: none of them redefines it, and
+on each an unknown id is neither available nor quarantined.
 """
 
 import pickle
@@ -35,6 +39,7 @@ from repro.crowd import (
     StreamMember,
     standard_answer_model,
 )
+from repro.crowd.rotation import Roster
 from repro.errors import CrowdExhaustedError
 from repro.faults import GarbledMember
 from repro.serve import WorkerRoster
@@ -286,6 +291,60 @@ class TestOneRotation:
 
         with pytest.raises(TypeError):
             SimulatedCrowd([Hookless()])
+
+
+#: The schedulers that own their members (partitions are views).
+CROWDS = {
+    "simulated": lambda: SimulatedCrowd(_simulated_members(), seed=0),
+    "array": _array_crowd,
+    "roster": lambda: WorkerRoster(_IDS),
+}
+
+#: The surface every crowd inherits from the one roster.
+SHARED = {
+    "available_members",
+    "iter_available",
+    "available_count",
+    "is_member_available",
+    "quarantine",
+    "is_quarantined",
+    "quarantined_members",
+    "next_member",
+    "partitions",
+}
+
+
+class TestOneRoster:
+    @pytest.mark.parametrize("kind", sorted(CROWDS))
+    def test_inherits_the_shared_surface(self, kind):
+        cls = type(CROWDS[kind]())
+        assert issubclass(cls, Roster)
+        assert not SHARED & set(vars(cls)), cls
+
+    @pytest.mark.parametrize("kind", sorted(CROWDS))
+    def test_unknown_ids_are_neither_available_nor_quarantined(self, kind):
+        crowd = CROWDS[kind]()
+        crowd.quarantine(_IDS[1])
+        for ghost in ("ghost", "", "u0", "u99999"):
+            assert not crowd.is_member_available(ghost)
+            assert not crowd.is_quarantined(ghost)
+            with pytest.raises(KeyError):
+                crowd.quarantine(ghost)
+        assert crowd.quarantined_members == {_IDS[1]}
+        assert crowd.available_count() == N_MEMBERS - 1
+
+    @pytest.mark.parametrize("kind", sorted(CROWDS))
+    def test_quarantine_survives_a_pickle_round_trip(self, kind):
+        crowd = CROWDS[kind]()
+        crowd.next_member()
+        crowd.quarantine(_IDS[2])
+        crowd.quarantine(_IDS[0])
+        twin = pickle.loads(pickle.dumps(crowd))
+        assert twin.quarantined_members == {_IDS[0], _IDS[2]}
+        assert twin.is_quarantined(_IDS[2]) and not twin.is_quarantined(_IDS[1])
+        assert twin.available_members() == crowd.available_members()
+        for _ in range(N_MEMBERS):
+            assert twin.next_member() == crowd.next_member()
 
 
 #: Member indices that leave before the first partition is built (the

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.dispatch import EventClock
+from repro.serve import RealTimeClock
 
 
 class TestOrdering:
@@ -111,6 +112,15 @@ class TestRunUntil:
 
 
 class TestValidation:
+    @pytest.mark.parametrize("make", [EventClock, RealTimeClock])
+    def test_zero_delay_is_armed(self, make):
+        # The wall clock moves between two reads of ``now``; a zero
+        # delay is still not "in the past".
+        clock = make()
+        for _ in range(100):
+            clock.schedule(0.0, lambda: None)
+        assert len(clock) == 100
+
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             EventClock().schedule(-1.0, lambda: None)

@@ -10,12 +10,14 @@ the pickler hands to a reducer, i.e. everything but plain containers,
 strings and numbers — with no timing involved.
 """
 
+import dataclasses
 import io
 import pickle
 from collections import Counter
 
 import pytest
 
+from repro.miner import CrowdMiner
 from repro.serve.differential import Scenario, run_session_inprocess
 from repro.storage.checkpoint import CHECKPOINT_FORMAT
 
@@ -37,13 +39,11 @@ class _CountingPickler(pickle.Pickler):
         return NotImplemented
 
 
-def _reduced(session) -> Counter:
-    """What a capture of ``session`` reduces, by type name."""
+def _reduced(miner, dispatch) -> Counter:
+    """What a capture of ``miner`` in its ``dispatch`` seat reduces, by type name."""
     pickler = _CountingPickler()
     # The document capture_session pickles (before its checksum seal).
-    pickler.dump(
-        {"format": CHECKPOINT_FORMAT, "miner": session.miner, "dispatch": session}
-    )
+    pickler.dump({"format": CHECKPOINT_FORMAT, "miner": miner, "dispatch": dispatch})
     return pickler.reduced
 
 
@@ -60,9 +60,9 @@ def captures():
     """What captures at questions 200 and 400 reduce, with the rules known."""
     session, pool = run_session_inprocess(SCENARIO)
     _drive_to(session, pool, 200)
-    early = (_reduced(session), len(session.miner.state))
+    early = (_reduced(session.miner, session), len(session.miner.state))
     _drive_to(session, pool, 400)
-    late = (_reduced(session), len(session.miner.state))
+    late = (_reduced(session.miner, session), len(session.miner.state))
     return early, late
 
 
@@ -82,3 +82,17 @@ def test_capture_grows_with_rules_known_not_answers_given(captures):
     # 200 more answers, and only the rules they brought in add objects.
     assert grown <= PER_RULE * (rules_late - rules_early)
     assert sum(late.values()) <= PER_RULE * rules_late + 100
+
+
+@pytest.mark.parametrize("screen", [False, True])
+def test_spammer_screening_keeps_no_answer_objects(screen):
+    # The consistency checker behind screening keeps one reported
+    # support per answered rule, not the answer's RuleStats.
+    scenario = Scenario(
+        domain="culinary", n_members=25, budget=400, adversary_mix=(("spammer", 0.2),)
+    )
+    config = dataclasses.replace(scenario.miner_config(), screen_spammers=screen)
+    miner = CrowdMiner(scenario.build_crowd(), config)
+    miner.run()
+    assert miner.questions_asked == 400
+    assert _reduced(miner, None)["RuleStats"] == 0

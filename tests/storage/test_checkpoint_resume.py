@@ -245,14 +245,16 @@ class TestRestoreEdges:
         # rotations kept a departure log instead of a generation),
         # format 6 (before a columnar crowd kept unread answers as
         # recipes), format 7 (before the question log was columnar
-        # and sample stores kept float pairs) and format 8 (before
-        # rotations and departure logs held crowd positions).
+        # and sample stores kept float pairs), format 8 (before
+        # rotations and departure logs held crowd positions) and
+        # format 9 (before the object crowd and the roster held their
+        # quarantined members as positions).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(
