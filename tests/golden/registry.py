@@ -35,6 +35,10 @@ counters) beside its fingerprint:
 - ``sharded_resume/s1``: a patience-1 four-shard session captured at
   an event boundary with questions in flight, restored from the
   checkpoint bytes and run to the end;
+- ``sharded_seeded_object/s1``: a seeded, closed-only session over
+  four shards of eight in flight, on an object crowd built from a
+  30-member columnar population's ``materialize()``, so members are
+  asked more than once;
 - ``served/s1``: one ``served_durable`` scenario driven in-process
   through a ``ServeSession`` over its ``WorkerRoster``, checkpointed
   every 25 questions to a memory store.
@@ -90,6 +94,7 @@ from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
 from repro.serve.differential import Scenario, drive_inprocess, run_session_inprocess
 from repro.storage import open_backend
 from repro.storage.checkpoint import capture_session, restore_session
+from repro.synth import ArrayPopulation, folk_remedies_model
 
 REGISTRY = Path(__file__).with_name("registry.json")
 
@@ -119,6 +124,11 @@ WINDOW = 8
 #: simulated time at which the resumed one is captured.
 SHARDED_MEMBERS = 2_000
 SHARDED_CAPTURE_AT = 240.0
+#: The seeded sharded session: a population small enough that
+#: members are asked again, its seed rules and its budget.
+SEEDED_POPULATION = dict(n_members=30, transactions_per_member=60, seed=2)
+SEEDED_RULES = 120
+SEEDED_BUDGET = 240
 
 #: The first ``served_durable`` session slot.
 SERVE_WORLD_SEED = 301
@@ -291,6 +301,41 @@ def sharded_resume(seed: int) -> dict:
     return _dispatched(restored, in_flight_at_capture=in_flight)
 
 
+def sharded_seeded(seed: int, crowd_backend: str) -> dict:
+    """Seeded closed questions over four shards; the crowd is the object
+    crowd over the population's ``materialize()``, or the columnar one."""
+    seeds = session_seeds(seed, 0)
+    population = ArrayPopulation(folk_remedies_model(seed=1), **SEEDED_POPULATION)
+    rules = _seed_rules(
+        population.domain.items, SEEDED_RULES, np.random.default_rng(seeds[0])
+    )
+    if crowd_backend == "object":
+        crowd = SimulatedCrowd.from_population(
+            population.materialize(), answer_model=standard_answer_model(), seed=seeds[1]
+        )
+    else:
+        crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
+    miner = CrowdMiner(
+        crowd,
+        CrowdMinerConfig(
+            thresholds=THRESHOLDS,
+            budget=SEEDED_BUDGET,
+            seed_rules=rules,
+            open_policy=FixedRatioPolicy(0.0, fallback_to_open=False),
+            expand_generalizations=False,
+            expand_splits=False,
+            seed=seeds[2],
+        ),
+    )
+    config = DispatchConfig(
+        window=WINDOW,
+        timeout=240.0,
+        latency=LognormalLatency(median=60.0, sigma=1.0),
+        seed=seeds[2] + 1,
+    )
+    return _dispatched(Dispatcher(miner, config, shards=SHARDS))
+
+
 def served_session(seed: int) -> dict:
     crowd_seed, miner_seed = session_seeds(seed, 0, 2)
     scenario = Scenario(
@@ -392,6 +437,7 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
     "sharded_patience/s1": lambda: sharded_patience(1),
     "sharded_simulated/s1": lambda: sharded_simulated(1),
     "sharded_resume/s1": lambda: sharded_resume(1),
+    "sharded_seeded_object/s1": lambda: sharded_seeded(1, "object"),
     "served/s1": lambda: served_session(1),
     **{
         f"quarantine/{mix}/s1": (lambda m=mix: quarantine_session(m, 1))
