@@ -111,10 +111,11 @@ def test_e4_large_crowd_throughput(benchmark, scale):
 
     Measured with the same sync step-loop methodology as
     ``bench_e7_runtime.test_e7_kb_scale_closed_throughput`` (whose
-    floors this sweep multiplies by ten), with the exact answer model:
-    the at-scale dispatch path batches answer draws per window, so the
-    sync loop with per-answer noise draws would charge the array
-    backend a generator-construction cost the scale path doesn't pay.
+    floors this sweep multiplies by ten), with the exact answer model,
+    which draws nothing: the array crowd then builds no per-member
+    generator, so the sweep times the columnar substrate rather than
+    one generator construction per newly asked member, which at these
+    crowd sizes is nearly every question, synchronous or dispatched.
     Per-member state is generated on demand, so throughput should be
     flat in crowd size and memory sublinear in it.
     """

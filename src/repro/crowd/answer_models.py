@@ -52,17 +52,6 @@ def coherent_stats(support: float, confidence: float) -> RuleStats:
 _coherent = coherent_stats
 
 
-def coherent_stats_batch(reported: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`coherent_stats` over a ``(B, 2)`` array.
-
-    Column 0 is support, column 1 confidence. Returns a new array with
-    both clamped to [0, 1] and confidence lifted to at least support.
-    """
-    out = np.clip(reported, 0.0, 1.0)
-    out[:, 1] = np.maximum(out[:, 0], out[:, 1])
-    return out
-
-
 class AnswerModel:
     """Base class: the identity (perfectly accurate) answerer."""
 
@@ -89,32 +78,6 @@ class AnswerModel:
         """
         return self.report(stats, rng)
 
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Report a whole batch of answers in one call.
-
-        ``stats`` is a ``(B, 2)`` array of true (support, confidence)
-        rows, one per entry of ``rules``; the result has the same
-        shape. The base implementation loops over :meth:`report_rule`
-        — correct for any model, including rule-aware adversaries —
-        while honest models override it with one vectorized draw.
-
-        Batch draws consume the generator differently from B scalar
-        calls, so a batched session is deterministic under its own seed
-        but not byte-identical to the scalar path; the dispatcher only
-        batches when more than one question is in flight (where scalar
-        equivalence is not promised anyway).
-        """
-        out = np.empty_like(stats, dtype=float)
-        for i, rule in enumerate(rules):
-            reported = self.report_rule(
-                rule, RuleStats(float(stats[i, 0]), float(stats[i, 1])), rng
-            )
-            out[i, 0] = reported.support
-            out[i, 1] = reported.confidence
-        return out
-
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -123,11 +86,6 @@ class ExactAnswerModel(AnswerModel):
     """Perfect recall: reports the exact truth. Alias of the base class."""
 
     consumes_rng = False
-
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return np.array(stats, dtype=float, copy=True)
 
 
 class NoisyAnswerModel(AnswerModel):
@@ -148,14 +106,6 @@ class NoisyAnswerModel(AnswerModel):
         support = stats.support + rng.normal(0.0, self.sigma)
         confidence = stats.confidence + rng.normal(0.0, self.sigma)
         return _coherent(support, confidence)
-
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.array(stats, dtype=float, copy=True)
-        noisy = stats + rng.normal(0.0, self.sigma, size=stats.shape)
-        return coherent_stats_batch(noisy)
 
     def __repr__(self) -> str:
         return f"NoisyAnswerModel(sigma={self.sigma})"
@@ -192,14 +142,6 @@ class LikertAnswerModel(AnswerModel):
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
         return _coherent(self._snap(stats.support), self._snap(stats.confidence))
 
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        # argmin over the grid axis matches the scalar ``_snap`` exactly
-        # (ties break toward the lower grid index in both).
-        idx = np.argmin(np.abs(stats[..., None] - self.grid), axis=-1)
-        return coherent_stats_batch(self.grid[idx])
-
     def __repr__(self) -> str:
         return f"LikertAnswerModel(grid={self.grid.tolist()})"
 
@@ -228,18 +170,6 @@ class ForgetfulAnswerModel(AnswerModel):
         factor = float(rng.beta(max(alpha, 1e-9), max(beta, 1e-9)))
         return _coherent(stats.support * factor, stats.confidence)
 
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        if self.recall == 1.0:
-            return np.array(stats, dtype=float, copy=True)
-        alpha = self.recall * self.concentration
-        beta = (1.0 - self.recall) * self.concentration
-        factors = rng.beta(max(alpha, 1e-9), max(beta, 1e-9), size=len(stats))
-        out = np.array(stats, dtype=float, copy=True)
-        out[:, 0] = out[:, 0] * factors
-        return coherent_stats_batch(out)
-
     def __repr__(self) -> str:
         return f"ForgetfulAnswerModel(recall={self.recall})"
 
@@ -255,11 +185,6 @@ class SpammerAnswerModel(AnswerModel):
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
         a, b = sorted(rng.random(2))
         return RuleStats(float(a), float(b))
-
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        return np.sort(rng.random((len(stats), 2)), axis=1)
 
 
 class ComposedAnswerModel(AnswerModel):
@@ -282,14 +207,6 @@ class ComposedAnswerModel(AnswerModel):
         for stage in self.stages:
             stats = stage.report_rule(rule, stats, rng)
         return stats
-
-    def report_batch(
-        self, rules: Sequence, stats: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        out = np.array(stats, dtype=float, copy=True)
-        for stage in self.stages:
-            out = stage.report_batch(rules, out, rng)
-        return out
 
     def __repr__(self) -> str:
         return f"ComposedAnswerModel({list(self.stages)!r})"

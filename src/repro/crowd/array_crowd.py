@@ -26,7 +26,9 @@ bit-for-bit like a ``SimulatedCrowd`` built over
 vectorized draw that matches the object path's per-member scalar
 draws, true stats divide the same integer counts, and per-member
 generators consume the same stream. ``tests/crowd/test_array_crowd.py``
-pins this.
+pins this for questions asked one by one, and
+``tests/dispatch/test_deferred_answers.py`` for dispatched sessions at
+any shard count and window.
 
 Answers simulated at first read: an asynchronous closed question is
 issued as a :class:`~repro.crowd.questions.DeferredClosedAnswer` — the
@@ -34,15 +36,15 @@ recipe (member index, rule) — and its ``(support, confidence)`` is
 simulated only when the miner first reads it. The miner reads stats
 only after its malformed, rejected and stale gates, so stale, late,
 lost, crashed and quarantined-member answers are never simulated.
-Patience, :class:`~repro.crowd.crowd.CrowdStats`, the delivery token
-and the latency draw stay at issue. Byte identity needs one rule: a
-member's answers are simulated in issue order. Before anything else
-draws from a member's generator (a later answer's read, a synchronous
-closed question, an open question), that member's earlier unread
-answers are simulated (and kept, should they still be read). A model
-that never draws (``consumes_rng = False``) needs no such queue. The
-shared answer model must draw only from the generator it is handed,
-as every model in :mod:`repro.crowd.answer_models` does.
+Patience, :class:`~repro.crowd.crowd.CrowdStats` and the latency draw
+stay at issue. Byte identity needs one rule: a member's answers are
+simulated in issue order. Before anything else draws from a member's
+generator (a later answer's read, a synchronous closed question, an
+open question), that member's earlier unread answers are simulated
+(and kept, should they still be read). A model that never draws
+(``consumes_rng = False``) needs no such queue. The shared answer
+model must draw only from the generator it is handed, as every model
+in :mod:`repro.crowd.answer_models` does.
 
 Heterogeneous behaviour (per-member answer models, adversary mixes)
 needs per-member objects and is deliberately not supported here — use
@@ -149,7 +151,6 @@ class ArrayCrowd(Roster):
         self._member_seeds = rng.integers(2**63, size=len(population))
         self._rng = rng
         self.stats = CrowdStats()
-        self._tokens = 0
         # Sparse per-member state: populated only for questioned members.
         self._answered: dict[int, int] = {}
         self._member_rngs: dict[int, np.random.Generator] = {}
@@ -338,13 +339,9 @@ class ArrayCrowd(Roster):
         rng: np.random.Generator,
         now: float = 0.0,
     ) -> InFlightAnswer:
-        """Wrap an answer in the async envelope (fresh token)."""
-        self._tokens += 1
+        """Wrap an answer in the async envelope, drawing its latency."""
         return InFlightAnswer(
-            answer=answer,
-            issued_at=now,
-            arrives_at=now + latency.sample(rng),
-            token=self._tokens,
+            answer=answer, issued_at=now, arrives_at=now + latency.sample(rng)
         )
 
     def ask_closed_async(
@@ -359,8 +356,8 @@ class ArrayCrowd(Roster):
         """Closed question with simulated-latency delivery.
 
         The answer is a recipe, simulated when first read (see the
-        module docstring); patience, statistics, token and latency are
-        settled now.
+        module docstring); patience, statistics and latency are settled
+        now.
         """
         index = self.position_of(member_id)
         self._consume_patience(index)
@@ -390,44 +387,6 @@ class ArrayCrowd(Roster):
         answer = self.ask_open(member_id, exclude=exclude, context=context)
         return self.make_in_flight(answer, latency=latency, rng=rng, now=now)
 
-    # -- batched answering ------------------------------------------------------
-
-    def ask_closed_batch(
-        self,
-        member_ids: list[str],
-        rules: list[Rule],
-        rng: np.random.Generator,
-    ) -> list[ClosedAnswer]:
-        """Answer a whole window of closed questions in one model draw.
-
-        True stats are still exact per member; the *reporting*
-        distortion is sampled as one vectorized batch on ``rng``
-        (the dispatcher's batch stream) instead of per-member
-        generators — deterministic under its own seed, but a different
-        stream than scalar asking. The sharded dispatcher only batches
-        when more than one question is in flight.
-        """
-        indices = [self.position_of(mid) for mid in member_ids]
-        for index in indices:
-            self._consume_patience(index)
-        true = np.empty((len(indices), 2), dtype=float)
-        for i, (index, rule) in enumerate(zip(indices, rules)):
-            stats = self._population.rule_stats_at(index, rule)
-            true[i, 0] = stats.support
-            true[i, 1] = stats.confidence
-        reported = self.answer_model.report_batch(rules, true, rng)
-        answers = []
-        for i, (member_id, rule) in enumerate(zip(member_ids, rules)):
-            answers.append(
-                ClosedAnswer(
-                    member_id,
-                    ClosedQuestion(rule),
-                    RuleStats(float(reported[i, 0]), float(reported[i, 1])),
-                )
-            )
-            self._count_closed(member_id, rule)
-        return answers
-
     # -- pickling: sparse state only --------------------------------------------
 
     def __getstate__(self) -> dict:
@@ -439,7 +398,6 @@ class ArrayCrowd(Roster):
             "pre_state": self._pre_state,
             "rng_state": self._rng.bit_generator.state,
             "stats": self.stats,
-            "tokens": self._tokens,
             "rr_cursor": self._rotation.cursor,
             "answered": self._answered,
             "member_rngs": self._member_rngs,
@@ -459,7 +417,6 @@ class ArrayCrowd(Roster):
         self._member_seeds = seed_rng.integers(2**63, size=len(self._population))
         self._rng = _generator_from_state(state["rng_state"])
         self.stats = state["stats"]
-        self._tokens = state["tokens"]
         self._answered = state["answered"]
         self._member_rngs = state["member_rngs"]
         self._volunteered = state["volunteered"]

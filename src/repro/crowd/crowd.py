@@ -105,8 +105,6 @@ class SimulatedCrowd(Roster):
         self._members: dict[str, SimulatedMember] = {m.member_id: m for m in members}
         self._rng = as_rng(seed)
         self.stats = CrowdStats()
-        #: Monotonic delivery-token counter for in-flight answers.
-        self._tokens = 0
         # The hook holds the positions and the rotation, not the crowd:
         # a crowd → member → crowd cycle would leave every finished
         # session's crowd, with its databases and habit pools, to the
@@ -228,12 +226,8 @@ class SimulatedCrowd(Roster):
         time. An infinite draw means the answer is lost in flight.
         """
         answer = self.ask_closed(member_id, rule)
-        self._tokens += 1
         return InFlightAnswer(
-            answer=answer,
-            issued_at=now,
-            arrives_at=now + latency.sample(rng),
-            token=self._tokens,
+            answer=answer, issued_at=now, arrives_at=now + latency.sample(rng)
         )
 
     def ask_open_async(
@@ -253,10 +247,6 @@ class SimulatedCrowd(Roster):
         question form would be rendered once and sent.
         """
         answer = self.ask_open(member_id, exclude=exclude, context=context)
-        self._tokens += 1
         return InFlightAnswer(
-            answer=answer,
-            issued_at=now,
-            arrives_at=now + latency.sample(rng),
-            token=self._tokens,
+            answer=answer, issued_at=now, arrives_at=now + latency.sample(rng)
         )

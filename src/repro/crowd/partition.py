@@ -3,7 +3,7 @@
 A :class:`CrowdPartition` is what one lane of a sharded dispatcher
 schedules against: a fixed, interleaved subset of the crowd's members
 with its own round-robin rotation. Questions still go through the
-owning crowd (statistics, tokens, and answer content are crowd-global);
+owning crowd (statistics and answer content are crowd-global);
 the partition only decides *who in this lane answers next*.
 
 A partition holds its slice of crowd positions as a ``range`` and a

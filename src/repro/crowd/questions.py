@@ -187,18 +187,11 @@ class InFlightAnswer:
     simulated when the miner first reads its stats, to the same value.
     ``arrives_at`` of ``inf`` models mid-flight loss — the member
     closed the tab and the answer never lands.
-
-    ``token`` is a crowd-assigned delivery token, unique per issued
-    question, so receivers can recognise duplicate deliveries of the
-    same answer (at-least-once transports redeliver). ``None`` means
-    the producer does not participate in deduplication (e.g. cache
-    replay, where each answer is constructed exactly once).
     """
 
     answer: AnyAnswer
     issued_at: float
     arrives_at: float
-    token: int | None = None
 
     @property
     def delay(self) -> float:

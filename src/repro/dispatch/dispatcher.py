@@ -28,16 +28,15 @@ fires the globally-earliest event (ties go to the lower lane), so
 every answer still reaches the single miner in one completion-order
 ingest stream — ingest stays single-writer, and the books, the
 in-flight gauge and the checkpoint are the session's, not a lane's.
-When the crowd answers closed questions in batches (``ArrayCrowd``)
-and the window is larger than 1, a partitioned lane resolves its
-window of closed proposals with one vectorized answer-model draw on a
-lane batch stream: deterministic under the session seed, but not
-byte-identical to asking one at a time.
+Every lane asks one question at a time through
+:meth:`~repro.miner.crowdminer.CrowdMiner.pose_async`, so the crowd
+answers each from the asked member's own stream, whatever the shard
+count and window.
 
 The single lane (``shards=1``, the default) is the plain dispatcher:
 the crowd itself schedules (so any crowd works, a ``CachingCrowd``
-included), latency draws come straight from ``config.seed``, and it
-never batches. Partitioned lanes derive their streams from that seed
+included) and latency draws come straight from ``config.seed``.
+Partitioned lanes derive their latency streams from that seed
 instead, so ``shards=2`` is a different, equally deterministic
 schedule.
 
@@ -163,7 +162,7 @@ class DispatchStats:
     #: Robustness counters (default 0 so pre-fault constructors keep
     #: working): answers dropped by the miner's validation gate,
     #: answers from quarantined members, questions lost to member
-    #: crashes, and transport-replay deliveries discarded by token.
+    #: crashes, and discarded transport-replay deliveries.
     malformed: int = 0
     rejected: int = 0
     crashed: int = 0
@@ -197,8 +196,6 @@ class _Lane:
     clock: EventClock
     #: Latency draws for the questions this lane issues.
     rng: np.random.Generator
-    #: Stream of batched closed answering; ``None`` = never batch.
-    batch_rng: np.random.Generator | None = None
     #: Members holding this lane's in-flight questions (its share of
     #: the window). A lane picks only from its own members, so these
     #: are all it has to skip.
@@ -262,8 +259,6 @@ class Dispatcher:
         self._rejected = 0
         self._crashed = 0
         self._duplicates = 0
-        #: Delivery tokens already folded in — the at-least-once guard.
-        self._seen_tokens: set[int] = set()
         # The miner proposed nothing askable; cleared when an ingest
         # changes the knowledge base (an open answer may create new
         # closed candidates), so supply can recover mid-session. One
@@ -280,15 +275,12 @@ class Dispatcher:
                 f"crowd of type {type(crowd).__name__} does not support "
                 "partitioning; dispatch it with shards=1"
             )
-        batch = self.config.window > 1 and hasattr(crowd, "ask_closed_batch")
+        # Two seeds a lane, the second unused: drawing one a lane would
+        # reseed every lane and move every sharded fingerprint, object
+        # crowd included.
         seeds = as_rng(self.config.seed).integers(2**63, size=(self.shards, 2))
         return [
-            _Lane(
-                partition,
-                EventClock(),
-                np.random.default_rng(int(seeds[i, 0])),
-                np.random.default_rng(int(seeds[i, 1])) if batch else None,
-            )
+            _Lane(partition, EventClock(), np.random.default_rng(int(seeds[i, 0])))
             for i, partition in enumerate(partitioner(self.shards))
         ]
 
@@ -330,86 +322,42 @@ class Dispatcher:
             self._fill_lane(lane)
 
     def _fill_lane(self, lane: _Lane) -> None:
-        window = self.config.window
-        while len(lane.busy) < window and self.budget_left > 0 and not self._stalled:
-            batch: list[QuestionProposal] = []
-            exclude = set(lane.busy)
-            progressed = False
-            while (
-                len(lane.busy) + len(batch) < window
-                and self.budget_left > len(batch)
-                and not self._stalled
-            ):
-                try:
-                    member_id = lane.scheduler.next_member(exclude=exclude)
-                except CrowdExhaustedError:
-                    break
-                if member_id is None:  # everyone available is already busy
-                    break
-                proposal = self.miner.propose_question(member_id)
-                if proposal is None:
-                    self._stalled = True
-                    break
-                exclude.add(member_id)
-                if lane.batch_rng is not None and proposal.kind is QuestionKind.CLOSED:
-                    batch.append(proposal)
-                else:
-                    progressed |= self._try_issue(proposal, lane)
-            if len(batch) == 1:
-                progressed |= self._try_issue(batch[0], lane)
-            elif batch:
-                progressed |= self._issue_batch(batch, lane)
-            if not progressed:
+        """Pick, propose and issue until the lane's window, the budget,
+        the lane's free members or the miner's proposals run out."""
+        exclude = set(lane.busy)
+        while (
+            len(lane.busy) < self.config.window
+            and self.budget_left > 0
+            and not self._stalled
+        ):
+            try:
+                member_id = lane.scheduler.next_member(exclude=exclude)
+            except CrowdExhaustedError:
                 return
-
-    def _try_issue(self, proposal: QuestionProposal, lane: _Lane) -> bool:
-        try:
-            self._issue(proposal, 0, lane)
-        except CrowdExhaustedError:
-            # The member left between scheduling and asking; the
-            # available set shrank, so filling still terminates.
-            return False
-        return True
+            if member_id is None:  # everyone available is already busy
+                return
+            proposal = self.miner.propose_question(member_id)
+            if proposal is None:
+                self._stalled = True
+                return
+            exclude.add(member_id)
+            try:
+                self._issue(proposal, 0, lane)
+            except CrowdExhaustedError:
+                # The member left between scheduling and asking; they
+                # stay excluded, so filling still terminates.
+                pass
 
     def _issue(self, proposal: QuestionProposal, attempt: int, lane: _Lane) -> None:
-        model = self._profile.model_for(proposal.member_id)
-        in_flight = self.miner.pose_async(
-            proposal, latency=model, rng=lane.rng, now=lane.clock.now
-        )
-        self._arm(proposal, in_flight, attempt, lane)
-
-    def _issue_batch(self, proposals: list[QuestionProposal], lane: _Lane) -> bool:
-        """Resolve a window of closed proposals with one batched draw."""
-        crowd = self.miner.crowd
-        member_ids = [p.member_id for p in proposals]
-        rules = [p.rule for p in proposals]
-        try:
-            answers = crowd.ask_closed_batch(member_ids, rules, lane.batch_rng)
-        except CrowdExhaustedError:
-            # Someone left between scheduling and asking; recover by
-            # issuing one at a time, skipping whoever is gone.
-            issued = False
-            for proposal in proposals:
-                issued |= self._try_issue(proposal, lane)
-            return issued
-        for proposal, answer in zip(proposals, answers):
-            model = self._profile.model_for(proposal.member_id)
-            in_flight = crowd.make_in_flight(
-                answer, latency=model, rng=lane.rng, now=lane.clock.now
-            )
-            self._arm(proposal, in_flight, 0, lane)
-        return True
-
-    def _arm(
-        self,
-        proposal: QuestionProposal,
-        in_flight: InFlightAnswer,
-        attempt: int,
-        lane: _Lane,
-    ) -> None:
-        """Book an already-resolved in-flight answer: schedule its
-        arrival and timeout, charge the budget, update the gauges."""
+        """Pose one question and book it: schedule its arrival and
+        timeout, charge the budget, update the gauges."""
         member_id = proposal.member_id
+        in_flight = self.miner.pose_async(
+            proposal,
+            latency=self._profile.model_for(member_id),
+            rng=lane.rng,
+            now=lane.clock.now,
+        )
         timeout = self.config.timeout * self.config.backoff**attempt
         if in_flight.is_lost and math.isinf(timeout):
             raise ConfigurationError(
@@ -452,15 +400,6 @@ class Dispatcher:
         if entry.timeout_event is not None:
             entry.timeout_event.cancel()
         self.obs.observe("dispatch.latency", entry.answer.delay)
-        token = entry.answer.token
-        if token is not None:
-            if token in self._seen_tokens:
-                # Already folded in once; an at-least-once transport
-                # replayed it. Kept out of the issued books entirely.
-                self._duplicates += 1
-                self.obs.count("dispatch.duplicates")
-                return
-            self._seen_tokens.add(token)
         event = self.miner.ingest_answer(entry.proposal, entry.answer.answer)
         self._stalled = False
         if event is not None:
@@ -475,20 +414,17 @@ class Dispatcher:
     def _redeliver(self, entry: _InFlight) -> None:
         """A transport-level replay of one delivery (fault injection).
 
-        The common case: the original delivery landed first (it was
+        The replay lands after the question has left the in-flight
+        book: either its original delivery landed first (it was
         scheduled first at the same instant, and ties break by schedule
-        order), marked its token seen, and the replay is discarded here
-        by that token — the guard actually doing its job. If the
-        original was cancelled (its question timed out first), the
-        question's fate is already booked as a timeout, so the replay
-        is discarded regardless; either way replays never touch the
-        issued books.
+        order), or the question timed out or its member crashed first,
+        and its fate is already booked. Either way the replay is
+        discarded here and never touches the issued books.
         """
         self._duplicates += 1
         self.obs.count("dispatch.duplicates")
-        token = entry.answer.token
-        assert token is None or token in self._seen_tokens or (
-            entry.arrival_event is not None and entry.arrival_event.cancelled
+        assert (
+            self._in_flight.get(entry.proposal.member_id) is not entry
         ), "replay arrived before the original delivery"
 
     # -- the fault surface --------------------------------------------------------
@@ -526,12 +462,12 @@ class Dispatcher:
     def inject_duplicate(self, member_id: str) -> bool:
         """Schedule a second delivery of the member's in-flight answer.
 
-        Simulates at-least-once transport: the same answer content,
-        same token, delivered twice. Returns False (nothing scheduled)
-        when the member holds no in-flight question or their answer is
-        lost in flight. The replay lands at the original arrival
-        instant, *after* the original (ties break by schedule order) —
-        the dispatcher must discard it by its delivery token.
+        Simulates at-least-once transport: the same answer delivered
+        twice. Returns False (nothing scheduled) when the member holds
+        no in-flight question or their answer is lost in flight. The
+        replay lands at the original arrival instant, *after* the
+        original (ties break by schedule order), and is discarded
+        (see :meth:`_redeliver`).
         """
         entry = self._in_flight.get(member_id)
         if entry is None or entry.answer.is_lost:

@@ -57,7 +57,7 @@ class FaultPlan:
     duplicates:
         Instants at which one currently in-flight answer gets delivered
         *twice* (at-least-once transport); the dispatcher must
-        recognise and discard the second copy by its delivery token.
+        discard the second copy, which lands after the first.
     seed:
         Victim-selection randomness (which member crashes, which answer
         duplicates) — separate from dispatch latency randomness, so

@@ -42,7 +42,7 @@ adds:
   ``kb.answers_purged`` plus the timer ``kb.purge``;
 - dispatcher fault-surface counters ``dispatch.crashed`` (in-flight
   questions lost to member crashes) and ``dispatch.duplicates``
-  (at-least-once redeliveries discarded by the token guard);
+  (discarded at-least-once redeliveries);
 - injector counters ``faults.crashes``, ``faults.churned``,
   ``faults.duplicates`` and ``faults.noops`` (a scheduled fault that
   found no victim).

@@ -6,12 +6,11 @@ question log, trust/quality state, the open-policy and strategy
 objects) plus the live object in the miner's dispatcher seat, if any:
 
 - a :class:`~repro.dispatch.dispatcher.Dispatcher`, pickled as it
-  stands: each lane's clock with every pending event, its random
-  streams, the in-flight book, the outcome counters and the
-  delivery-token guard. Every clock action
-  is a bound method or a ``functools.partial`` of one, so the event
-  heaps pickle too, and so does a fault injector whose faults are
-  still scheduled;
+  stands: each lane's clock with every pending event, its latency
+  stream, the in-flight book and the outcome counters. Every clock
+  action is a bound method or a ``functools.partial`` of one, so the
+  event heaps pickle too, and so does a fault injector whose faults
+  are still scheduled;
 - a :class:`~repro.serve.session.ServeSession`, which pickles its
   pending book as re-offers (see its ``__getstate__``).
 
@@ -85,7 +84,9 @@ if TYPE_CHECKING:
 #: Format 10: the object crowd and the serving roster hold their
 #: quarantined members as crowd positions instead of member ids, and
 #: the consistency checker keeps reported supports, not ``RuleStats``.
-CHECKPOINT_FORMAT = 10
+#: Format 11: a dispatcher lane keeps no batch stream, the dispatcher no
+#: delivery tokens, and the crowds no token counter.
+CHECKPOINT_FORMAT = 11
 
 
 def capture_session(

@@ -154,36 +154,6 @@ class TestScheduling:
         assert len(set(seen)) == len(seen)
 
 
-class TestBatchAnswering:
-    def test_batch_matches_scalar_for_rng_free_models(self, model, population):
-        # Exact answers consume no randomness, so the batched draw and
-        # the scalar path must coincide exactly.
-        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
-        scalar_crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
-        rules = some_rules(model, 8, seed=25)
-        members = crowd.member_ids[: len(rules)]
-        batched = crowd.ask_closed_batch(
-            list(members), list(rules), np.random.default_rng(77)
-        )
-        for answer, member, rule in zip(batched, members, rules):
-            assert answer.stats == scalar_crowd.ask_closed(member, rule).stats
-
-    def test_batch_is_deterministic_under_its_seed(self, model, population):
-        rules = some_rules(model, 8, seed=26)
-
-        def run():
-            crowd = ArrayCrowd(
-                population, answer_model=standard_answer_model(), seed=5
-            )
-            members = crowd.member_ids[: len(rules)]
-            answers = crowd.ask_closed_batch(
-                list(members), list(rules), np.random.default_rng(78)
-            )
-            return [a.stats for a in answers]
-
-        assert run() == run()
-
-
 class TestCheckpointFootprint:
     def test_pickle_stays_sparse_at_scale(self, model):
         big = ArrayPopulation(model, n_members=500_000, transactions_per_member=50, seed=9)

@@ -11,13 +11,15 @@ issue order. Pinned here:
 - a dispatched ``ArrayCrowd`` session equals the same session over the
   eager ``SimulatedCrowd`` built on ``population.materialize()`` — log,
   knowledge base and dispatch books — with a drawing answer model and
-  members asked again after an answer of theirs was discarded unread;
+  members asked again after an answer of theirs was discarded unread,
+  sharded or not, and with closed questions filling whole windows;
 - the work saved is counted: a session of the ``sharded_closed`` shape
-  simulates at most its completed answers plus the first window;
+  simulates exactly its completed answers;
 - a checkpoint taken with unread answers queued resumes byte-identically.
 """
 
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -62,8 +64,10 @@ def random_rules(items, count, seed):
     return sorted(rules, key=str)
 
 
-def dispatched(crowd, shards, window, budget=240):
-    miner = CrowdMiner(crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=budget))
+def dispatched(crowd, shards, window, budget=240, **options):
+    miner = CrowdMiner(
+        crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=budget, **options)
+    )
     return Dispatcher(
         miner,
         DispatchConfig(
@@ -88,23 +92,48 @@ def count_catch_ups(monkeypatch):
     return caught_up
 
 
+def closed_only(population):
+    """Miner options for closed questions about 120 seeded rules only."""
+    return dict(
+        seed_rules=tuple(random_rules(population.domain.items, 120, seed=23)),
+        open_policy=FixedRatioPolicy(0.0, fallback_to_open=False),
+        expand_generalizations=False,
+        expand_splits=False,
+    )
+
+
 class TestDispatchedEquivalence:
-    @pytest.mark.parametrize("shards, window", [(1, 8), (4, 1)])
+    @pytest.mark.parametrize(
+        "shards, window, answer_model, seeded",
+        [
+            (1, 8, standard_answer_model, False),
+            (4, 1, standard_answer_model, False),
+            # Every lane's first fill is a window of closed questions.
+            (4, 8, standard_answer_model, True),
+            (2, 4, standard_answer_model, True),
+            (4, 8, partial(NoisyAnswerModel, 0.1), True),
+            (2, 4, partial(NoisyAnswerModel, 0.1), True),
+        ],
+        ids=["1-8", "4-1", "seeded-4-8", "seeded-2-4", "seeded-4-8-noisy", "seeded-2-4-noisy"],
+    )
     def test_array_crowd_matches_eager_object_crowd(
-        self, monkeypatch, population, shards, window
+        self, monkeypatch, population, shards, window, answer_model, seeded
     ):
         caught_up = count_catch_ups(monkeypatch)
+        options = closed_only(population) if seeded else {}
         array_session = dispatched(
-            ArrayCrowd(population, answer_model=standard_answer_model(), seed=5),
+            ArrayCrowd(population, answer_model=answer_model(), seed=5),
             shards,
             window,
+            **options,
         )
         object_session = dispatched(
             SimulatedCrowd.from_population(
-                population.materialize(), answer_model=standard_answer_model(), seed=5
+                population.materialize(), answer_model=answer_model(), seed=5
             ),
             shards,
             window,
+            **options,
         )
         ours = array_session.run()
         theirs = object_session.run()
@@ -164,7 +193,7 @@ class TestSimulationCount:
         # The sharded_closed world shape: a 100k-member columnar crowd,
         # 2,000 seeded rules, closed questions only, 4 shards x 8 in
         # flight. Eager simulation ran once per issued question (3,000
-        # against 1,670 completed).
+        # against 1,667 completed).
         shards, window, budget = 4, 8, 3_000
         config = ExperimentConfig(
             name="deferred-answers",
@@ -207,10 +236,7 @@ class TestSimulationCount:
         books = result.dispatch
         assert books.issued == budget
         assert books.stale_discarded > 500
-        assert simulations[0] <= books.completed + shards * window, (
-            simulations[0],
-            books,
-        )
+        assert simulations[0] == books.completed, (simulations[0], books)
 
 
 class TestCheckpoint:

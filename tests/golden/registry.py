@@ -39,6 +39,8 @@ counters) beside its fingerprint:
   four shards of eight in flight, on an object crowd built from a
   30-member columnar population's ``materialize()``, so members are
   asked more than once;
+- ``sharded_seeded_array/s1``: the same session over the columnar
+  crowd on that population; its record equals its object twin's;
 - ``served/s1``: one ``served_durable`` scenario driven in-process
   through a ``ServeSession`` over its ``WorkerRoster``, checkpointed
   every 25 questions to a memory store.
@@ -438,6 +440,7 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
     "sharded_simulated/s1": lambda: sharded_simulated(1),
     "sharded_resume/s1": lambda: sharded_resume(1),
     "sharded_seeded_object/s1": lambda: sharded_seeded(1, "object"),
+    "sharded_seeded_array/s1": lambda: sharded_seeded(1, "array"),
     "served/s1": lambda: served_session(1),
     **{
         f"quarantine/{mix}/s1": (lambda m=mix: quarantine_session(m, 1))
@@ -450,14 +453,16 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
 
 #: The subset tier-1 checks: one session per execution mode and per
 #: resume kind, every ``sync_open`` world at seed 1, a small sharded
-#: session with departures, and a session resumed with members under
-#: quarantine.
+#: session with departures, a sharded columnar session that fills
+#: whole windows with closed questions, and a session resumed with
+#: members under quarantine.
 TIER1 = (
     *(f"sync_open/{world}/s1" for world in SYNC_WORLD_SEEDS),
     "array/s1",
     "dispatch_w8/s1",
     "resume/s1",
     "sharded_patience/s1",
+    "sharded_seeded_array/s1",
     "quarantine_resume/colluder/s1",
 )
 

@@ -19,6 +19,11 @@ def test_fingerprint_matches_the_registry(name):
     )
 
 
+def test_columnar_twin_matches_the_object_crowd():
+    sessions = registry.load()["sessions"]
+    assert sessions["sharded_seeded_array/s1"] == sessions["sharded_seeded_object/s1"]
+
+
 def test_registry_lists_every_session():
     assert set(registry.load()["sessions"]) == set(registry.SESSIONS)
 

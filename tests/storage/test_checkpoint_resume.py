@@ -246,15 +246,17 @@ class TestRestoreEdges:
         # format 6 (before a columnar crowd kept unread answers as
         # recipes), format 7 (before the question log was columnar
         # and sample stores kept float pairs), format 8 (before
-        # rotations and departure logs held crowd positions) and
-        # format 9 (before the object crowd and the roster held their
-        # quarantined members as positions).
+        # rotations and departure logs held crowd positions), format 9
+        # (before the object crowd and the roster held their
+        # quarantined members as positions) and format 10 (before
+        # dispatcher lanes lost their batch stream and the dispatcher
+        # its delivery tokens).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(
