@@ -1,7 +1,7 @@
 """A storage backend that damages what passes through it — on purpose.
 
-:class:`FaultyBackend` wraps any real
-:class:`~repro.storage.backend.StorageBackend` and executes a
+:class:`FaultyBackend` wraps a real
+:class:`~repro.storage.sqlite.SQLiteBackend` and executes a
 :class:`~repro.chaos.plan.StorageFaultPlan` against the traffic:
 checkpoint payloads get torn, bit-flipped or silently lost on their
 way to the inner backend, appends and saves hit injected disk-full
@@ -24,6 +24,7 @@ from typing import Any
 from repro.chaos.kill import KillSwitch
 from repro.chaos.plan import StorageFaultPlan
 from repro.storage.backend import AnswerRecord, CheckpointInfo, StorageError
+from repro.storage.sqlite import SQLiteBackend
 
 
 class FaultyBackend:
@@ -38,13 +39,12 @@ class FaultyBackend:
     ``kill`` arms process-death at storage kill-points: ``append``
     after a log record is written (uncommitted), ``commit`` between
     the WAL append and its COMMIT (through the inner backend's
-    ``pre_commit_hook``, when it has one), ``checkpoint`` as the
-    payload is being saved.
+    ``pre_commit_hook``), ``checkpoint`` as the payload is being saved.
     """
 
     def __init__(
         self,
-        inner: Any,
+        inner: SQLiteBackend,
         plan: StorageFaultPlan | None = None,
         *,
         kill: KillSwitch | None = None,
@@ -57,7 +57,7 @@ class FaultyBackend:
         #: Injected-fault tallies (``chaos.storage.*`` counter names).
         self.counts: dict[str, int] = {}
         self._obs = None
-        if kill is not None and hasattr(inner, "pre_commit_hook"):
+        if kill is not None:
             inner.pre_commit_hook = lambda: kill.tick("commit")
 
     # -- instrumentation -------------------------------------------------------
@@ -164,8 +164,8 @@ class FaultyBackend:
         self.inner.close()
 
     def abort(self) -> None:
-        """Simulated process death, delegated (close when unsupported)."""
-        getattr(self.inner, "abort", self.inner.close)()
+        """Simulated process death, delegated."""
+        self.inner.abort()
 
 
 __all__ = ["FaultyBackend"]

@@ -38,24 +38,12 @@ from repro.miner import compute_ground_truth
 from repro.synth import NAMED_MODELS, QuestConfig, QuestGenerator, build_population
 
 
-def _detect_backend_kind(path: str) -> str:
-    """Which backend wrote ``path`` — by file magic, not by flag."""
-    try:
-        with open(path, "rb") as handle:
-            magic = handle.read(16)
-    except OSError:
-        return "sqlite"  # let open_backend produce the real error
-    return "sqlite" if magic == b"SQLite format 3\x00" else "memory"
-
-
 def _resume_mine(args: argparse.Namespace) -> int:
     """The ``mine --resume`` path: reload the session and finish it."""
     from repro.storage import CorruptStoreError, StorageError, load_session, open_backend
 
     try:
-        storage = open_backend(
-            args.checkpoint, _detect_backend_kind(args.checkpoint), resume=True
-        )
+        storage = open_backend(args.checkpoint, resume=True)
         miner, dispatcher, info = load_session(storage, repair=args.repair)
     except CorruptStoreError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -148,7 +136,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     if args.checkpoint:
         from repro.storage import open_backend
 
-        storage = open_backend(args.checkpoint, args.storage)
+        storage = open_backend(args.checkpoint)
         print(f"checkpointing to {storage.describe()}")
     from repro.miner import CrowdMiner, CrowdMinerConfig
 
@@ -231,9 +219,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
         # Read-only inspection: a WAL-mode reader sees a consistent
         # snapshot even while a live `repro serve` process writes, and
         # rollback=False leaves the dangling answer log untouched.
-        storage = open_backend(
-            args.path, _detect_backend_kind(args.path), readonly=True
-        )
+        storage = open_backend(args.path, readonly=True)
         verified, corrupt = scrub_store(storage)
         if corrupt:
             ids = sorted(info.checkpoint_id for info in corrupt)
@@ -374,6 +360,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from repro.serve import ServeError, serve_forever
+    from repro.storage import StorageError
 
     data_dir = Path(args.data_dir) if args.data_dir else None
     if args.resume and data_dir is None:
@@ -415,7 +402,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 request_hook=request_hook,
             )
         )
-    except ServeError as exc:
+    except (ServeError, StorageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except KeyboardInterrupt:  # pragma: no cover - signal-handler race
@@ -514,11 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --resume: scrub the store on open, drop corrupt "
         "checkpoints and fall back to the last verified one "
         "(docs/robustness.md)",
-    )
-    mine.add_argument(
-        "--storage", choices=("sqlite", "memory"), default="sqlite",
-        help="storage backend behind --checkpoint (default sqlite; "
-        "--resume and `repro kb` auto-detect from the file)",
     )
     mine.set_defaults(func=_cmd_mine)
 

@@ -106,7 +106,6 @@ class ExperimentConfig:
     # :func:`resume_session` with a byte-identical final summary.
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
-    storage_backend: str = "sqlite"
     # scale (see docs/scaling.md): "array" backs the population and
     # crowd with columnar state instead of per-member objects, and
     # ``shards`` splits dispatched sessions over that many crowd
@@ -307,6 +306,46 @@ def _miner_config(config: ExperimentConfig, rng: np.random.Generator) -> CrowdMi
     )
 
 
+def _score_session(
+    config: ExperimentConfig,
+    miner: CrowdMiner,
+    truth: GroundTruth,
+    grid: tuple[int, ...],
+) -> RepetitionOutcome:
+    """Mine to each question count of ``grid`` and score the report there.
+
+    The miner's instrumentation times the runner's own phases: mining
+    steps vs. checkpoint scoring. A session that ends early repeats its
+    final quality at the remaining grid points.
+    """
+    obs = miner.obs
+    points = []
+    started = time.perf_counter()
+    for checkpoint in grid:
+        with obs.timer("runner.mine"):
+            while miner.questions_asked < checkpoint and not miner.is_done:
+                if miner.step() is None:
+                    break
+        with obs.timer("runner.score"):
+            reported = miner.state.significant_rules(mode="point")
+            points.append(score_report(reported, truth, miner.questions_asked))
+    elapsed = time.perf_counter() - started
+
+    normalized = tuple(
+        replace(point, questions=checkpoint) for checkpoint, point in zip(grid, points)
+    )
+    result = miner.result()
+    return RepetitionOutcome(
+        curve=QualityCurve(label=config.name, points=normalized),
+        truth_size=len(truth),
+        rules_discovered=result.rules_discovered,
+        inferred_classifications=result.inferred_classifications,
+        open_questions=result.open_questions,
+        wall_seconds=elapsed,
+        obs=result.obs,
+    )
+
+
 def run_session(
     config: ExperimentConfig,
     population: Population,
@@ -321,47 +360,17 @@ def run_session(
     mining steps vs. checkpoint scoring.
     """
     rng = as_rng(seed)
-    obs = obs or Instrumentation()
     crowd = build_crowd(config, population, rng)
     storage = None
     if config.checkpoint_path is not None:
         from repro.storage import open_backend
 
-        storage = open_backend(config.checkpoint_path, config.storage_backend)
+        storage = open_backend(config.checkpoint_path)
     miner = CrowdMiner(crowd, _miner_config(config, rng), obs=obs, storage=storage)
-
-    points = []
-    started = time.perf_counter()
-    for checkpoint in config.checkpoints:
-        with obs.timer("runner.mine"):
-            while miner.questions_asked < checkpoint and not miner.is_done:
-                if miner.step() is None:
-                    break
-        with obs.timer("runner.score"):
-            reported = miner.state.significant_rules(mode="point")
-            points.append(score_report(reported, truth, miner.questions_asked))
-    elapsed = time.perf_counter() - started
-
-    # Normalize the checkpoint grid (sessions that ended early repeat
-    # their final quality at the remaining checkpoints).
-    normalized = [
-        type(points[0])(
-            questions=checkpoint, precision=point.precision, recall=point.recall
-        )
-        for checkpoint, point in zip(config.checkpoints, points)
-    ]
-    result = miner.result()
+    outcome = _score_session(config, miner, truth, config.checkpoints)
     if storage is not None:
         storage.close()
-    return RepetitionOutcome(
-        curve=QualityCurve(label=config.name, points=tuple(normalized)),
-        truth_size=len(truth),
-        rules_discovered=result.rules_discovered,
-        inferred_classifications=result.inferred_classifications,
-        open_questions=result.open_questions,
-        wall_seconds=elapsed,
-        obs=result.obs,
-    )
+    return outcome
 
 
 def resume_session(
@@ -391,9 +400,7 @@ def resume_session(
             raise ConfigurationError(
                 "resume_session needs a checkpoint_path (or an open backend)"
             )
-        storage = open_backend(
-            config.checkpoint_path, config.storage_backend, resume=True
-        )
+        storage = open_backend(config.checkpoint_path, resume=True)
     miner, dispatcher, _ = load_session(storage)
     if dispatcher is not None:
         from repro.serve.session import ServeSession
@@ -408,40 +415,11 @@ def resume_session(
             "this checkpoint carries dispatcher state; resume it with the "
             "dispatcher (repro.storage.load_session), not the E-series harness"
         )
-    obs = miner.obs
-    resumed_at = miner.questions_asked
-    remaining = [c for c in config.checkpoints if c >= resumed_at]
-
-    points = []
-    started = time.perf_counter()
-    for checkpoint in remaining:
-        with obs.timer("runner.mine"):
-            while miner.questions_asked < checkpoint and not miner.is_done:
-                if miner.step() is None:
-                    break
-        with obs.timer("runner.score"):
-            reported = miner.state.significant_rules(mode="point")
-            points.append(score_report(reported, truth, miner.questions_asked))
-    elapsed = time.perf_counter() - started
-
-    normalized = [
-        type(point)(
-            questions=checkpoint, precision=point.precision, recall=point.recall
-        )
-        for checkpoint, point in zip(remaining, points)
-    ]
-    result = miner.result()
+    remaining = tuple(c for c in config.checkpoints if c >= miner.questions_asked)
+    outcome = _score_session(config, miner, truth, remaining)
     if owned:
         storage.close()
-    return RepetitionOutcome(
-        curve=QualityCurve(label=config.name, points=tuple(normalized)),
-        truth_size=len(truth),
-        rules_discovered=result.rules_discovered,
-        inferred_classifications=result.inferred_classifications,
-        open_questions=result.open_questions,
-        wall_seconds=elapsed,
-        obs=result.obs,
-    )
+    return outcome
 
 
 def run_timed_session(

@@ -794,7 +794,7 @@ class SessionManager:
         for session in self.sessions.values():
             storage = session.miner.storage
             if storage is not None:
-                getattr(storage, "abort", storage.close)()
+                storage.abort()
                 session.miner.storage = None
         self.sessions.clear()
 

@@ -5,11 +5,12 @@ E-series run restarted from zero and KB size was RAM-bound. This
 package is the durability layer closing that gap (ROADMAP:
 "Persistent, resumable knowledge base on a columnar/SQL backend"):
 
-- :class:`StorageBackend` — the pluggable persistence protocol, with
-  two implementations: :class:`MemoryBackend` (the default:
-  everything in process memory, optionally mirrored to a single pickle
-  file) and :class:`SQLiteBackend` (a WAL-mode SQLite database holding
-  the answer log and the checkpoint history);
+- :class:`SQLiteBackend` — the one session store: a SQLite database
+  holding the answer log and the checkpoint history, in a WAL-mode
+  file for a durable session or ``":memory:"`` for one that keeps
+  nothing past its process; :class:`StorageBackend` is the protocol it
+  implements, and which the chaos layer's fault-injecting wrapper
+  implements around it;
 - a **write-ahead answer log** — every ingested question/answer lands
   in the backend as it happens, giving an auditable trail that
   survives the process;
@@ -29,7 +30,6 @@ from repro.storage.backend import (
     AnswerRecord,
     CheckpointInfo,
     CorruptStoreError,
-    MemoryBackend,
     StorageBackend,
     StorageError,
     open_backend,
@@ -51,7 +51,6 @@ __all__ = [
     "CHECKPOINT_FORMAT",
     "CheckpointInfo",
     "CorruptStoreError",
-    "MemoryBackend",
     "SQLiteBackend",
     "StorageBackend",
     "StorageError",

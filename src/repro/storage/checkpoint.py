@@ -114,8 +114,7 @@ def verify_payload(payload: bytes) -> bytes:
     """Checksum-verify one stored checkpoint payload (see scrub/repair).
 
     Returns the inner pickle bytes; raises :class:`CorruptStoreError`
-    when the seal does not hold. Legacy pre-seal payloads pass through
-    unverified — there is no digest to check.
+    when the payload is unsealed or its seal does not hold.
     """
     return open_payload(payload, what="checkpoint")
 

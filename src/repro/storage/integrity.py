@@ -15,9 +15,8 @@ Envelope layout (43 bytes of framing)::
 
     b"RPROSEAL" + version(1) + length(8, big-endian) + sha256(payload) + payload
 
-Legacy payloads written before sealing existed start with the pickle
-protocol-2+ opcode ``b"\\x80"``; :func:`open_payload` passes them
-through unverified so old stores keep resuming.
+An unsealed payload is corrupt: the payloads written before sealing
+existed carry a checkpoint format that this build refuses anyway.
 """
 
 from __future__ import annotations
@@ -43,25 +42,17 @@ def seal_payload(payload: bytes) -> bytes:
     return header + hashlib.sha256(payload).digest() + payload
 
 
-def is_sealed(blob: bytes) -> bool:
-    """True when ``blob`` carries the seal magic."""
-    return blob[: len(SEAL_MAGIC)] == SEAL_MAGIC
-
-
 def open_payload(blob: bytes, *, what: str = "checkpoint") -> bytes:
     """Verify one sealed blob and return the inner payload.
 
-    Raises :class:`CorruptStoreError` on a truncated envelope, a
-    payload shorter or longer than the header claims (torn write /
-    trailing garbage), or a digest mismatch (bit rot). A legacy
-    unsealed pickle (leading ``b"\\x80"``) is returned as-is.
+    Raises :class:`CorruptStoreError` on a blob without the seal magic,
+    a truncated envelope, a payload shorter or longer than the header
+    claims (torn write / trailing garbage), or a digest mismatch (bit
+    rot).
     """
-    if not is_sealed(blob):
-        if blob[:1] == b"\x80":
-            return blob  # pre-seal store: no digest to check
+    if blob[: len(SEAL_MAGIC)] != SEAL_MAGIC:
         raise CorruptStoreError(
-            f"{what} payload is neither sealed nor a legacy pickle "
-            f"(leading bytes {blob[:8]!r})"
+            f"{what} payload is not sealed (leading bytes {blob[:8]!r})"
         )
     if len(blob) < _HEADER.size + _DIGEST_SIZE:
         raise CorruptStoreError(f"{what} payload envelope truncated at {len(blob)} bytes")

@@ -1,8 +1,10 @@
-"""The SQLite storage backend (WAL mode).
+"""The session store: one SQLite database, a WAL-mode file or in memory.
 
 One database file holds a whole session: the write-ahead answer log
 and the checkpoint history (opaque pickled payloads plus bookkeeping
-columns), so a saved session is inspectable with any SQLite shell.
+columns), so a saved session is inspectable with any SQLite shell. A
+session that keeps nothing past its process holds the same tables in
+a ``":memory:"`` database.
 The knowledge base's lattice index is not stored: it is derived state,
 rebuilt in memory from the checkpointed rules on resume
 (``docs/persistence.md``).
@@ -60,8 +62,9 @@ class SQLiteBackend:
     Parameters
     ----------
     path:
-        Database file (created when missing). ``":memory:"`` gives a
-        private in-memory database — handy for tests.
+        Database file (created when missing), or ``":memory:"`` for the
+        in-process store of a session that keeps nothing past its
+        process (``open_backend(None, "memory")``).
     fresh:
         Start a new session store: any existing tables at ``path`` are
         dropped first. ``fresh=False`` opens the existing store for
@@ -101,26 +104,29 @@ class SQLiteBackend:
                 self._conn = sqlite3.connect(self.path, isolation_level=None)
         except sqlite3.Error as exc:
             raise StorageError(f"cannot open sqlite database {path}") from exc
-        if not readonly:
-            self._conn.execute("PRAGMA journal_mode=WAL")
-            self._conn.execute("PRAGMA synchronous=NORMAL")
-            if fresh:
-                for table in ("meta", "answers", "checkpoints"):
-                    self._conn.execute(f"DROP TABLE IF EXISTS {table}")
-            self._conn.executescript(_SCHEMA)
-            self._conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
         try:
+            if not readonly:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                self._conn.execute("PRAGMA synchronous=NORMAL")
+                if fresh:
+                    for table in ("meta", "answers", "checkpoints"):
+                        self._conn.execute(f"DROP TABLE IF EXISTS {table}")
+                self._conn.executescript(_SCHEMA)
+                self._conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES ('schema_version', ?)",
+                    (str(SCHEMA_VERSION),),
+                )
             row = self._conn.execute(
                 "SELECT value FROM meta WHERE key = 'schema_version'"
             ).fetchone()
         except sqlite3.Error as exc:
+            self._conn.close()
             raise StorageError(f"not a session store: {path}") from exc
         if row is None:
+            self._conn.close()
             raise StorageError(f"not a session store: {path}")
         if int(row[0]) != SCHEMA_VERSION:
+            self._conn.close()
             raise StorageError(
                 f"unsupported schema version {row[0]} in {path} "
                 f"(this build writes version {SCHEMA_VERSION})"
@@ -262,9 +268,7 @@ class SQLiteBackend:
 
     def bytes_on_disk(self) -> int:
         if self.path == ":memory:":
-            (pages,) = self._conn.execute("PRAGMA page_count").fetchone()
-            (page_size,) = self._conn.execute("PRAGMA page_size").fetchone()
-            return int(pages) * int(page_size)
+            return 0
         total = 0
         for suffix in ("", "-wal", "-shm"):
             candidate = Path(self.path + suffix)

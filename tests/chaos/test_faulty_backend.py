@@ -13,9 +13,9 @@ import pytest
 from repro.chaos import FaultyBackend, StorageFaultPlan
 from repro.storage import (
     AnswerRecord,
-    MemoryBackend,
     SQLiteBackend,
     StorageError,
+    open_backend,
     scrub_store,
 )
 from repro.storage.integrity import open_payload, seal_payload
@@ -59,7 +59,7 @@ class TestPlanValidation:
 class TestInjectedFaults:
     def test_disk_full_on_planned_append_only(self):
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(disk_full_appends=(2,))
+            open_backend(None, "memory"), StorageFaultPlan(disk_full_appends=(2,))
         )
         store.append_answer(record(0))
         with pytest.raises(StorageError, match="disk-full"):
@@ -71,7 +71,7 @@ class TestInjectedFaults:
 
     def test_torn_checkpoint_fails_checksum(self):
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(seed=3, torn_checkpoints=(1,))
+            open_backend(None, "memory"), StorageFaultPlan(seed=3, torn_checkpoints=(1,))
         )
         store.save_checkpoint(sealed(), questions=5, kb_rules=2)
         info, blob = store.latest_checkpoint()
@@ -81,7 +81,7 @@ class TestInjectedFaults:
 
     def test_bitflip_keeps_length_but_fails_checksum(self):
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(seed=3, bitflip_checkpoints=(1,))
+            open_backend(None, "memory"), StorageFaultPlan(seed=3, bitflip_checkpoints=(1,))
         )
         store.save_checkpoint(sealed(), questions=5, kb_rules=2)
         _info, blob = store.latest_checkpoint()
@@ -92,7 +92,7 @@ class TestInjectedFaults:
 
     def test_lost_checkpoint_never_reaches_disk(self):
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(lost_checkpoints=(1,))
+            open_backend(None, "memory"), StorageFaultPlan(lost_checkpoints=(1,))
         )
         info = store.save_checkpoint(sealed(), questions=5, kb_rules=2)
         # The caller saw success (a lost fsync lies), yet nothing landed.
@@ -102,7 +102,7 @@ class TestInjectedFaults:
 
     def test_unplanned_ordinals_pass_through_clean(self):
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(seed=9, torn_checkpoints=(2,))
+            open_backend(None, "memory"), StorageFaultPlan(seed=9, torn_checkpoints=(2,))
         )
         store.save_checkpoint(sealed(0), questions=1, kb_rules=0)
         store.save_checkpoint(sealed(1), questions=2, kb_rules=0)
@@ -116,14 +116,17 @@ class TestInjectedFaults:
     def test_same_plan_injects_identical_damage(self):
         def run():
             store = FaultyBackend(
-                MemoryBackend(),
+                open_backend(None, "memory"),
                 StorageFaultPlan(
                     seed=11, torn_checkpoints=(1,), bitflip_checkpoints=(2,)
                 ),
             )
             store.save_checkpoint(sealed(0), questions=1, kb_rules=0)
             store.save_checkpoint(sealed(1), questions=2, kb_rules=0)
-            return [blob for _, blob in store.inner._checkpoints]
+            return [
+                store.load_checkpoint(info.checkpoint_id)[1]
+                for info in store.checkpoints()
+            ]
 
         assert run() == run()
 
@@ -146,7 +149,7 @@ class TestInstrumentation:
         from repro.obs import Instrumentation
 
         store = FaultyBackend(
-            MemoryBackend(), StorageFaultPlan(lost_checkpoints=(1, 2))
+            open_backend(None, "memory"), StorageFaultPlan(lost_checkpoints=(1, 2))
         )
         store.save_checkpoint(sealed(), questions=1, kb_rules=0)
         obs = Instrumentation()
@@ -156,5 +159,5 @@ class TestInstrumentation:
         assert obs.snapshot().counters["chaos.storage.lost"] == 2
 
     def test_describe_marks_the_wrapper(self):
-        store = FaultyBackend(MemoryBackend())
+        store = FaultyBackend(open_backend(None, "memory"))
         assert store.describe().startswith("chaos(")

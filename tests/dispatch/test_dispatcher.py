@@ -24,7 +24,7 @@ from repro.dispatch import (
 from repro.errors import ConfigurationError
 from repro.estimation import Thresholds
 from repro.miner import CrowdMiner, CrowdMinerConfig, QuestionKind
-from repro.storage import MemoryBackend
+from repro.storage import open_backend
 from repro.synth import ArrayPopulation, folk_remedies_model
 
 THRESHOLDS = Thresholds(0.10, 0.5)
@@ -346,7 +346,7 @@ class TestLifetime:
         # A capture without the dispatcher would resume the session as a
         # synchronous one; the miner refuses instead of writing it.
         miner = make_miner(folk_population, budget=20)
-        miner.storage = MemoryBackend()
+        miner.storage = open_backend(None, "memory")
         dispatcher = Dispatcher(
             miner, DispatchConfig(window=2, latency=ConstantLatency(10.0), seed=1)
         )
@@ -355,3 +355,4 @@ class TestLifetime:
         del dispatcher
         with pytest.raises(ConfigurationError, match="dispatcher seat was freed"):
             miner.checkpoint()
+        miner.storage.close()

@@ -15,7 +15,7 @@ import pytest
 from repro.serve import RealTimeClock, Scenario, ServeConfig, ServeSession
 from repro.serve.differential import run_session_inprocess
 from repro.serve.session import _DEDUP_CAP
-from repro.storage import MemoryBackend, capture_session, restore_session
+from repro.storage import capture_session, open_backend, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=40, budget=30)
 
@@ -181,7 +181,7 @@ class TestDedupDurability:
         assert resumed.stats()["answered"] == answered_before
 
     def test_durable_session_checkpoint_carries_dedup(self):
-        storage = MemoryBackend()
+        storage = open_backend(None, "memory")
         session, pool = run_session_inprocess(
             SCENARIO, storage=storage, checkpoint_every=1
         )
@@ -195,3 +195,4 @@ class TestDedupDurability:
         assert isinstance(restored, ServeSession)
         assert restored.miner is miner
         assert restored.knows_key(f"a-{qid}")
+        storage.close()

@@ -24,7 +24,7 @@ from repro.serve import (
     run_session_inprocess,
 )
 from repro.serve.differential import drive_inprocess
-from repro.storage import capture_session, restore_session
+from repro.storage import StorageError, capture_session, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=30, budget=40)
 
@@ -364,6 +364,12 @@ class TestSessionManager:
     def test_unknown_session_raises_key_error(self):
         with pytest.raises(KeyError):
             self.make_manager().get("ghost")
+
+    def test_resume_refuses_a_text_file_store(self, tmp_path):
+        (tmp_path / "s1.db").write_text("not a database at all\n")
+        manager = SessionManager(data_dir=tmp_path, clock=RealTimeClock())
+        with pytest.raises(StorageError, match="not a session store"):
+            manager.resume_all()
 
     def test_drain_all_counts_sessions(self):
         manager = self.make_manager()

@@ -1,18 +1,16 @@
-"""Contract tests for the pluggable storage backends.
+"""Contract tests for the session store.
 
-Both backends must satisfy the same :class:`StorageBackend` protocol:
-an ordered, truncatable write-ahead answer log; a monotonically
-numbered checkpoint history; and honest bookkeeping. The memory
-backend additionally mirrors itself to a single pickle file; the
-SQLite backend persists everything in one WAL-mode database and
-rejects files it does not own.
+The store satisfies the :class:`StorageBackend` protocol in a database
+file and in memory alike: an ordered, truncatable write-ahead answer
+log; a monotonically numbered checkpoint history; and honest
+bookkeeping. A file store persists everything in one WAL-mode
+database and rejects files it does not own.
 """
 
 import pytest
 
 from repro.storage import (
     AnswerRecord,
-    MemoryBackend,
     SQLiteBackend,
     StorageBackend,
     StorageError,
@@ -34,7 +32,7 @@ def record(seq, member="u1", kind="closed", rule=None, support=0.3, confidence=0
 @pytest.fixture(params=["memory", "sqlite"])
 def backend(request, tmp_path):
     if request.param == "memory":
-        store = MemoryBackend(tmp_path / "session.pkl")
+        store = open_backend(None, "memory")
     else:
         store = SQLiteBackend(tmp_path / "session.db")
     yield store
@@ -91,36 +89,13 @@ class TestProtocol:
         assert payload == b"new"
         assert info.questions == 2
 
+    @pytest.mark.parametrize("backend", ["sqlite"], indirect=True)
     def test_bytes_on_disk_grows_with_checkpoints(self, backend):
         backend.save_checkpoint(b"x" * 4096, questions=1, kb_rules=1)
         assert backend.bytes_on_disk() > 0
 
     def test_describe_is_one_line(self, backend):
         assert "\n" not in backend.describe()
-
-
-class TestMemoryBackend:
-    def test_mirror_file_round_trips(self, tmp_path):
-        path = tmp_path / "session.pkl"
-        store = MemoryBackend(path)
-        store.append_answer(record(0))
-        store.save_checkpoint(b"payload", questions=5, kb_rules=2)
-        reopened = MemoryBackend.open(path)
-        assert reopened.answers() == store.answers()
-        info, payload = reopened.latest_checkpoint()
-        assert payload == b"payload"
-        assert info.questions == 5
-
-    def test_pathless_backend_has_no_disk_footprint(self):
-        store = MemoryBackend()
-        store.save_checkpoint(b"payload", questions=1, kb_rules=1)
-        assert store.bytes_on_disk() == 0
-
-    def test_open_rejects_a_non_mirror_file(self, tmp_path):
-        path = tmp_path / "garbage.pkl"
-        path.write_bytes(b"not a pickle at all")
-        with pytest.raises(StorageError):
-            MemoryBackend.open(path)
 
 
 class TestSQLiteBackend:
@@ -159,14 +134,32 @@ class TestSQLiteBackend:
         with pytest.raises(StorageError):
             SQLiteBackend(path)
 
+    def test_rejects_a_text_file_and_leaves_it_alone(self, tmp_path):
+        path = tmp_path / "notes.db"
+        text = "not a database at all\n" * 100
+        path.write_text(text)
+        for fresh in (False, True):
+            with pytest.raises(StorageError, match="not a session store"):
+                SQLiteBackend(path, fresh=fresh)
+        assert path.read_text() == text
+
+    def test_in_memory_store_has_no_disk_footprint(self):
+        store = open_backend(None, "memory")
+        store.save_checkpoint(b"x" * 4096, questions=1, kb_rules=1)
+        assert store.bytes_on_disk() == 0
+        store.close()
+
 
 class TestOpenBackend:
     def test_kinds_and_defaults(self, tmp_path):
         sql = open_backend(tmp_path / "a.db", "sqlite")
-        mem = open_backend(tmp_path / "b.pkl", "memory")
+        mem = open_backend(None, "memory")
         assert isinstance(sql, SQLiteBackend)
-        assert isinstance(mem, MemoryBackend)
+        assert isinstance(mem, SQLiteBackend)
         sql.close()
+        mem.close()
+        with pytest.raises(StorageError):
+            open_backend(tmp_path / "b.db", "memory")
 
     def test_unknown_kind_is_an_error(self, tmp_path):
         with pytest.raises(StorageError):
@@ -181,3 +174,9 @@ class TestOpenBackend:
             open_backend(tmp_path / "missing.db", "sqlite", resume=True)
         with pytest.raises(StorageError):
             open_backend(None, "memory", resume=True)
+
+    def test_resume_refuses_a_text_file(self, tmp_path):
+        path = tmp_path / "notes.db"
+        path.write_text("not a database at all\n" * 100)
+        with pytest.raises(StorageError, match="not a session store"):
+            open_backend(path, resume=True)

@@ -4,7 +4,7 @@ A session killed at any round and resumed from its latest checkpoint
 must produce a final summary byte-identical to the uninterrupted run —
 same question log, same reported rules, same fingerprint. These tests
 exercise that contract in-process for synchronous and dispatched
-sessions on both backends (the CLI/SIGKILL variant lives in
+sessions (the CLI/SIGKILL variant lives in
 ``test_kill_resume.py``), plus the failure modes: corrupt payloads,
 empty stores, and the answer-log rollback on restore.
 """
@@ -98,7 +98,7 @@ def dispatched_baseline():
     return Dispatcher(make_miner(), dispatch_config()).run()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 class TestSyncResume:
     def test_killed_run_resumes_byte_identically(
         self, tmp_path, kind, sync_fingerprint
@@ -140,7 +140,7 @@ class TestSyncResume:
         resumed.close()
 
 
-@pytest.mark.parametrize("kind", ["memory", "sqlite"])
+@pytest.mark.parametrize("kind", ["sqlite"])
 def test_dispatched_kill_and_resume_is_byte_identical(
     tmp_path, kind, dispatched_baseline
 ):
@@ -230,8 +230,20 @@ class TestRestoreEdges:
             restore_session(b"not a pickle")
 
     def test_unknown_format_is_a_storage_error(self):
-        with pytest.raises(StorageError):
-            restore_session(pickle.dumps({"format": 999}))
+        from repro.storage.integrity import seal_payload
+
+        with pytest.raises(StorageError, match="unsupported checkpoint format 999"):
+            restore_session(seal_payload(pickle.dumps({"format": 999})))
+
+    def test_unsealed_payload_is_corrupt(self):
+        # Payloads written before sealing existed carry a format this
+        # build refuses anyway; an unsealed blob is never unpickled.
+        from repro.storage import CorruptStoreError
+        from repro.storage.checkpoint import CHECKPOINT_FORMAT
+
+        doc = {"format": CHECKPOINT_FORMAT, "miner": None, "dispatch": None}
+        with pytest.raises(CorruptStoreError, match="not sealed"):
+            restore_session(pickle.dumps(doc))
 
     def test_foreign_format_payload_is_refused(self):
         # Well-formed, sealed payloads stamped with another format must
@@ -296,7 +308,7 @@ class TestRunnerResume:
         # Replicate run_session's deterministic setup, die at q=100.
         rng = as_rng(7)
         crowd = build_crowd(config, population, rng)
-        storage = open_backend(config.checkpoint_path, config.storage_backend)
+        storage = open_backend(config.checkpoint_path)
         miner = CrowdMiner(crowd, _miner_config(config, rng), storage=storage)
         miner.run(max_questions=100)
         del miner

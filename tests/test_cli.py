@@ -133,6 +133,19 @@ class TestRepairFlags:
         assert code == 2
         assert "nonsense" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["kb"], ["mine", "--resume", "--checkpoint"]])
+    def test_a_text_file_is_not_a_session_store(self, command, tmp_path, capsys):
+        path = tmp_path / "notes.db"
+        path.write_text("not a database at all\n")
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == f"error: not a session store: {path}\n"
+
+    def test_serve_resume_refuses_a_text_file_store(self, tmp_path, capsys):
+        (tmp_path / "s1.db").write_text("not a database at all\n")
+        code = main(["serve", "--data-dir", str(tmp_path), "--resume", "--port", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: not a session store")
+
     @pytest.fixture
     def corrupt_store(self, tmp_path, capsys):
         """A finished durable session whose newest checkpoint is damaged."""

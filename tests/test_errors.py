@@ -36,3 +36,11 @@ def test_catching_base_catches_all(tiny_db):
 def test_every_error_documented():
     for exc in ALL_ERRORS + [errors.ReproError]:
         assert exc.__doc__, exc.__name__
+
+
+def test_corrupt_store_error_is_both_hierarchies():
+    from repro.io import PersistenceError
+    from repro.storage import CorruptStoreError, StorageError
+
+    assert issubclass(CorruptStoreError, StorageError)
+    assert issubclass(CorruptStoreError, PersistenceError)
