@@ -107,9 +107,8 @@ class FaultyBackend:
             raise StorageError(f"injected disk-full on checkpoint #{ordinal}")
         if ordinal in self.plan.lost_checkpoints:
             # The write "succeeds" but never reaches disk: a lost
-            # fsync tail. With a transactional inner backend the
-            # deferred answer batch stays uncommitted too — exactly
-            # the tail a real power cut would eat.
+            # fsync tail. The deferred answer batch stays uncommitted
+            # too — exactly the tail a real power cut would eat.
             self._count("lost")
             return CheckpointInfo(
                 checkpoint_id=-ordinal,
