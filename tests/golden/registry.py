@@ -61,6 +61,16 @@ each asserting that it quarantined at least one:
 - ``quarantine_served/colluder/s1``: the colluder mix served in-process
   over its ``WorkerRoster``, with the serve books.
 
+The sessions with spammer screening on, over a 20-member ``sync_open``
+world where a quarter of the crowd are spammers. They ask closed
+questions only, about the rules a classic miner finds in the pooled
+population, so each member answers comparable rules that screening
+can score:
+
+- ``screened/spammer/s1``: screening alone;
+- ``screened_quarantine/spammer/s1``: screening and quarantine
+  together, with the sorted quarantined ids.
+
 The registry file records the Python, numpy and scipy versions it was
 made with. numpy does not promise ``Generator`` streams across
 versions, so a mismatch report prints both version sets: a stream
@@ -87,11 +97,13 @@ from pathlib import Path
 import numpy as np
 import scipy
 
+from repro.classic import mine_rules
 from repro.core import Rule
 from repro.crowd import ArrayCrowd, SimulatedCrowd, standard_answer_model
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import ExperimentConfig, build_world
+from repro.faults import build_adversarial_crowd
 from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
 from repro.serve.differential import Scenario, drive_inprocess, run_session_inprocess
 from repro.storage import open_backend
@@ -145,6 +157,13 @@ QUARANTINE_MIXES = {
 }
 QUARANTINE_SCENARIO = dict(n_members=20, budget=300, quarantine=True)
 QUARANTINE_SHARDS = 2
+
+#: The screened sessions' adversary mix, crowd size, budget and the
+#: pooled support of their seed rules.
+SCREEN_MIX = (("spammer", 0.25),)
+SCREEN_MEMBERS = 20
+SCREEN_BUDGET = 300
+SCREEN_SEED_SUPPORT = 0.05
 
 
 def session_seeds(seed: int, index: int, n: int = 3) -> list[int]:
@@ -421,6 +440,33 @@ def quarantine_served(seed: int) -> dict:
     }
 
 
+def screened_session(seed: int, quarantine: bool) -> str | dict:
+    """Closed questions with spammer screening on, and quarantine too
+    when ``quarantine`` is set."""
+    seeds = session_seeds(seed, 0)
+    _model, population = _world(SYNC_WORLD_SEEDS[0], n_members=SCREEN_MEMBERS)
+    rules = mine_rules(population.union_db(), SCREEN_SEED_SUPPORT, 0.0, max_size=3)
+    crowd, _roles = build_adversarial_crowd(
+        population, SCREEN_MIX, answer_model=standard_answer_model(), seed=seeds[0]
+    )
+    miner = CrowdMiner(
+        crowd,
+        CrowdMinerConfig(
+            thresholds=THRESHOLDS,
+            budget=SCREEN_BUDGET,
+            seed_rules=tuple(sorted(rules, key=Rule.sort_key)),
+            open_policy=FixedRatioPolicy(0.0, fallback_to_open=False),
+            screen_spammers=True,
+            quarantine=quarantine,
+            seed=seeds[1],
+        ),
+    )
+    fingerprint = miner.run().fingerprint()
+    if not quarantine:
+        return fingerprint
+    return {"fingerprint": fingerprint, "quarantined": _quarantined(crowd)}
+
+
 #: Every registered session: name -> a function computing its fingerprint,
 #: or its fingerprint and books.
 SESSIONS: dict[str, Callable[[], str | dict]] = {
@@ -449,13 +495,16 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
     "quarantine_sharded/colluder/s1": lambda: quarantine_sharded(1),
     "quarantine_resume/colluder/s1": lambda: quarantine_resume(1),
     "quarantine_served/colluder/s1": lambda: quarantine_served(1),
+    "screened/spammer/s1": lambda: screened_session(1, quarantine=False),
+    "screened_quarantine/spammer/s1": lambda: screened_session(1, quarantine=True),
 }
 
 #: The subset tier-1 checks: one session per execution mode and per
 #: resume kind, every ``sync_open`` world at seed 1, a small sharded
 #: session with departures, a sharded columnar session that fills
-#: whole windows with closed questions, and a session resumed with
-#: members under quarantine.
+#: whole windows with closed questions, a session resumed with
+#: members under quarantine, and the session running screening and
+#: quarantine together.
 TIER1 = (
     *(f"sync_open/{world}/s1" for world in SYNC_WORLD_SEEDS),
     "array/s1",
@@ -464,6 +513,7 @@ TIER1 = (
     "sharded_patience/s1",
     "sharded_seeded_array/s1",
     "quarantine_resume/colluder/s1",
+    "screened_quarantine/spammer/s1",
 )
 
 
