@@ -2,7 +2,7 @@
 
 Sweeps the colluding-spammer fraction (0% → 50%) with the quality-
 control loop off and on. The on rows run the latent-ability trust
-model (joint member/truth estimation, ``repro.faults.latent``) — the
+model (joint member/truth estimation, ``repro.estimation.latent``) — the
 gold-probe loop it replaced scored members against the poisonable
 crowd aggregate and turned net-negative under heavy collusion. Three
 claims are asserted:

@@ -5,9 +5,11 @@ spam). The example contrasts three defences from the estimation layer:
 
 1. plain mean aggregation (no defence),
 2. trimmed-mean aggregation (statistical robustness),
-3. consistency screening — exploiting the crowd-mining-specific fact
-   that reported support must be antitone along the rule lattice, which
-   honest members respect and spammers cannot.
+3. spammer screening (``screen_spammers=True``) — exploiting the
+   crowd-mining-specific fact that reported support must be antitone
+   along the rule lattice, which honest members respect and spammers
+   cannot. The session's latent-ability model weights each member by
+   how often their own answers break it.
 
 Run:  python examples/culinary_spammers.py
 """
@@ -22,8 +24,8 @@ from repro import (
     standard_answer_model,
 )
 from repro.crowd import SpammerAnswerModel
-from repro.estimation import ConsistencyChecker, TrimmedMeanAggregator
-from repro.miner import QuestionKind
+from repro.estimation import TrimmedMeanAggregator
+from repro.miner import CrowdMiner, CrowdMinerConfig
 
 SPAMMER_EVERY = 5  # members 0, 5, 10, ... are spammers
 
@@ -78,18 +80,25 @@ def main() -> None:
     print(f"precision={p:.2f} recall={r:.2f} "
           f"({len(trimmed.significant)} rules reported)")
 
-    print("\n=== consistency screening (who are the spammers?) ===")
-    checker = ConsistencyChecker()
-    for event in plain.log:
-        if event.kind is QuestionKind.CLOSED and event.stats is not None:
-            checker.record(event.member_id, event.rule, event.stats)
-    flagged = checker.flagged(threshold=0.8)
+    print("\n=== spammer screening (who are the spammers?) ===")
+    miner = CrowdMiner(
+        make_crowd(population, seed=23),
+        CrowdMinerConfig(
+            thresholds=thresholds, budget=1_500, seed=24, screen_spammers=True
+        ),
+    )
+    screened = miner.run()
+    p, r = score(screened, truth)
+    print(f"precision={p:.2f} recall={r:.2f} "
+          f"({len(screened.significant)} rules reported)")
+    trust = {m.member_id: miner.latent.trust(m.member_id) for m in population}
+    flagged = sorted(member_id for member_id, t in trust.items() if t < 0.8)
     actual = {m.member_id for i, m in enumerate(population) if i % SPAMMER_EVERY == 0}
     caught = len(set(flagged) & actual)
     print(f"flagged {len(flagged)} members; {caught}/{len(actual)} are actual spammers")
     for member_id in flagged[:6]:
         mark = "SPAMMER" if member_id in actual else "honest"
-        print(f"  {member_id}: trust={checker.trust(member_id):.2f} ({mark})")
+        print(f"  {member_id}: trust={trust[member_id]:.2f} ({mark})")
 
 
 if __name__ == "__main__":

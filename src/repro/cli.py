@@ -134,9 +134,13 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     thresholds = Thresholds(args.support, args.confidence)
     storage = None
     if args.checkpoint:
-        from repro.storage import open_backend
+        from repro.storage import StorageError, open_backend
 
-        storage = open_backend(args.checkpoint)
+        try:
+            storage = open_backend(args.checkpoint)
+        except StorageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         print(f"checkpointing to {storage.describe()}")
     from repro.miner import CrowdMiner, CrowdMinerConfig
 

@@ -177,8 +177,8 @@ class ForgetfulAnswerModel(AnswerModel):
 class SpammerAnswerModel(AnswerModel):
     """A worker who answers uniformly at random, ignoring the truth.
 
-    Used for aggregation-robustness tests (trimmed means, consistency
-    filtering). Intentionally does not enforce coherence beyond the
+    Used for aggregation-robustness tests (trimmed means, spammer
+    screening). Intentionally does not enforce coherence beyond the
     representational requirement.
     """
 

@@ -1,19 +1,18 @@
 """Estimation framework: from collected answers to classified rules.
 
 Streaming per-rule statistics, bivariate-normal significance testing
-with three-way decisions, pluggable cross-member aggregation, and
-consistency-based spammer screening.
+with three-way decisions, pluggable cross-member aggregation, and the
+latent-ability quality-control model (spammer screening and
+quarantine).
 """
 
 from repro.estimation.aggregate import (
     Aggregator,
-    CompositeTrust,
     DynamicTrustAggregator,
     MeanAggregator,
     TrimmedMeanAggregator,
     WeightedAggregator,
 )
-from repro.estimation.consistency import ConsistencyChecker, MemberRecord
 from repro.estimation.intervals import (
     EstimateIntervals,
     Interval,
@@ -21,6 +20,7 @@ from repro.estimation.intervals import (
     wald_interval,
     wilson_interval,
 )
+from repro.estimation.latent import LatentAbilityModel, MemberAbility
 from repro.estimation.normal import (
     quadrant_probability,
     quadrant_probability_independent,
@@ -37,15 +37,14 @@ from repro.estimation.welford import StreamingMeanCov
 __all__ = [
     "Aggregator",
     "Assessment",
-    "CompositeTrust",
-    "ConsistencyChecker",
     "Decision",
     "DynamicTrustAggregator",
     "EstimateIntervals",
     "EstimateSummary",
     "Interval",
+    "LatentAbilityModel",
     "MeanAggregator",
-    "MemberRecord",
+    "MemberAbility",
     "RuleSamples",
     "SignificanceTest",
     "StreamingMeanCov",

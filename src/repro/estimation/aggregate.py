@@ -13,14 +13,12 @@ trust-weighted variants used in the spammer-robustness experiments:
 - :class:`WeightedAggregator` — per-member trust weights (e.g. from an
   external worker-quality system);
 - :class:`DynamicTrustAggregator` — live trust weights re-read from a
-  trust source at every summary; :class:`CompositeTrust` multiplies
-  several sources into one.
+  trust source at every summary.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,12 +115,12 @@ class TrimmedMeanAggregator(Aggregator):
 class DynamicTrustAggregator(Aggregator):
     """Trust-weighted aggregation with *live* weights.
 
-    Wraps a :class:`~repro.estimation.consistency.ConsistencyChecker`
-    (or any object with a ``trust(member_id) -> float`` method) and
+    Wraps a :class:`~repro.estimation.latent.LatentAbilityModel` (or
+    any object with a ``trust(member_id) -> float`` method) and
     re-reads each member's trust at every summarize call, so estimates
     automatically discount members whose answers have since revealed
     them as inconsistent. This is the aggregation mode behind the
-    miner's spammer screening.
+    miner's spammer screening and quarantine.
     """
 
     def __init__(self, trust_source) -> None:
@@ -163,41 +161,6 @@ class DynamicTrustAggregator(Aggregator):
 
     def __repr__(self) -> str:
         return f"DynamicTrustAggregator({self.trust_source!r})"
-
-
-@dataclass
-class CompositeTrust:
-    """Product of several trust sources, for the weighted aggregator.
-
-    Used when consistency screening (``screen_spammers``) and the
-    latent-ability quality loop (``quarantine``) run together: a member
-    must convince *both* to keep full weight. The version is the sum of
-    the sources' versions, so any source moving invalidates cached
-    summaries.
-    """
-
-    sources: tuple = ()
-    _fallbacks: dict = field(default_factory=dict, repr=False)
-
-    def trust(self, member_id: str) -> float:
-        value = 1.0
-        for source in self.sources:
-            value *= source.trust(member_id)
-        return value
-
-    @property
-    def version(self) -> int:
-        total = 0
-        for idx, source in enumerate(self.sources):
-            version = getattr(source, "version", None)
-            if version is None:
-                # No change signal: force invalidation, like the
-                # aggregator's own fallback path.
-                self._fallbacks[idx] = self._fallbacks.get(idx, 0) + 1
-                total += self._fallbacks[idx]
-            else:
-                total += int(version)
-        return total
 
 
 class WeightedAggregator(Aggregator):

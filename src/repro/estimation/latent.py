@@ -73,10 +73,19 @@ self-consistent *around the anchored truths* earns precision, pulls
 the truths further toward itself, and grows the other group's relative
 residuals — without a single gold question spent or poisoned.
 
+The same antitonicity pass feeds **spammer screening**: with
+``screen=True`` a member's trust is also multiplied by a factor that
+decays with their *raw* mean violation (no margin, no prior), so a
+member who fabricates statistics loses weight from their first few
+comparable pairs, before any re-estimation. Screening only weights;
+quarantine reads the fitted trust alone.
+
 :class:`LatentAbilityModel` implements the trust-source protocol
 (``trust`` + ``version`` for :class:`~repro.estimation.aggregate
 .DynamicTrustAggregator`) plus the quarantine surface; the miner
-installs it behind ``CrowdMinerConfig(quarantine=True)``.
+installs it behind ``CrowdMinerConfig(screen_spammers=True)`` or
+``CrowdMinerConfig(quarantine=True)``, and re-estimates and
+quarantines only under the latter.
 Everything is a deterministic pure function of the observed answer
 stream — no randomness — so seeded sessions replay byte-identically.
 
@@ -170,10 +179,8 @@ COHERENCE_WEIGHT = 12.0
 #: self-consistent than an honest crowd, but its members enter the
 #: truth step pre-discounted and can never win the precision race.
 ANCHOR_GAIN = 20.0
-#: Trust decay speed past the tolerances — the same
-#: ``1 / (1 + SEVERITY · excess)`` shape as the other trust sources, so
-#: :class:`~repro.estimation.aggregate.CompositeTrust` composes them
-#: naturally.
+#: Trust decay speed past the tolerances: trust is
+#: ``1 / (1 + SEVERITY · excess)``.
 SEVERITY = 6.0
 #: The prior per-rule difficulty (absolute standard deviation; one
 #: quarter of a Likert step), toward which thin rules shrink.
@@ -187,13 +194,24 @@ PRIOR_STRENGTH = 6.0
 #: once no truth component moves more than ``CONVERGENCE_TOL``.
 MAX_ITERATIONS = 12
 CONVERGENCE_TOL = 1e-6
+#: Raw mean violation screening forgives entirely. Honest members
+#: violate rarely and mildly (noise and Likert coarsening on borderline
+#: pairs), so their mean stays small even though one violation can
+#: reach a grid step; random answerers violate on roughly half of their
+#: comparable pairs.
+SCREEN_TOLERANCE = 0.05
+#: How fast the screening factor decays past its tolerance: the factor
+#: is ``1 / (1 + SCREEN_SEVERITY · excess)``. A raw mean of 0.10, twice
+#: the tolerance, halves a member's weight; a uniform random answerer's
+#: (about 1/6 on subset-ordered pairs) cuts it to about 0.3.
+SCREEN_SEVERITY = 20.0
 
 
 class LatentAbilityModel:
     """Joint member-ability / rule-truth estimation as a trust source.
 
     The tolerances, priors and solver budget are the module constants
-    above; the three parameters are the ones a session configures.
+    above; the four parameters are the ones a session configures.
 
     Parameters
     ----------
@@ -206,6 +224,9 @@ class LatentAbilityModel:
         Observations between re-estimations (answer-count driven, so
         deterministic under replay; the miner calls
         :meth:`due` / :meth:`reestimate` from its ingest path).
+    screen:
+        Multiply trust by the screening factor of the member's raw
+        mean violation (spammer screening).
     """
 
     def __init__(
@@ -213,22 +234,26 @@ class LatentAbilityModel:
         trust_floor: float = 0.45,
         min_answers: int = 4,
         reestimate_every: int = 10,
+        screen: bool = False,
     ) -> None:
         check_fraction(trust_floor, "trust_floor")
         self.trust_floor = float(trust_floor)
         self.min_answers = check_positive(min_answers, "min_answers")
         self.reestimate_every = check_positive(reestimate_every, "reestimate_every")
+        self.screen = bool(screen)
         # The answer matrix: member → rule → latest parsed
         # ``(support, confidence)`` pair. A member revising a rule
         # overwrites their cell, matching the one-observation-per-member
         # contract of RuleSamples.
         self._answers: dict[str, dict[Rule, tuple[float, float]]] = {}
         self._malformed: dict[str, int] = {}
-        # The coherence tally: running support-antitonicity violation
+        # The coherence tallies: running support-antitonicity violation
         # totals over each member's own comparable rule pairs, updated
         # incrementally as answers arrive (each new answer is compared
-        # against the member's existing cells once).
+        # against the member's existing cells once). The fit reads the
+        # violation beyond the margin, screening the raw violation.
         self._violation: dict[str, float] = {}
+        self._raw_violation: dict[str, float] = {}
         self._pairs: dict[str, int] = {}
         self._quarantined: set[str] = set()
         # Posterior state from the latest re-estimation. Members absent
@@ -239,9 +264,10 @@ class LatentAbilityModel:
         self._estimates = 0
         #: Monotonic change counter — the trust-source cache token read
         #: by :class:`~repro.estimation.aggregate.DynamicTrustAggregator`.
-        #: Bumped only when a re-estimation (or quarantine) actually
-        #: moves some member's trust, so clean sessions keep their
-        #: cached aggregate summaries.
+        #: Bumped when a re-estimation (or quarantine) actually moves
+        #: some member's trust, so clean sessions keep their cached
+        #: aggregate summaries; with screening on, also on every
+        #: observed answer, which may move the member's raw mean.
         self.version = 0
 
     # -- recording ------------------------------------------------------------
@@ -255,11 +281,13 @@ class LatentAbilityModel:
         specific`` any reported ``supp(specific) − supp(general)``
         above zero is impossible under a coherent personal database,
         and equal bodies must report equal supports. The running
-        violation mean is the member's incoherence.
+        violation means are the member's incoherence and, raw, their
+        screening score.
         """
         cells = self._answers.setdefault(member_id, {})
         body = rule.body
         violation = self._violation.get(member_id, 0.0)
+        raw_violation = self._raw_violation.get(member_id, 0.0)
         pairs = self._pairs.get(member_id, 0)
         support = stats.support
         for other_rule, (other_support, _) in cells.items():
@@ -273,13 +301,17 @@ class LatentAbilityModel:
             else:
                 continue
             pairs += 1
-            # Only the magnitude beyond the margin counts: honest
-            # noise/Likert flips are bounded and land inside it.
+            # Only the magnitude beyond the margin counts for the fit:
+            # honest noise/Likert flips are bounded and land inside it.
             violation += max(0.0, gap - COHERENCE_MARGIN)
+            raw_violation += max(0.0, gap)
         self._violation[member_id] = violation
+        self._raw_violation[member_id] = raw_violation
         self._pairs[member_id] = pairs
         cells[rule] = (support, stats.confidence)
         self._since_estimate += 1
+        if self.screen:
+            self.version += 1
 
     def incoherence_of(self, member_id: str) -> float:
         """Shrunk beyond-margin violation mean over comparable pairs."""
@@ -287,6 +319,13 @@ class LatentAbilityModel:
         if pairs == 0:
             return 0.0
         return self._violation[member_id] / (pairs + COHERENCE_PRIOR)
+
+    def violation_score(self, member_id: str) -> float:
+        """Raw violation mean over comparable pairs (screening's score)."""
+        pairs = self._pairs.get(member_id, 0)
+        if pairs == 0:
+            return 0.0
+        return self._raw_violation[member_id] / pairs
 
     def observe_malformed(self, member_id: str) -> None:
         """Record one unparseable reply (a strike with no coordinates)."""
@@ -514,10 +553,18 @@ class LatentAbilityModel:
         return 1.0 / (1.0 + SEVERITY * excess)
 
     def trust(self, member_id: str) -> float:
-        """Trust weight in ``(0, 1]``; exactly 1.0 for honest-fitting members."""
+        """Trust weight in ``(0, 1]``; exactly 1.0 for honest-fitting members.
+
+        With screening on, the fitted trust times the screening factor
+        of the member's :meth:`violation_score`. 0.0 once quarantined.
+        """
         if member_id in self._quarantined:
             return 0.0
-        return self._trust.get(member_id, 1.0)
+        fitted = self._trust.get(member_id, 1.0)
+        if not self.screen:
+            return fitted
+        excess = max(0.0, self.violation_score(member_id) - SCREEN_TOLERANCE)
+        return 1.0 / (1.0 + SCREEN_SEVERITY * excess) * fitted
 
     def ability_of(self, member_id: str) -> MemberAbility | None:
         """The member's latest posterior ability (``None`` before any fit)."""
@@ -530,12 +577,16 @@ class LatentAbilityModel:
     # -- quarantine -----------------------------------------------------------
 
     def should_quarantine(self, member_id: str) -> bool:
-        """True when the member's posterior ability warrants exile."""
+        """True when the member's posterior ability warrants exile.
+
+        Reads the fitted trust alone: screening lowers a member's
+        weight but never exiles them.
+        """
         if member_id in self._quarantined:
             return False
         if self.answers_observed(member_id) < self.min_answers:
             return False
-        return self.trust(member_id) < self.trust_floor
+        return self._trust.get(member_id, 1.0) < self.trust_floor
 
     def quarantine_candidates(self) -> list[str]:
         """Members due for quarantine after the latest re-estimation.

@@ -132,7 +132,7 @@ def e8r_robustness(scale: str = "full") -> tuple[ExperimentConfig, dict[str, dic
     moves F1. The off rows trace graceful degradation; the on rows
     measure what the latent-ability trust model (joint member/truth
     estimation, no gold reference to poison — see
-    :mod:`repro.faults.latent`) buys back. The floor asserted by
+    :mod:`repro.estimation.latent`) buys back. The floor asserted by
     ``benchmarks/bench_e8_robustness.py``: quality-on must be at least
     quality-off at *every* swept fraction — the poisoned-gold regime
     where enabling the defence made things worse is the bug this model

@@ -1,4 +1,4 @@
-"""Robustness layer: adversarial answers, fault injection, latent trust.
+"""Robustness layer: adversarial answers and fault injection.
 
 Everything the happy-path miner assumes — honest-but-noisy members,
 answers that parse, members that stay — is broken somewhere in here, on
@@ -7,12 +7,13 @@ purpose. The package splits into:
 - :mod:`repro.faults.adversaries` — answer behaviour gone wrong
   (collusion rings, drifting noise, lazy extremes, garbled text);
 - :mod:`repro.faults.injector` — transport/membership faults on the
-  dispatch timeline (crashes, churn waves, duplicate deliveries);
-- :mod:`repro.faults.latent` — the defence: joint latent-ability /
-  rule-truth estimation over the full answer matrix (Dawid–Skene-style),
-  which weights members and decides quarantine when the miner runs with
-  ``quarantine=True``. It needs no gold reference, so colluders have
-  none to poison (EXPERIMENTS.md E8-R).
+  dispatch timeline (crashes, churn waves, duplicate deliveries).
+
+The defence lives in :mod:`repro.estimation.latent`: joint
+latent-ability / rule-truth estimation over the full answer matrix
+(Dawid–Skene-style), which weights members and decides quarantine when
+the miner runs with ``quarantine=True``. It needs no gold reference,
+so colluders have none to poison (EXPERIMENTS.md E8-R).
 
 :func:`build_adversarial_crowd` assembles a crowd with a declared
 adversary mix; :func:`parse_adversary_mix` reads the CLI's
@@ -38,7 +39,6 @@ from repro.faults.adversaries import (
     garbage_text,
 )
 from repro.faults.injector import FaultInjector, FaultPlan, periodic_plan
-from repro.faults.latent import LatentAbilityModel, MemberAbility
 from repro.synth.population import Population
 
 __all__ = [
@@ -49,9 +49,7 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "GarbledMember",
-    "LatentAbilityModel",
     "LazyExtremesModel",
-    "MemberAbility",
     "build_adversarial_crowd",
     "garbage_text",
     "parse_adversary_mix",

@@ -39,15 +39,10 @@ from repro.core.rule import Rule
 from repro.crowd.crowd import SimulatedCrowd
 from repro.crowd.questions import AnyAnswer, ClosedAnswer, MalformedAnswer, OpenAnswer
 from repro.errors import BudgetExhaustedError, ConfigurationError, CrowdExhaustedError
-from repro.estimation.aggregate import (
-    Aggregator,
-    CompositeTrust,
-    DynamicTrustAggregator,
-)
-from repro.estimation.consistency import ConsistencyChecker
+from repro.estimation.aggregate import Aggregator, DynamicTrustAggregator
+from repro.estimation.latent import LatentAbilityModel
 from repro.estimation.samples import EstimateSummary
 from repro.estimation.significance import Decision, SignificanceTest, Thresholds
-from repro.faults.latent import LatentAbilityModel
 from repro.miner.open_policy import AdaptiveOpenPolicy, OpenClosedPolicy
 from repro.miner.result import MiningResult, QuestionEvent, QuestionKind, QuestionLog
 from repro.miner.state import MiningState, RuleOrigin
@@ -154,23 +149,28 @@ class CrowdMinerConfig:
         the probes surface junk supersets and waste verification
         budget — enable it deliberately for refinement-rich domains.
     screen_spammers:
-        Enable consistency-based trust screening: every answer is
+        Enable spammer screening: every counted closed answer is
         checked against the member's previous answers for support-
-        monotonicity violations, and all estimates become trust-weighted
+        antitonicity violations, trust decays with the member's mean
+        violation, and all estimates become trust-weighted
         (:class:`~repro.estimation.aggregate.DynamicTrustAggregator`).
         Mutually exclusive with a custom ``aggregator``.
     quarantine:
         Enable the answer quality-control loop: the latent-ability
-        model (:class:`~repro.faults.latent.LatentAbilityModel`)
-        jointly re-estimates member ability and rule truth from the
-        full answer matrix, trust weights discount low-quality
-        members, and members falling below ``trust_floor`` are
-        quarantined — no longer routed to, their evidence purged from
-        the knowledge base. Composes with ``screen_spammers`` (trust
-        is the product of both sources); mutually exclusive with a
-        custom ``aggregator``. With no adversaries present every
-        member keeps trust exactly 1.0 and the session is
-        byte-identical to one with the loop disabled.
+        model jointly re-estimates member ability and rule truth from
+        the full answer matrix, trust weights discount low-quality
+        members, and members whose fitted trust falls below
+        ``trust_floor`` are quarantined — no longer routed to, their
+        evidence purged from the knowledge base. Composes with
+        ``screen_spammers`` (trust is the screening factor times the
+        fitted trust); mutually exclusive with a custom
+        ``aggregator``. With no adversaries present every member keeps
+        trust exactly 1.0 and the session is byte-identical to one
+        with the loop disabled.
+
+        Both options run one model,
+        :class:`~repro.estimation.latent.LatentAbilityModel`, kept as
+        :attr:`CrowdMiner.latent`.
     reestimate_every:
         Counted answers between latent-model re-estimations
         (answer-count driven, so deterministic from seeds — replay
@@ -277,24 +277,16 @@ class CrowdMiner:
         bind_obs = getattr(storage, "bind_obs", None)
         if bind_obs is not None:
             bind_obs(self.obs)
-        self.consistency: ConsistencyChecker | None = None
         self.latent: LatentAbilityModel | None = None
         aggregator = config.aggregator
-        trust_sources: list = []
-        if config.screen_spammers:
-            self.consistency = ConsistencyChecker()
-            trust_sources.append(self.consistency)
-        if config.quarantine:
+        if config.screen_spammers or config.quarantine:
             self.latent = LatentAbilityModel(
                 trust_floor=config.trust_floor,
                 min_answers=config.quarantine_min_answers,
                 reestimate_every=config.reestimate_every,
+                screen=config.screen_spammers,
             )
-            trust_sources.append(self.latent)
-        if len(trust_sources) == 1:
-            aggregator = DynamicTrustAggregator(trust_sources[0])
-        elif trust_sources:
-            aggregator = DynamicTrustAggregator(CompositeTrust(tuple(trust_sources)))
+            aggregator = DynamicTrustAggregator(self.latent)
         self.state = MiningState(
             test=config.build_test(),
             aggregator=aggregator,
@@ -599,6 +591,7 @@ class CrowdMiner:
     def _maybe_reestimate(self) -> None:
         """Run a latent re-estimation when one is due, then react to it.
 
+        Only under ``quarantine``: a screening-only model never fits.
         The cadence is answer-count driven (every ``reestimate_every``
         counted observations), so it is a pure function of the answer
         stream — replay stays byte-identical. After every fit, members
@@ -614,7 +607,7 @@ class CrowdMiner:
         """
         latent = self.latent
         assert latent is not None
-        if not latent.due():
+        if not (self.config.quarantine and latent.due()):
             return
         with self.obs.timer("quality.estimate"):
             changed = latent.reestimate()
@@ -644,8 +637,6 @@ class CrowdMiner:
             self.last_discard = Discard.STALE
             return None
         origin = self.state.knowledge(rule).origin
-        if self.consistency is not None:
-            self.consistency.record(member_id, rule, answer.stats)
         if self.latent is not None:
             # Only counted closed answers enter the matrix: open
             # answers are volunteer-biased by construction.
@@ -719,8 +710,6 @@ class CrowdMiner:
             self.config.thresholds.support, self.config.thresholds.confidence
         )
         self.config.open_policy.observe_open_outcome(promising)
-        if self.consistency is not None:
-            self.consistency.record(member_id, rule, stats)
         prior = self._volunteer_prior(stats)
         if self.config.count_open_evidence:
             self.state.record_answer(rule, member_id, stats, RuleOrigin.OPEN_ANSWER)

@@ -735,29 +735,36 @@ class SessionManager:
         its last verified checkpoint (see
         :func:`repro.storage.checkpoint.load_session`); without it a
         corrupt latest checkpoint refuses the whole resume.
+
+        All or nothing: when any store fails to open or load, every
+        store this call opened is closed, no session is added, and the
+        error propagates.
         """
         if self.data_dir is None:
             raise ServeError("resume requires a data directory")
-        from repro.storage import StorageError, load_session
+        from repro.storage import load_session
 
-        resumed = []
-        for path in sorted(self.data_dir.glob("*.db")):
-            storage = self._open_storage(path, resume=True)
-            try:
+        opened = []
+        resumed: list[ServeSession] = []
+        try:
+            for path in sorted(self.data_dir.glob("*.db")):
+                storage = self._open_storage(path, resume=True)
+                opened.append(storage)
                 _miner, session, _info = load_session(storage, repair=repair)
-            except StorageError:
+                if not isinstance(session, ServeSession):
+                    raise ServeError(
+                        f"{path.name} is not a serve-session store; "
+                        "resume it with `repro mine --resume` instead"
+                    )
+                resumed.append(session)
+        except BaseException:
+            for storage in opened:
                 storage.close()
-                raise
-            if not isinstance(session, ServeSession):
-                storage.close()
-                raise ServeError(
-                    f"{path.name} is not a serve-session store; "
-                    "resume it with `repro mine --resume` instead"
-                )
+            raise
+        for session in resumed:
             session.clock = self.clock
             self.sessions[session.session_id] = session
-            resumed.append(session.session_id)
-        return resumed
+        return [session.session_id for session in resumed]
 
     def get(self, session_id: str) -> ServeSession:
         session = self.sessions.get(session_id)

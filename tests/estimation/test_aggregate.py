@@ -5,12 +5,13 @@ import pytest
 
 from repro.core import Rule, RuleStats
 from repro.estimation import (
-    CompositeTrust,
+    LatentAbilityModel,
     MeanAggregator,
     RuleSamples,
     TrimmedMeanAggregator,
     WeightedAggregator,
 )
+from repro.estimation.latent import SCREEN_SEVERITY, SCREEN_TOLERANCE
 
 
 def store_with(values):
@@ -100,12 +101,12 @@ class TestVersionTokens:
         assert WeightedAggregator({"u0": 2.0}).version == 0
 
     def test_dynamic_trust_follows_its_source(self):
-        from repro.estimation import ConsistencyChecker, DynamicTrustAggregator
+        from repro.estimation import DynamicTrustAggregator
 
-        checker = ConsistencyChecker()
-        agg = DynamicTrustAggregator(checker)
+        model = LatentAbilityModel(screen=True)
+        agg = DynamicTrustAggregator(model)
         assert agg.version == 0
-        checker.record("u", Rule(["a"], ["b"]), RuleStats(0.4, 0.6))
+        model.observe_answer("u", Rule(["a"], ["b"]), RuleStats(0.4, 0.6))
         assert agg.version == 1
         # Reading the version must not consume it.
         assert agg.version == 1
@@ -123,30 +124,16 @@ class TestVersionTokens:
         assert agg.version != agg.version
 
 
-class TestCompositeTrust:
-    class _FixedSource:
-        def __init__(self, value):
-            self.value = value
-            self.version = 0
-
-        def trust(self, member_id):
-            return self.value
-
+class TestScreenedTrust:
     def test_trust_is_product(self):
-        composite = CompositeTrust(
-            (self._FixedSource(0.5), self._FixedSource(0.5))
-        )
-        assert composite.trust("m1") == 0.25
-
-    def test_version_sums_sources(self):
-        a, b = self._FixedSource(1.0), self._FixedSource(1.0)
-        composite = CompositeTrust((a, b))
-        before = composite.version
-        a.version += 3
-        assert composite.version == before + 3
-
-    def test_versionless_source_forces_invalidation(self):
-        source = self._FixedSource(1.0)
-        del source.version
-        composite = CompositeTrust((source,))
-        assert composite.version < composite.version  # strictly increasing
+        # Screened trust is the screening factor times the fitted trust.
+        screened, plain = LatentAbilityModel(screen=True), LatentAbilityModel()
+        for model in (screened, plain):
+            model.observe_answer("u", Rule(["a"], ["b"]), RuleStats(0.1, 0.3))
+            model.observe_answer("u", Rule(["a", "c"], ["b"]), RuleStats(0.9, 0.95))
+            model.observe_malformed("u")
+            model.reestimate()
+        excess = screened.violation_score("u") - SCREEN_TOLERANCE
+        factor = 1.0 / (1.0 + SCREEN_SEVERITY * excess)
+        assert factor < 1.0 and plain.trust("u") < 1.0
+        assert screened.trust("u") == factor * plain.trust("u")

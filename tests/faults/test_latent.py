@@ -19,8 +19,12 @@ from repro.core import Rule, RuleStats
 from repro.estimation import Thresholds
 from repro.estimation.aggregate import DynamicTrustAggregator
 from repro.estimation.significance import Decision, SignificanceTest
-from repro.faults import LatentAbilityModel, build_adversarial_crowd
-from repro.faults.latent import COHERENCE_TOLERANCE, SIGMA_TOLERANCE
+from repro.estimation.latent import (
+    COHERENCE_TOLERANCE,
+    SIGMA_TOLERANCE,
+    LatentAbilityModel,
+)
+from repro.faults import build_adversarial_crowd
 from repro.miner import CrowdMiner, CrowdMinerConfig
 from repro.miner.state import MiningState, RuleOrigin
 

@@ -75,11 +75,15 @@ class TestScreeningInMiner:
             ),
         )
         miner.run()
-        assert miner.consistency is not None
+        assert miner.latent is not None
         spammers = {
             m.member_id for i, m in enumerate(folk_population) if i % 5 == 0
         }
-        flagged = set(miner.consistency.flagged(threshold=0.8))
+        flagged = {
+            m.member_id
+            for m in folk_population
+            if miner.latent.trust(m.member_id) < 0.8
+        }
         # Most flagged members are actual spammers, and at least some
         # spammers are caught.
         assert flagged & spammers
@@ -91,4 +95,4 @@ class TestScreeningInMiner:
             folk_crowd,
             CrowdMinerConfig(thresholds=Thresholds(0.1, 0.5), budget=20, seed=8),
         )
-        assert miner.consistency is None
+        assert miner.latent is None

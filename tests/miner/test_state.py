@@ -5,9 +5,9 @@ import pytest
 
 from repro.core import Rule, RuleStats
 from repro.estimation import (
-    ConsistencyChecker,
     Decision,
     DynamicTrustAggregator,
+    LatentAbilityModel,
     SignificanceTest,
     Thresholds,
 )
@@ -331,11 +331,11 @@ class TestSummaryCache:
         assert after.n == 4
 
     def test_trust_weight_change_invalidates(self):
-        # The spammer-screening path: a consistency update must reach
+        # The spammer-screening path: a screening update must reach
         # cached summaries even when the rule's own samples are untouched.
-        checker = ConsistencyChecker()
+        model = LatentAbilityModel(screen=True)
         test = SignificanceTest(Thresholds(0.2, 0.5), min_samples=3)
-        state = MiningState(test, aggregator=DynamicTrustAggregator(checker))
+        state = MiningState(test, aggregator=DynamicTrustAggregator(model))
         rule = Rule(["a"], ["b"])
         state.record_answer(rule, "honest", RuleStats(0.2, 0.5), RuleOrigin.SEED)
         state.record_answer(rule, "spammer", RuleStats(0.8, 0.9), RuleOrigin.SEED)
@@ -344,8 +344,8 @@ class TestSummaryCache:
         assert state.summary_for(knowledge) is before  # cached while quiet
         # The spammer violates support monotonicity on another rule;
         # their trust drops, dragging the weighted mean toward "honest".
-        checker.record("spammer", Rule(["a"], ["b"]), RuleStats(0.1, 0.3))
-        checker.record("spammer", Rule(["a", "c"], ["b"]), RuleStats(0.9, 0.95))
+        model.observe_answer("spammer", Rule(["a"], ["b"]), RuleStats(0.1, 0.3))
+        model.observe_answer("spammer", Rule(["a", "c"], ["b"]), RuleStats(0.9, 0.95))
         after = state.summary_for(knowledge)
         assert after is not before
         assert after.mean[0] < before.mean[0]

@@ -8,12 +8,14 @@ fingerprint-level equivalence story lives in
 possible.
 """
 
+import sqlite3
 import time
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.miner import CrowdMiner
 from repro.serve import (
     RealTimeClock,
     Scenario,
@@ -24,7 +26,7 @@ from repro.serve import (
     run_session_inprocess,
 )
 from repro.serve.differential import drive_inprocess
-from repro.storage import StorageError, capture_session, restore_session
+from repro.storage import StorageError, capture_session, open_backend, restore_session
 
 SCENARIO = Scenario(n_members=6, transactions_per_member=30, budget=40)
 
@@ -370,6 +372,38 @@ class TestSessionManager:
         manager = SessionManager(data_dir=tmp_path, clock=RealTimeClock())
         with pytest.raises(StorageError, match="not a session store"):
             manager.resume_all()
+
+    @pytest.mark.parametrize("second", ["text_file", "mine_store"])
+    def test_failed_resume_keeps_no_session_open(self, tmp_path, second):
+        # s1.db is a serve store; s2.db, which resumes after it, is a
+        # text file or a `repro mine` store, so the resume fails once
+        # s1 is loaded.
+        manager = SessionManager(data_dir=tmp_path, clock=RealTimeClock())
+        manager.create(self.spec(id="s1")).miner.checkpoint()
+        manager.delete("s1")
+        if second == "text_file":
+            (tmp_path / "s2.db").write_text("not a database at all\n")
+            error = StorageError
+        else:
+            storage = open_backend(tmp_path / "s2.db")
+            CrowdMiner(
+                SCENARIO.build_crowd(), SCENARIO.miner_config(), storage=storage
+            ).checkpoint()
+            storage.close()
+            error = ServeError
+        opened = []
+        manager = SessionManager(
+            data_dir=tmp_path,
+            clock=RealTimeClock(),
+            storage_wrapper=lambda storage: opened.append(storage) or storage,
+        )
+        with pytest.raises(error):
+            manager.resume_all()
+        assert manager.sessions == {}
+        assert opened
+        for storage in opened:
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                storage._conn.execute("SELECT 1")
 
     def test_drain_all_counts_sessions(self):
         manager = self.make_manager()

@@ -86,8 +86,8 @@ def test_capture_grows_with_rules_known_not_answers_given(captures):
 
 @pytest.mark.parametrize("screen", [False, True])
 def test_spammer_screening_keeps_no_answer_objects(screen):
-    # The consistency checker behind screening keeps one reported
-    # support per answered rule, not the answer's RuleStats.
+    # The latent model behind screening keeps one (support, confidence)
+    # pair of floats per answered rule, not the answer's RuleStats.
     scenario = Scenario(
         domain="culinary", n_members=25, budget=400, adversary_mix=(("spammer", 0.2),)
     )

@@ -133,7 +133,10 @@ class TestRepairFlags:
         assert code == 2
         assert "nonsense" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [["kb"], ["mine", "--resume", "--checkpoint"]])
+    @pytest.mark.parametrize(
+        "command",
+        [["kb"], ["mine", "--resume", "--checkpoint"], ["mine", "--checkpoint"]],
+    )
     def test_a_text_file_is_not_a_session_store(self, command, tmp_path, capsys):
         path = tmp_path / "notes.db"
         path.write_text("not a database at all\n")
