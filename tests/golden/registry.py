@@ -59,7 +59,19 @@ each asserting that it quarantined at least one:
   right after its first quarantine, restored from the checkpoint bytes
   and run to the end;
 - ``quarantine_served/colluder/s1``: the colluder mix served in-process
-  over its ``WorkerRoster``, with the serve books.
+  over its ``WorkerRoster``, with the serve books;
+- ``quarantine_dispatched/<mix>/s1``: each mix dispatched over one
+  shard, eight in flight, under lognormal latency with a 240 s
+  timeout, with its ``DispatchStats``; late answers are never read,
+  and the garbled mixes drop malformed answers at the miner's gate.
+
+The sessions over a mix of drifting and lazy members
+(``drifter:0.2,lazy:0.2``) with quarantine off, on the same 20-member
+scenario shape:
+
+- ``drift_lazy/s1``: synchronous, its fingerprint alone;
+- ``drift_lazy_dispatched/s1``: dispatched like
+  ``quarantine_dispatched``, with its ``DispatchStats``.
 
 The sessions with spammer screening on, over a 20-member ``sync_open``
 world where a quarter of the crowd are spammers. They ask closed
@@ -157,6 +169,10 @@ QUARANTINE_MIXES = {
 }
 QUARANTINE_SCENARIO = dict(n_members=20, budget=300, quarantine=True)
 QUARANTINE_SHARDS = 2
+#: The one-shard dispatched sessions' answer timeout, in simulated seconds.
+QUARANTINE_TIMEOUT = 240.0
+#: Drifting and lazy members, mined with quarantine off.
+DRIFT_LAZY_MIX = (("drifter", 0.2), ("lazy", 0.2))
 
 #: The screened sessions' adversary mix, crowd size, budget and the
 #: pooled support of their seed rules.
@@ -411,6 +427,42 @@ def quarantine_sharded(seed: int) -> dict:
     return {**books, "quarantined": _quarantined(crowd)}
 
 
+def _one_shard(scenario: Scenario, crowd) -> Dispatcher:
+    """One shard, eight in flight, lognormal latency and a finite timeout."""
+    config = DispatchConfig(
+        window=WINDOW,
+        timeout=QUARANTINE_TIMEOUT,
+        latency=LognormalLatency(median=60.0, sigma=1.0),
+        seed=scenario.miner_seed + 1,
+    )
+    return Dispatcher(CrowdMiner(crowd, scenario.miner_config()), config)
+
+
+def quarantine_dispatched(mix: str, seed: int) -> dict:
+    scenario = _quarantine_scenario(mix, seed)
+    crowd = scenario.build_crowd()
+    books = _dispatched(_one_shard(scenario, crowd))
+    return {**books, "quarantined": _quarantined(crowd)}
+
+
+def _drift_lazy_scenario(seed: int) -> Scenario:
+    crowd_seed, miner_seed = session_seeds(seed, len(QUARANTINE_MIXES), 2)
+    return Scenario(
+        crowd_seed=crowd_seed % 2**31,
+        miner_seed=miner_seed % 2**31,
+        adversary_mix=DRIFT_LAZY_MIX,
+        **{**QUARANTINE_SCENARIO, "quarantine": False},
+    )
+
+
+def drift_lazy(seed: int, dispatched: bool) -> str | dict:
+    scenario = _drift_lazy_scenario(seed)
+    crowd = scenario.build_crowd()
+    if dispatched:
+        return _dispatched(_one_shard(scenario, crowd))
+    return CrowdMiner(crowd, scenario.miner_config()).run().fingerprint()
+
+
 def quarantine_resume(seed: int) -> dict:
     scenario = _quarantine_scenario("colluder", seed)
     miner = CrowdMiner(scenario.build_crowd(), scenario.miner_config())
@@ -495,6 +547,12 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
     "quarantine_sharded/colluder/s1": lambda: quarantine_sharded(1),
     "quarantine_resume/colluder/s1": lambda: quarantine_resume(1),
     "quarantine_served/colluder/s1": lambda: quarantine_served(1),
+    **{
+        f"quarantine_dispatched/{mix}/s1": (lambda m=mix: quarantine_dispatched(m, 1))
+        for mix in QUARANTINE_MIXES
+    },
+    "drift_lazy/s1": lambda: drift_lazy(1, dispatched=False),
+    "drift_lazy_dispatched/s1": lambda: drift_lazy(1, dispatched=True),
     "screened/spammer/s1": lambda: screened_session(1, quarantine=False),
     "screened_quarantine/spammer/s1": lambda: screened_session(1, quarantine=True),
 }
@@ -503,8 +561,9 @@ SESSIONS: dict[str, Callable[[], str | dict]] = {
 #: resume kind, every ``sync_open`` world at seed 1, a small sharded
 #: session with departures, a sharded columnar session that fills
 #: whole windows with closed questions, a session resumed with
-#: members under quarantine, and the session running screening and
-#: quarantine together.
+#: members under quarantine, the session running screening and
+#: quarantine together, and a dispatched session whose garbled members'
+#: malformed answers the miner drops.
 TIER1 = (
     *(f"sync_open/{world}/s1" for world in SYNC_WORLD_SEEDS),
     "array/s1",
@@ -514,6 +573,7 @@ TIER1 = (
     "sharded_seeded_array/s1",
     "quarantine_resume/colluder/s1",
     "screened_quarantine/spammer/s1",
+    "quarantine_dispatched/garbled/s1",
 )
 
 
