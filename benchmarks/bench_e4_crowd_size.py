@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from repro.core import Rule
-from repro.crowd import ArrayCrowd, ExactAnswerModel
+from repro.crowd import ExactAnswerModel, SimulatedCrowd
 from repro.estimation import Thresholds
 from repro.eval import (
     ExperimentConfig,
@@ -137,7 +137,7 @@ def test_e4_large_crowd_throughput(benchmark, scale):
         model, population, _ = build_world(world, seed=41, ground_truth=False)
         rng = np.random.default_rng(42)
         seed_rules = _random_seed_rules(model.domain.items, cfg["seed_rules"], rng)
-        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=43)
+        crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), seed=43)
         miner = CrowdMiner(
             crowd,
             CrowdMinerConfig(

@@ -31,14 +31,17 @@ SPAMMER_EVERY = 5  # members 0, 5, 10, ... are spammers
 
 
 def make_crowd(population, seed):
-    """A crowd where every fifth member ignores the questions."""
-    honest = standard_answer_model()
+    """A crowd where every fifth member ignores the questions.
 
-    def model_for(index: int):
-        return SpammerAnswerModel() if index % SPAMMER_EVERY == 0 else honest
-
-    return SimulatedCrowd.from_population(
-        population, answer_model_factory=model_for, seed=seed
+    The honest model is shared; each spammer is a per-member answer
+    model of the one simulated crowd.
+    """
+    spammer = SpammerAnswerModel()
+    return SimulatedCrowd(
+        population,
+        answer_model=standard_answer_model(),
+        seed=seed,
+        member_models={k: spammer for k in range(0, len(population), SPAMMER_EVERY)},
     )
 
 

@@ -19,7 +19,7 @@ Run:  python examples/scripted_live_crowd.py
 import io
 
 from repro import Thresholds
-from repro.crowd import SimulatedCrowd, StreamMember, folk_remedies_renderer
+from repro.crowd import MemberCrowd, StreamMember, folk_remedies_renderer
 from repro.miner import CrowdMiner, CrowdMinerConfig, analyze_result
 from repro.synth import folk_remedies_domain
 
@@ -54,7 +54,7 @@ def main() -> None:
         StreamMember(name, script, renderer=renderer, echo=transcript)
         for name, script in SCRIPTS.items()
     ]
-    crowd = SimulatedCrowd(members, seed=1)
+    crowd = MemberCrowd(members)
 
     miner = CrowdMiner(
         crowd,

@@ -47,7 +47,6 @@ from repro.core import ItemDomain, Itemset, Rule, RuleStats, TransactionDB
 from repro.crowd import (
     OpenAnswerPolicy,
     SimulatedCrowd,
-    SimulatedMember,
     standard_answer_model,
 )
 from repro.errors import ReproError
@@ -107,7 +106,6 @@ __all__ = [
     "RuleStats",
     "SignificanceTest",
     "SimulatedCrowd",
-    "SimulatedMember",
     "Thresholds",
     "TransactionDB",
     "__version__",

@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.crowd import standard_answer_model
+from repro.crowd import SimulatedCrowd, standard_answer_model
 from repro.estimation import Thresholds
 from repro.eval import EXPERIMENTS, ascii_chart, format_experiment, run_variants
 from repro.miner import compute_ground_truth
@@ -91,40 +91,31 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         return _resume_mine(args)
     model = NAMED_MODELS[args.domain](seed=args.seed)
     if args.population_backend == "array":
-        if args.adversary_mix:
-            print(
-                "error: --adversary-mix needs per-member objects; "
-                "drop it or use --population-backend object",
-                file=sys.stderr,
-            )
-            return 2
-        from repro.crowd import ArrayCrowd
         from repro.synth import ArrayPopulation
 
         population = ArrayPopulation(
             model, n_members=args.members,
             transactions_per_member=200, seed=args.seed + 1,
         )
-        crowd = ArrayCrowd(
-            population, answer_model=standard_answer_model(), seed=args.seed + 2
-        )
     else:
         population = build_population(
             model, n_members=args.members,
             transactions_per_member=200, seed=args.seed + 1,
         )
-        from repro.faults import build_adversarial_crowd, parse_adversary_mix
+    from repro.faults import build_adversarial_crowd, parse_adversary_mix
 
-        mix = parse_adversary_mix(args.adversary_mix)
+    mix = parse_adversary_mix(args.adversary_mix)
+    if mix:
         crowd, roles = build_adversarial_crowd(
             population, mix, answer_model=standard_answer_model(), seed=args.seed + 2
         )
-        adversaries = {mid for mid, role in roles.items() if role != "honest"}
+        adversaries = sum(role != "honest" for role in roles.values())
         if adversaries:
-            print(
-                f"adversary mix: {args.adversary_mix} "
-                f"({len(adversaries)} members)"
-            )
+            print(f"adversary mix: {args.adversary_mix} ({adversaries} members)")
+    else:
+        crowd = SimulatedCrowd(
+            population, answer_model=standard_answer_model(), seed=args.seed + 2
+        )
     cache = None
     if args.save_cache:
         from repro.miner import AnswerCache, CachingCrowd
@@ -463,9 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--population-backend", choices=("object", "array"),
         default="object",
-        help="member-state backend: 'object' (default) builds one "
-        "member object each; 'array' keeps columnar state and scales "
-        "to millions of members (honest crowds only)",
+        help="population backend: 'object' (default) materializes one "
+        "personal database per member; 'array' keeps columnar state and "
+        "scales to millions of members",
     )
     mine.add_argument(
         "--adversary-mix", default="", metavar="SPEC",

@@ -1,9 +1,12 @@
 """Crowd simulation substrate.
 
 The answering side of crowd mining: question/answer value objects,
-human answer models, member behaviour, and the
-:class:`~repro.crowd.crowd.SimulatedCrowd` facade that is the *only*
-interface the mining algorithm may talk to.
+human answer models, open-answer behaviour, and the crowds that are
+the *only* interface the mining algorithm may talk to: the one
+simulated crowd, :class:`~repro.crowd.crowd.SimulatedCrowd`, which
+answers from a population with per-member adversary behaviour as
+sparse parameters, and :class:`~repro.crowd.crowd.MemberCrowd`, for
+member objects that answer themselves (live text streams).
 """
 
 from repro.crowd.answer_models import (
@@ -18,9 +21,10 @@ from repro.crowd.answer_models import (
     coherent_stats,
     standard_answer_model,
 )
+# Another name for SimulatedCrowd, kept for the benchmark harness
+# until its next change (see repro.crowd.array_crowd).
 from repro.crowd.array_crowd import ArrayCrowd
-from repro.crowd.crowd import CrowdStats, SimulatedCrowd
-from repro.crowd.member import SimulatedMember
+from repro.crowd.crowd import CrowdStats, MemberCrowd, SimulatedCrowd
 from repro.crowd.partition import CrowdPartition
 from repro.crowd.nl import (
     LIKERT_LABELS,
@@ -33,6 +37,7 @@ from repro.crowd.open_behavior import HabitPool, OpenAnswerPolicy
 from repro.crowd.stream import (
     WORD_TO_VALUE,
     StreamMember,
+    garbage_text,
     parse_open_answer,
     parse_stats,
 )
@@ -65,15 +70,16 @@ __all__ = [
     "LIKERT_LABELS",
     "LikertAnswerModel",
     "MalformedAnswer",
+    "MemberCrowd",
     "NoisyAnswerModel",
     "OpenAnswer",
     "OpenAnswerPolicy",
     "OpenQuestion",
     "QuestionRenderer",
     "SimulatedCrowd",
-    "SimulatedMember",
     "StreamMember",
     "WORD_TO_VALUE",
+    "garbage_text",
     "parse_open_answer",
     "parse_stats",
     "SpammerAnswerModel",

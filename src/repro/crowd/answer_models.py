@@ -60,6 +60,11 @@ class AnswerModel:
     #: generator construction entirely (the answer streams are
     #: byte-identical either way — nothing is consumed).
     consumes_rng: bool = True
+    #: Whether the model draws from state shared across members (a
+    #: collusion ring's one generator), so its answers depend on the
+    #: order questions reach the whole crowd. A crowd simulates such
+    #: answers when the question is issued, never at first read.
+    shares_draws: bool = False
 
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
         """Turn true ``stats`` into reported stats. Base class: identity."""
@@ -195,6 +200,7 @@ class ComposedAnswerModel(AnswerModel):
             raise ValueError("composition needs at least one stage")
         self.stages = tuple(stages)
         self.consumes_rng = any(stage.consumes_rng for stage in stages)
+        self.shares_draws = any(stage.shares_draws for stage in stages)
 
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
         for stage in self.stages:

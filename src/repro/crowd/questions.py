@@ -83,7 +83,7 @@ class DeferredClosedAnswer(ClosedAnswer):
     after its malformed, rejected and stale gates, so an answer
     discarded in flight — or never delivered — is never simulated.
     ``simulate`` must return exactly what simulating at issue would
-    have (see :class:`~repro.crowd.array_crowd.ArrayCrowd` for how a
+    have (see :class:`~repro.crowd.crowd.SimulatedCrowd` for how the
     crowd keeps each member's answers in issue order).
 
     An unread answer pickles as its recipe and callable, and nothing
@@ -182,9 +182,11 @@ class InFlightAnswer:
     The asynchronous crowd interface fixes the answer at issue — the
     member's reply does not depend on when it is read — and stamps it
     with the simulated instant it becomes visible to the miner. The
-    object crowd simulates the content right away; the columnar crowd
-    hands back a :class:`DeferredClosedAnswer` for a closed question,
-    simulated when the miner first reads its stats, to the same value.
+    simulated crowd hands back a :class:`DeferredClosedAnswer` for a
+    closed question, simulated when the miner first reads its stats,
+    to the value simulating at issue would give; an open answer, and a
+    closed answer whose model shares its draws across members, are
+    simulated right away.
     ``arrives_at`` of ``inf`` models mid-flight loss — the member
     closed the tab and the answer never lands.
     """

@@ -3,7 +3,7 @@
 In the paper's multi-user model members take turns being active and the
 miner serves whoever is next (DESIGN.md §1.4). Every scheduler in the
 package — :class:`~repro.crowd.crowd.SimulatedCrowd`,
-:class:`~repro.crowd.array_crowd.ArrayCrowd`, a dispatcher lane's
+:class:`~repro.crowd.crowd.MemberCrowd`, a dispatcher lane's
 :class:`~repro.crowd.partition.CrowdPartition` and the serving
 :class:`~repro.serve.roster.WorkerRoster` — takes its turns from one
 :class:`Rotation`:
@@ -18,8 +18,8 @@ package — :class:`~repro.crowd.crowd.SimulatedCrowd`,
 
 A rotation knows positions, never member ids: each scheduler maps ids
 to positions and back (an order list and one id→position dict on the
-object crowd and the roster, the population's ``member_id_at`` and
-``index_of`` on the columnar crowd), and formats only the id it hands
+member crowd and the roster, the population's ``member_id_at`` and
+``index_of`` on the simulated crowd), and formats only the id it hands
 out. The available set is the ``range`` of positions the rotation was
 built over until the first departure, then a compact sorted array of
 64-bit positions; a departure deletes one entry, found by bisection,
@@ -38,8 +38,8 @@ its members after every departure.
 once: the rotation, the quarantined members (as positions), the
 availability and quarantine surface the miner reads, ``next_member``
 and :meth:`Roster.partitions`. By default it lays ids out as an order
-list and one id→position dict; the columnar crowd maps them through its
-population instead. Its subclasses keep only what differs: how a member
+list and one id→position dict; the simulated crowd maps them through
+its population instead. Its subclasses keep only what differs: how a member
 leaves, and how (or whether) a question is answered.
 """
 
@@ -150,7 +150,7 @@ class Roster:
 
     ``member_ids`` lays the members out in crowd order: position ``k``
     is ``member_ids[k]``. A subclass that maps ids through something
-    else (the columnar crowd's population) overrides ``__len__``,
+    else (the simulated crowd's population) overrides ``__len__``,
     :meth:`member_id_at` and :meth:`position_of`, and sets ``_rotation``
     and ``_quarantined`` itself instead of calling this constructor.
     """

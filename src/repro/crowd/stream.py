@@ -1,11 +1,16 @@
 """Stream-driven crowd members: answers from a text protocol.
 
-The simulation answers questions from materialized personal databases;
-a *deployed* system gets answers from people. :class:`StreamMember`
+The simulated crowd answers questions from personal databases; a
+*deployed* system gets answers from people. :class:`StreamMember`
 bridges the two: it reads answers from any line-oriented text stream
 (stdin for a live console session, a file for scripted replays, a
 socket for a real front-end) using a small, human-writable protocol,
-and presents the exact same member interface as the simulator.
+and answers the miner's questions from inside a
+:class:`~repro.crowd.crowd.MemberCrowd`.
+
+The simulated crowd's garbled members reply with lines from
+:func:`garbage_text`, which this protocol's :func:`parse_stats`
+rejects, so their replies fail exactly where a live one would.
 
 Protocol (one line per answer):
 
@@ -30,6 +35,8 @@ from __future__ import annotations
 
 import io
 from collections.abc import Iterator
+
+import numpy as np
 
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
@@ -88,6 +95,28 @@ def parse_stats(text: str) -> RuleStats:
     )
 
 
+def garbage_text(rng: np.random.Generator) -> str:
+    """One deterministic line of text that :func:`parse_stats` rejects.
+
+    Drawn from the failure modes real free-text answers exhibit: prose
+    instead of numbers, numbers out of range or incoherent
+    (confidence < support), wrong arity, stray punctuation.
+    """
+    pools = (
+        "i dunno maybe",
+        "yes",
+        "0.9 0.2",  # incoherent: confidence below support
+        "often often often",
+        "1.5 2.0",  # out of range
+        "???",
+        "0.3;0.6",
+        "about half the time i guess",
+        "-> ; often",
+        "NaN NaN",
+    )
+    return pools[int(rng.integers(len(pools)))]
+
+
 def parse_open_answer(text: str) -> tuple[Rule, RuleStats] | None:
     """Parse an open-answer line: ``pass`` or ``rule ; stats``.
 
@@ -143,8 +172,8 @@ class StreamMember:
         self._exhausted = False
         self._questions_answered = 0
         #: Fired once when the member stops being available (stream
-        #: dry or disconnected) — the crowd's availability hook, as on
-        #: :class:`~repro.crowd.member.SimulatedMember`.
+        #: dry or disconnected) — the availability hook of the
+        #: :class:`~repro.crowd.crowd.MemberCrowd` it belongs to.
         self.on_unavailable = None
         #: Tagged lines waiting for a question of their kind.
         self._pending: dict[str, list[str]] = {"closed": [], "open": []}

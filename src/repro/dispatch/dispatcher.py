@@ -42,9 +42,9 @@ schedule.
 
 Determinism: every latency draw comes from a seeded generator, every
 tie on a clock breaks by schedule order, and a question's answer is
-fixed at issue time — the object crowd simulates its content then,
-the columnar crowd when the miner first reads a closed answer's stats,
-keeping each member's answers in issue order, to the same values — so
+fixed at issue time — the simulated crowd simulates a closed answer
+when the miner first reads its stats, keeping each member's answers in
+issue order, to the values simulating at issue would give — so
 one seed tuple (crowd, miner, dispatch, shard count) replays
 byte-identically. With ``window=1`` and zero latency the dispatcher
 reduces *exactly* to the synchronous loop: same questions, same order,

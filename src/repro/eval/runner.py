@@ -26,7 +26,6 @@ from repro.crowd.answer_models import (
     LikertAnswerModel,
     NoisyAnswerModel,
 )
-from repro.crowd.array_crowd import ArrayCrowd
 from repro.crowd.crowd import SimulatedCrowd
 from repro.crowd.open_behavior import OpenAnswerPolicy
 from repro.errors import ConfigurationError
@@ -106,8 +105,8 @@ class ExperimentConfig:
     # :func:`resume_session` with a byte-identical final summary.
     checkpoint_path: str | None = None
     checkpoint_every: int = 0
-    # scale (see docs/scaling.md): "array" backs the population and
-    # crowd with columnar state instead of per-member objects, and
+    # scale (see docs/scaling.md): "array" backs the population with
+    # columnar state instead of one personal database per member, and
     # ``shards`` splits dispatched sessions over that many crowd
     # partitions.
     population_backend: str = "object"
@@ -121,11 +120,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"unknown population backend {self.population_backend!r} "
                 "(expected 'object' or 'array')"
-            )
-        if self.population_backend == "array" and self.adversary_mix:
-            raise ConfigurationError(
-                "adversary mixes need per-member objects; "
-                "use population_backend='object'"
             )
         if not self.checkpoints:
             raise ConfigurationError("at least one checkpoint is required")
@@ -239,33 +233,18 @@ def build_crowd(
     config: ExperimentConfig,
     population: Population | ArrayPopulation,
     rng: np.random.Generator,
-) -> SimulatedCrowd | ArrayCrowd:
+) -> SimulatedCrowd:
     """The session's crowd, honest or adversarial per the config.
 
-    With an empty ``adversary_mix`` this takes the plain
-    :meth:`~repro.crowd.crowd.SimulatedCrowd.from_population` path and
-    draws exactly the pre-robustness random stream; with a mix it
-    delegates to :func:`repro.faults.build_adversarial_crowd`. An
-    :class:`~repro.synth.array_population.ArrayPopulation` gets the
-    columnar :class:`~repro.crowd.array_crowd.ArrayCrowd` (honest only
-    — adversary mixes need per-member objects).
+    With an empty ``adversary_mix`` every member answers through the
+    config's one answer model, drawing exactly the pre-robustness
+    random stream; with a mix it delegates to
+    :func:`repro.faults.build_adversarial_crowd`. Either kind of
+    population backs the one simulated crowd.
     """
     open_policy = OpenAnswerPolicy(max_body_size=config.max_body_size)
-    if isinstance(population, ArrayPopulation):
-        if config.adversary_mix:
-            raise ConfigurationError(
-                "adversary mixes need per-member objects; "
-                "use population_backend='object'"
-            )
-        return ArrayCrowd(
-            population,
-            answer_model=config.answer_model(),
-            open_policy=open_policy,
-            patience=config.patience,
-            seed=rng,
-        )
     if not config.adversary_mix:
-        return SimulatedCrowd.from_population(
+        return SimulatedCrowd(
             population,
             answer_model=config.answer_model(),
             open_policy=open_policy,

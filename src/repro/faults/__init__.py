@@ -5,7 +5,8 @@ answers that parse, members that stay — is broken somewhere in here, on
 purpose. The package splits into:
 
 - :mod:`repro.faults.adversaries` — answer behaviour gone wrong
-  (collusion rings, drifting noise, lazy extremes, garbled text);
+  (collusion rings, drifting noise, lazy extremes; garbled text is a
+  per-member rate of the simulated crowd);
 - :mod:`repro.faults.injector` — transport/membership faults on the
   dispatch timeline (crashes, churn waves, duplicate deliveries).
 
@@ -16,8 +17,8 @@ the miner runs with ``quarantine=True``. It needs no gold reference,
 so colluders have none to poison (EXPERIMENTS.md E8-R).
 
 :func:`build_adversarial_crowd` assembles a crowd with a declared
-adversary mix; :func:`parse_adversary_mix` reads the CLI's
-``name:fraction,...`` spec.
+adversary mix, as per-member parameters of the one simulated crowd;
+:func:`parse_adversary_mix` reads the CLI's ``name:fraction,...`` spec.
 """
 
 from __future__ import annotations
@@ -25,20 +26,18 @@ from __future__ import annotations
 import numpy as np
 
 from repro._util import as_rng
-from repro.crowd.answer_models import AnswerModel, ExactAnswerModel, SpammerAnswerModel
+from repro.crowd.answer_models import AnswerModel, SpammerAnswerModel
 from repro.crowd.crowd import SimulatedCrowd
-from repro.crowd.member import SimulatedMember
 from repro.crowd.open_behavior import OpenAnswerPolicy
 from repro.errors import ConfigurationError
 from repro.faults.adversaries import (
     CollusionRing,
     ColludingSpammerModel,
     DriftingAnswerModel,
-    GarbledMember,
     LazyExtremesModel,
-    garbage_text,
 )
 from repro.faults.injector import FaultInjector, FaultPlan, periodic_plan
+from repro.synth.array_population import ArrayPopulation
 from repro.synth.population import Population
 
 __all__ = [
@@ -48,10 +47,8 @@ __all__ = [
     "DriftingAnswerModel",
     "FaultInjector",
     "FaultPlan",
-    "GarbledMember",
     "LazyExtremesModel",
     "build_adversarial_crowd",
-    "garbage_text",
     "parse_adversary_mix",
     "periodic_plan",
 ]
@@ -110,7 +107,7 @@ def parse_adversary_mix(spec: str) -> tuple[tuple[str, float], ...]:
 
 
 def build_adversarial_crowd(
-    population: Population,
+    population: Population | ArrayPopulation,
     mix: tuple[tuple[str, float], ...] = (),
     *,
     answer_model: AnswerModel | None = None,
@@ -122,12 +119,15 @@ def build_adversarial_crowd(
     """A crowd where a declared fraction of members are adversaries.
 
     ``mix`` is a tuple of ``(role, fraction)`` pairs (see
-    :func:`parse_adversary_mix`); roles are assigned to members by a
-    seeded permutation, everyone else keeps the honest
-    ``answer_model``. Colluders all share one
-    :class:`~repro.faults.adversaries.CollusionRing`; each drifter gets
-    its own (stateful) :class:`DriftingAnswerModel`; garbled members
-    wrap the honest model and emit unparseable text at
+    :func:`parse_adversary_mix`); roles are assigned to crowd positions
+    by a seeded permutation, everyone else keeps the honest
+    ``answer_model``. Each adversary becomes a per-member parameter of
+    the one :class:`~repro.crowd.crowd.SimulatedCrowd`, over an
+    explicit or a columnar population alike: spammers, colluders and
+    lazy members answer through their role's model (colluders all
+    through one :class:`~repro.faults.adversaries.CollusionRing`), each
+    drifter through its own (stateful) :class:`DriftingAnswerModel`,
+    and garbled members through the honest model, garbled at
     ``garbled_rate``.
 
     Returns ``(crowd, roles)`` where ``roles`` maps member id →
@@ -139,13 +139,11 @@ def build_adversarial_crowd(
     resulting crowd is byte-identical to the standard honest build.
     """
     rng = as_rng(seed)
-    open_policy = open_policy or OpenAnswerPolicy()
-    pop_members = list(population)
-    n = len(pop_members)
+    n = len(population)
     roles = ["honest"] * n
-    ring: CollusionRing | None = None
+    member_models: dict[int, AnswerModel] = {}
+    garbled: dict[int, float] = {}
     if mix:
-        mix = tuple(mix)
         for role, fraction in mix:
             if role not in ADVERSARY_ROLES:
                 raise ConfigurationError(f"unknown adversary role {role!r}")
@@ -153,44 +151,33 @@ def build_adversarial_crowd(
                 raise ConfigurationError(
                     f"fraction for role {role!r} must be in [0, 1], got {fraction}"
                 )
-        order = [int(i) for i in rng.permutation(n)]
+        order = rng.permutation(n).tolist()
         cursor = 0
         for role, fraction in mix:
             count = min(int(round(fraction * n)), n - cursor)
             for idx in order[cursor : cursor + count]:
                 roles[idx] = role
             cursor += count
-        if any(role == "colluder" for role in roles):
-            ring = CollusionRing(seed=int(rng.integers(2**63)))
-
-    honest_model = answer_model or ExactAnswerModel()
-    members = []
-    role_of: dict[str, str] = {}
-    for k, pop_member in enumerate(pop_members):
-        role = roles[k]
-        role_of[pop_member.member_id] = role
-        if role == "spammer":
-            model = SpammerAnswerModel()
-        elif role == "colluder":
-            assert ring is not None
-            model = ring.member_model()
-        elif role == "drifter":
-            model = DriftingAnswerModel()
-        elif role == "lazy":
-            model = LazyExtremesModel()
-        else:  # honest and garbled both answer through the honest model
-            model = honest_model
-        member = SimulatedMember(
-            member_id=pop_member.member_id,
-            db=pop_member.db,
-            answer_model=model,
-            open_policy=open_policy,
-            patience=patience,
-            seed=rng.integers(2**63),
-        )
-        if role == "garbled":
-            member = GarbledMember(
-                member, rate=garbled_rate, seed=int(rng.integers(2**63))
-            )
-        members.append(member)
-    return SimulatedCrowd(members, seed=rng), role_of
+        shared: dict[str, AnswerModel] = {
+            "spammer": SpammerAnswerModel(),
+            "lazy": LazyExtremesModel(),
+        }
+        if "colluder" in roles:
+            shared["colluder"] = CollusionRing(seed=int(rng.integers(2**63))).member_model()
+        for k, role in enumerate(roles):
+            if role == "drifter":
+                member_models[k] = DriftingAnswerModel()
+            elif role == "garbled":
+                garbled[k] = garbled_rate
+            elif role != "honest":
+                member_models[k] = shared[role]
+    crowd = SimulatedCrowd(
+        population,
+        answer_model=answer_model,
+        open_policy=open_policy,
+        patience=patience,
+        seed=rng,
+        member_models=member_models,
+        garbled=garbled,
+    )
+    return crowd, {population.member_id_at(k): role for k, role in enumerate(roles)}

@@ -17,9 +17,16 @@ tested against:
 - :class:`LazyExtremesModel` — a worker who snaps every answer to the
   Likert extremes ("never" / "very often"), destroying all resolution
   near the thresholds;
-- :class:`GarbledMember` — a member whose replies are sometimes (or
-  always) unparseable text, exercising the miner's validation gate end
-  to end through the real NL parse path.
+- garbled members, whose replies are sometimes (or always) unparseable
+  text, exercising the miner's validation gate end to end through the
+  real NL parse path. Garbling is not an answer model but a per-member
+  rate of the one simulated crowd (:class:`~repro.crowd.crowd.SimulatedCrowd`):
+  the member answers honestly, then its own garble stream decides
+  whether the reply is replaced.
+
+Each is a per-member parameter of that one crowd, which
+:func:`repro.faults.build_adversarial_crowd` sets from a declared mix,
+over an explicit or a columnar population alike.
 
 All models stay *representable*: they route their output through
 :func:`~repro.crowd.answer_models.coherent_stats`, because the
@@ -30,23 +37,12 @@ replay byte-identically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro._util import as_rng, check_fraction, check_nonnegative
 from repro.core.measures import RuleStats
 from repro.core.rule import Rule
 from repro.crowd.answer_models import AnswerModel, coherent_stats
-from repro.crowd.member import SimulatedMember
-from repro.crowd.questions import (
-    ClosedAnswer,
-    ClosedQuestion,
-    MalformedAnswer,
-    OpenAnswer,
-    OpenQuestion,
-)
-from repro.crowd.stream import parse_stats
 
 
 class CollusionRing:
@@ -90,7 +86,13 @@ class ColludingSpammerModel(AnswerModel):
     colluders are coordinated, not byte-identical). Closed questions
     carry the rule through ``report_rule``; plain ``report`` calls
     (open answers, unknown rule) degrade to independent spam.
+
+    The ring draws a rule's lie from one generator for all its members,
+    at the rule's first query, so its answers are simulated when the
+    question is issued (``shares_draws``).
     """
+
+    shares_draws = True
 
     def __init__(self, ring: CollusionRing) -> None:
         self.ring = ring
@@ -181,99 +183,3 @@ class LazyExtremesModel(AnswerModel):
 
     def __repr__(self) -> str:
         return f"LazyExtremesModel(split={self.split})"
-
-
-def garbage_text(rng: np.random.Generator) -> str:
-    """One deterministic line of unparseable answer text.
-
-    Drawn from the failure modes real free-text answers exhibit: prose
-    instead of numbers, numbers out of range or incoherent
-    (confidence < support), wrong arity, stray punctuation.
-    """
-    pools = (
-        "i dunno maybe",
-        "yes",
-        "0.9 0.2",  # incoherent: confidence below support
-        "often often often",
-        "1.5 2.0",  # out of range
-        "???",
-        "0.3;0.6",
-        "about half the time i guess",
-        "-> ; often",
-        "NaN NaN",
-    )
-    return pools[int(rng.integers(len(pools)))]
-
-
-@dataclass
-class GarbledMember:
-    """A member whose replies are sometimes unparseable text.
-
-    Wraps an inner :class:`~repro.crowd.member.SimulatedMember` and,
-    with probability ``rate`` per question, replaces the real answer
-    with garbage text run through the *actual* stream-protocol parser
-    (:func:`~repro.crowd.stream.parse_stats`), yielding the same
-    :class:`~repro.crowd.questions.MalformedAnswer` a live front-end
-    would produce. ``rate=1.0`` is the pure malformed-NL responder.
-
-    Implements the member protocol by delegation, so it drops into a
-    :class:`~repro.crowd.crowd.SimulatedCrowd` unchanged.
-    """
-
-    inner: SimulatedMember
-    rate: float = 1.0
-    seed: int | np.random.Generator | None = None
-
-    def __post_init__(self) -> None:
-        check_fraction(self.rate, "rate")
-        self._rng = as_rng(self.seed)
-
-    # -- member protocol ------------------------------------------------------
-
-    @property
-    def member_id(self) -> str:
-        return self.inner.member_id
-
-    @property
-    def questions_answered(self) -> int:
-        return self.inner.questions_answered
-
-    @property
-    def is_available(self) -> bool:
-        return self.inner.is_available
-
-    @property
-    def on_unavailable(self):
-        """The inner member's departure hook (the crowd installs it)."""
-        return self.inner.on_unavailable
-
-    @on_unavailable.setter
-    def on_unavailable(self, hook) -> None:
-        self.inner.on_unavailable = hook
-
-    def leave(self) -> None:
-        self.inner.leave()
-
-    def _garbled(self, question) -> MalformedAnswer:
-        text = garbage_text(self._rng)
-        try:
-            parse_stats(text)
-        except ValueError as exc:
-            return MalformedAnswer(self.member_id, question, text, str(exc))
-        raise AssertionError(f"garbage pool produced parseable text {text!r}")
-
-    def answer_closed(
-        self, question: ClosedQuestion
-    ) -> ClosedAnswer | MalformedAnswer:
-        answer = self.inner.answer_closed(question)
-        if self._rng.random() < self.rate:
-            return self._garbled(question)
-        return answer
-
-    def answer_open(
-        self, question: OpenQuestion, exclude: set[Rule] | None = None
-    ) -> OpenAnswer | MalformedAnswer:
-        answer = self.inner.answer_open(question, exclude=exclude)
-        if self._rng.random() < self.rate:
-            return self._garbled(question)
-        return answer

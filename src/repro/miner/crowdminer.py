@@ -504,9 +504,9 @@ class CrowdMiner:
         Returns the crowd's
         :class:`~repro.crowd.questions.InFlightAnswer` — content fixed
         now, visibility delayed by a ``latency`` draw on ``rng``. The
-        object crowd simulates the content at once; the columnar crowd
-        simulates a closed answer's stats when :meth:`ingest_answer`
-        first reads them, past its gates, to the same value. The
+        simulated crowd simulates a closed answer's stats when
+        :meth:`ingest_answer` first reads them, past its gates, to the
+        value simulating at issue would give. The
         dispatcher owns the event clock and hands the wrapped answer
         back to :meth:`ingest_answer` when it lands.
         """

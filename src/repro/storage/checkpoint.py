@@ -1,6 +1,8 @@
 """Whole-session checkpoint capture and resume.
 
-A checkpoint is one pickle of everything replay-determinism needs:
+A checkpoint is the format stamp (:data:`CHECKPOINT_FORMAT`, pickled
+on its own so another format is refused before anything else is
+unpickled), then one pickle of everything replay-determinism needs:
 the miner (knowledge base with rules/samples/decisions, RNG streams,
 question log, trust/quality state, the open-policy and strategy
 objects) plus the live object in the miner's dispatcher seat, if any:
@@ -14,13 +16,15 @@ objects) plus the live object in the miner's dispatcher seat, if any:
 - a :class:`~repro.serve.session.ServeSession`, which pickles its
   pending book as re-offers (see its ``__getstate__``).
 
-A columnar crowd's closed answer still unread when the checkpoint is
-taken — in flight, or discarded unread — travels as its recipe
+The simulated crowd's closed answer still unread when the checkpoint
+is taken — in flight, or discarded unread — travels as its recipe
 (member, rule), and nothing is simulated for the capture; the resumed
 session simulates it, in issue order, exactly as the uninterrupted one
-would (see :mod:`repro.crowd.array_crowd`).
+would (see :mod:`repro.crowd.crowd`). The crowd itself travels as its
+population (a columnar one as its recipe), its sparse per-member
+behaviour and the state of the members it has asked.
 
-Everything travels in a *single* pickle so shared objects (the
+The session travels in a *single* pickle so shared objects (the
 instrumentation layer, the trust sources inside the aggregator, rules
 referenced from proposals and the knowledge base alike, the crowd a
 dispatcher lane schedules over) keep their identity on load.
@@ -47,6 +51,7 @@ loads, while the dispatcher imports the miner.
 
 from __future__ import annotations
 
+import io
 import pickle
 import time
 from typing import TYPE_CHECKING
@@ -85,8 +90,12 @@ if TYPE_CHECKING:
 #: quarantined members as crowd positions instead of member ids, and
 #: the consistency checker keeps reported supports, not ``RuleStats``.
 #: Format 11: a dispatcher lane keeps no batch stream, the dispatcher no
-#: delivery tokens, and the crowds no token counter.
-CHECKPOINT_FORMAT = 11
+#: delivery tokens, and the crowds no token counter. Format 12: the
+#: simulated crowd keeps its population and sparse per-member
+#: behaviour instead of member objects, and the stamp is its own
+#: pickle ahead of the session's, so a payload of another format is
+#: refused before any session object is unpickled.
+CHECKPOINT_FORMAT = 12
 
 
 def capture_session(
@@ -104,10 +113,14 @@ def capture_session(
     (:func:`repro.storage.integrity.seal_payload`): a SHA-256 frame
     the restore side verifies before unpickling, so torn writes and
     bit rot surface as :class:`CorruptStoreError` instead of garbage
-    state.
+    state. Inside the seal, the format stamp is pickled on its own,
+    ahead of the session.
     """
-    doc = {"format": CHECKPOINT_FORMAT, "miner": miner, "dispatch": dispatcher}
-    return seal_payload(pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL))
+    doc = {"miner": miner, "dispatch": dispatcher}
+    return seal_payload(
+        pickle.dumps(CHECKPOINT_FORMAT, protocol=pickle.HIGHEST_PROTOCOL)
+        + pickle.dumps(doc, protocol=pickle.HIGHEST_PROTOCOL)
+    )
 
 
 def verify_payload(payload: bytes) -> bytes:
@@ -135,22 +148,18 @@ def restore_session(
     damaged payload raises :class:`CorruptStoreError` (resume with
     ``--repair`` to fall back to the last verified checkpoint).
     """
-    payload = verify_payload(payload)
-    try:
-        doc = pickle.loads(payload)
-    except Exception as exc:
-        # Unpickling runs this build's state hooks before the format
-        # stamp can be read, so an older layout fails in whatever hook
-        # meets it first; every such failure means "not a payload this
-        # build can read".
-        raise StorageError("cannot unpickle checkpoint payload") from exc
-    if not isinstance(doc, dict) or "format" not in doc:
-        raise StorageError("not a checkpoint payload")
-    if doc["format"] != CHECKPOINT_FORMAT:
+    stream = io.BytesIO(verify_payload(payload))
+    stamp = _unpickle(stream)
+    if isinstance(stamp, dict):  # formats 1-11: the stamp sat inside the session's pickle
+        stamp = stamp.get("format")
+    if stamp != CHECKPOINT_FORMAT:
         raise StorageError(
-            f"unsupported checkpoint format {doc['format']!r} "
+            f"unsupported checkpoint format {stamp!r} "
             f"(this build reads format {CHECKPOINT_FORMAT})"
         )
+    doc = _unpickle(stream)
+    if not isinstance(doc, dict) or "miner" not in doc:
+        raise StorageError("not a checkpoint payload")
     miner: "CrowdMiner" = doc["miner"]
     miner.storage = storage
     bind_obs = getattr(storage, "bind_obs", None)
@@ -158,6 +167,20 @@ def restore_session(
         bind_obs(miner.obs)
     miner.dispatcher = doc["dispatch"]
     return miner, miner.dispatcher
+
+
+def _unpickle(stream: io.BytesIO):
+    """The next object of a checkpoint payload; any failure is a
+    :class:`StorageError` that names its cause."""
+    try:
+        return pickle.load(stream)
+    except Exception as exc:
+        # A payload written before a module move or a class deletion
+        # fails in whichever hook meets the old layout first, so its
+        # own exception is the only account of what moved.
+        raise StorageError(
+            f"cannot unpickle checkpoint payload: {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def scrub_store(

@@ -215,16 +215,22 @@ class ArrayPopulation:
         return f"u{index:04d}"
 
     def index_of(self, member_id: str) -> int:
-        """O(1) inverse of :meth:`member_id_at`; raises ``KeyError``."""
-        try:
-            index = int(member_id[1:])
-        except (ValueError, IndexError):
-            raise KeyError(member_id) from None
+        """O(1) inverse of :meth:`member_id_at`; raises ``KeyError``.
+
+        Only the canonical form is accepted, checked on the string
+        itself: ``u`` and ASCII digits, exactly four of them or more
+        than four without a leading zero.
+        """
+        digits = member_id[1:]
         if (
-            not member_id.startswith("u")
-            or not 0 <= index < self.n_members
-            or self.member_id_at(index) != member_id
+            member_id[:1] != "u"
+            or not (digits.isascii() and digits.isdigit())
+            or len(digits) < 4
+            or (len(digits) > 4 and digits[0] == "0")
         ):
+            raise KeyError(member_id)
+        index = int(digits)
+        if index >= self.n_members:
             raise KeyError(member_id)
         return index
 

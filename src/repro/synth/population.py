@@ -3,9 +3,12 @@
 A :class:`Population` is the simulation-side stand-in for "the crowd":
 for each member it holds the materialized personal database (and, when
 generated from a latent model, the member's latent profile). The
-simulated members of :mod:`repro.crowd` answer questions by consulting
-these databases; the ground-truth oracle of :mod:`repro.miner` scores
-mining output against them.
+simulated crowd of :mod:`repro.crowd` answers questions by consulting
+these databases through ``member_id_at``, ``index_of``,
+``rule_stats_at`` and ``db_at`` — the protocol the columnar
+:class:`~repro.synth.array_population.ArrayPopulation` speaks too; the
+ground-truth oracle of :mod:`repro.miner` scores mining output against
+them.
 
 Two builders are provided, mirroring the paper's two synthetic setups:
 
@@ -26,6 +29,7 @@ import numpy as np
 
 from repro._util import as_rng, check_nonnegative, check_positive
 from repro.core.items import ItemDomain
+from repro.core.measures import RuleStats
 from repro.core.rule import Rule
 from repro.core.transactions import TransactionDB
 from repro.errors import ConfigurationError, EmptyDatabaseError
@@ -38,11 +42,19 @@ class Member:
 
     ``profile`` is ``None`` for members built by partitioning a global
     database (there is no latent truth beyond the database itself).
+    A pickled member keeps its id and database only.
     """
 
     member_id: str
     db: TransactionDB
     profile: UserProfile | None = None
+
+    def __reduce__(self) -> tuple:
+        # A session checkpoint pickles every member of the simulated
+        # crowd's explicit population, and the crowd reads only ids and
+        # databases: the latent profile is generation-time truth, and
+        # pickling its habit objects cost a fifth of a checkpoint.
+        return Member, (self.member_id, self.db)
 
 
 @dataclass(frozen=True, slots=True)
@@ -72,6 +84,24 @@ class Population:
     def member(self, member_id: str) -> Member:
         """Look up a member by id (raises ``KeyError`` when absent)."""
         return self.members[self._id_index[member_id]]
+
+    # -- the per-member protocol the simulated crowd reads ---------------------
+
+    def member_id_at(self, index: int) -> str:
+        """The id of the member at ``index``."""
+        return self.members[index].member_id
+
+    def index_of(self, member_id: str) -> int:
+        """The index of ``member_id``; raises ``KeyError`` when absent."""
+        return self._id_index[member_id]
+
+    def rule_stats_at(self, index: int, rule: Rule) -> RuleStats:
+        """Exact ``(support, confidence)`` of ``rule`` for one member."""
+        return self.members[index].db.rule_stats(rule)
+
+    def db_at(self, index: int) -> TransactionDB:
+        """Member ``index``'s personal database."""
+        return self.members[index].db
 
     # -- exact crowd-level measures (the oracle's primitives) -----------------
 

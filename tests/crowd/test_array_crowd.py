@@ -1,12 +1,12 @@
-"""ArrayCrowd: the vectorized crowd answers like the object crowd.
+"""The one simulated crowd answers alike over either kind of population.
 
-Byte-identity contract (module docstring of
-``repro/crowd/array_crowd.py``): for the same population columns,
-seed, answer model and patience, an ``ArrayCrowd`` must answer every
-question bit-for-bit like a ``SimulatedCrowd`` built over
+Byte-identity contract (module docstring of ``repro/crowd/crowd.py``):
+for the same population columns, seed, answer model, per-member
+behaviour and patience, the crowd over an ``ArrayPopulation`` must
+answer every question bit-for-bit like the crowd over
 ``population.materialize()`` — scheduling, closed answers (including
-noisy per-member generator streams), open answers, patience and
-quarantine semantics all included.
+noisy per-member generator streams), open answers, patience,
+quarantine semantics and every adversary role all included.
 """
 
 import pickle
@@ -19,10 +19,18 @@ from repro.crowd import (
     ArrayCrowd,
     ExactAnswerModel,
     SimulatedCrowd,
+    array_crowd,
     standard_answer_model,
 )
 from repro.errors import CrowdExhaustedError
+from repro.faults import ADVERSARY_ROLES, build_adversarial_crowd
 from repro.synth import ArrayPopulation, folk_remedies_model
+
+#: One mix per adversary role, and one with every role at once.
+ROLE_MIXES = {
+    **{role: ((role, 0.3),) for role in ADVERSARY_ROLES},
+    "every-role": tuple((role, 0.15) for role in ADVERSARY_ROLES),
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,16 +43,29 @@ def population(model):
     return ArrayPopulation(model, n_members=40, transactions_per_member=80, seed=7)
 
 
-def paired_crowds(population, answer_model_factory, patience=None):
-    array_crowd = ArrayCrowd(
-        population, answer_model=answer_model_factory(), patience=patience, seed=5
+def paired_crowds(population, make_model, patience=None):
+    array_crowd = SimulatedCrowd(
+        population, answer_model=make_model(), patience=patience, seed=5
     )
     object_crowd = SimulatedCrowd.from_population(
         population.materialize(),
-        answer_model=answer_model_factory(),
+        answer_model=make_model(),
         patience=patience,
         seed=5,
     )
+    return array_crowd, object_crowd
+
+
+def adversarial_twins(population, mix):
+    """The crowd with adversary ``mix`` over ``population`` and over its
+    ``materialize()``; garbled members garble half their replies."""
+    (array_crowd, array_roles), (object_crowd, object_roles) = (
+        build_adversarial_crowd(
+            pop, mix, answer_model=standard_answer_model(), seed=5, garbled_rate=0.5
+        )
+        for pop in (population, population.materialize())
+    )
+    assert array_roles == object_roles
     return array_crowd, object_crowd
 
 
@@ -105,6 +126,34 @@ class TestOpenAnswerByteIdentity:
             assert ours.stats == theirs.stats
 
 
+class TestAdversaryRolesByteIdentity:
+    @pytest.mark.parametrize("mix", ROLE_MIXES.values(), ids=ROLE_MIXES.keys())
+    def test_every_role_answers_alike(self, model, population, mix):
+        array_crowd, object_crowd = adversarial_twins(population, mix)
+        # Two rounds of the crowd and more: members are asked again,
+        # and every fifth question is open.
+        for k, rule in enumerate(some_rules(model, 100, seed=25)):
+            member = array_crowd.next_member()
+            assert member == object_crowd.next_member()
+            if k % 5 == 4:
+                ours, theirs = array_crowd.ask_open(member), object_crowd.ask_open(member)
+            else:
+                ours = array_crowd.ask_closed(member, rule)
+                theirs = object_crowd.ask_closed(member, rule)
+            assert ours == theirs, (member, rule)
+
+    def test_every_role_survives_a_pickle_round_trip(self, model, population):
+        array_crowd, _ = adversarial_twins(population, ROLE_MIXES["every-role"])
+        rules = some_rules(model, 80, seed=26)
+        for rule in rules[:40]:
+            array_crowd.ask_closed(array_crowd.next_member(), rule)
+        twin = pickle.loads(pickle.dumps(array_crowd))
+        for rule in rules[40:]:
+            member = array_crowd.next_member()
+            assert twin.next_member() == member
+            assert twin.ask_closed(member, rule) == array_crowd.ask_closed(member, rule)
+
+
 class TestScheduling:
     def test_round_robin_with_exclusions_matches(self, population):
         array_crowd, object_crowd = paired_crowds(population, ExactAnswerModel)
@@ -145,7 +194,7 @@ class TestScheduling:
             array_crowd.ask_closed(member, rule)
 
     def test_partitions_cover_the_crowd_disjointly(self, population):
-        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
+        crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), seed=5)
         parts = crowd.partitions(4)
         seen: list[str] = []
         for part in parts:
@@ -154,10 +203,14 @@ class TestScheduling:
         assert len(set(seen)) == len(seen)
 
 
+def test_array_crowd_is_another_name_for_the_one_crowd():
+    assert ArrayCrowd is array_crowd.ArrayCrowd is SimulatedCrowd
+
+
 class TestCheckpointFootprint:
     def test_pickle_stays_sparse_at_scale(self, model):
         big = ArrayPopulation(model, n_members=500_000, transactions_per_member=50, seed=9)
-        crowd = ArrayCrowd(big, answer_model=ExactAnswerModel(), seed=5)
+        crowd = SimulatedCrowd(big, answer_model=ExactAnswerModel(), seed=5)
         # Question a handful of members so sparse state exists.
         rule = some_rules(model, 1, seed=27)[0]
         for member in crowd.member_ids[:5]:

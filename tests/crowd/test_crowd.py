@@ -1,4 +1,4 @@
-"""Tests for the SimulatedCrowd facade."""
+"""Tests for the crowd facades: the simulated crowd and the member crowd."""
 
 import gc
 import weakref
@@ -8,41 +8,37 @@ import pytest
 from repro.core import Rule, TransactionDB
 from repro.crowd import (
     ExactAnswerModel,
+    MemberCrowd,
     SimulatedCrowd,
-    SimulatedMember,
     SpammerAnswerModel,
+    StreamMember,
     standard_answer_model,
 )
 from repro.errors import CrowdExhaustedError
 from repro.estimation import Thresholds
 from repro.miner import CrowdMiner, CrowdMinerConfig
+from tests.crowd.populations import population_of
 
 
 def make_crowd(n=3, patience=None, seed=0):
     db = TransactionDB([["a", "b"]] * 5 + [["a"]] * 5)
-    members = [
-        SimulatedMember(
-            member_id=f"u{i}", db=db, answer_model=ExactAnswerModel(),
-            patience=patience, seed=i,
-        )
-        for i in range(n)
-    ]
-    return SimulatedCrowd(members, seed=seed)
+    return SimulatedCrowd(
+        population_of(*[db] * n),
+        answer_model=ExactAnswerModel(),
+        patience=patience,
+        seed=seed,
+    )
 
 
 class TestConstruction:
     def test_empty_crowd_rejected(self):
         with pytest.raises(CrowdExhaustedError):
-            SimulatedCrowd([])
+            MemberCrowd([])
 
     def test_duplicate_ids_rejected(self):
-        db = TransactionDB([["a"]])
-        members = [
-            SimulatedMember("u", db),
-            SimulatedMember("u", db),
-        ]
+        members = [StreamMember("u", []), StreamMember("u", [])]
         with pytest.raises(ValueError, match="unique"):
-            SimulatedCrowd(members)
+            MemberCrowd(members)
 
     def test_from_population(self, folk_population):
         crowd = SimulatedCrowd.from_population(folk_population, seed=1)
@@ -50,20 +46,23 @@ class TestConstruction:
         assert crowd.member_ids == [m.member_id for m in folk_population]
 
     def test_from_population_factory(self, folk_population):
-        crowd = SimulatedCrowd.from_population(
+        # Per-member answer models: every other member is a spammer.
+        spammers = range(0, len(folk_population), 2)
+        crowd = SimulatedCrowd(
             folk_population,
-            answer_model_factory=lambda i: SpammerAnswerModel(),
+            answer_model=ExactAnswerModel(),
             seed=1,
+            member_models={k: SpammerAnswerModel() for k in spammers},
         )
         assert len(crowd) == len(folk_population)
+        rule = Rule(["a"], ["b"])  # outside the domain: every true support is 0
+        for k, member_id in enumerate(crowd.member_ids):
+            spammed = crowd.ask_closed(member_id, rule).stats.support > 0
+            assert spammed == (k in spammers)
 
-    def test_model_and_factory_mutually_exclusive(self, folk_population):
-        with pytest.raises(ValueError, match="not both"):
-            SimulatedCrowd.from_population(
-                folk_population,
-                answer_model=ExactAnswerModel(),
-                answer_model_factory=lambda i: ExactAnswerModel(),
-            )
+    def test_per_member_behaviour_must_lie_in_the_crowd(self, folk_population):
+        with pytest.raises(ValueError, match="outside the crowd"):
+            SimulatedCrowd(folk_population, garbled={len(folk_population): 1.0})
 
 
 class TestScheduling:
@@ -122,9 +121,9 @@ class TestLifetime:
     def test_finished_session_frees_its_crowd_without_the_cyclic_gc(
         self, folk_population
     ):
-        # Members report departures to the crowd's rotation, not to the
-        # crowd, so nothing cycles back to a crowd: reference counting
-        # alone frees it, its databases and its habit pools.
+        # The crowd holds no member objects and nothing it holds refers
+        # back to it, so reference counting alone frees it, its
+        # population and its habit pools.
         gc.collect()
         gc.disable()
         try:

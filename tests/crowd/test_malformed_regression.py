@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import Rule
 from repro.crowd import (
+    ClosedAnswer,
     ClosedQuestion,
     MalformedAnswer,
     SimulatedCrowd,
@@ -19,7 +20,7 @@ from repro.crowd import (
     standard_answer_model,
 )
 from repro.estimation import Thresholds
-from repro.faults import GarbledMember, build_adversarial_crowd
+from repro.faults import build_adversarial_crowd
 from repro.miner import CrowdMiner, CrowdMinerConfig
 
 RULE = Rule(["cough"], ["tea"])
@@ -112,11 +113,27 @@ class TestMinerGateSurvivesGarbage:
         assert miner.obs.snapshot().counters["answers.malformed"] > 0
 
     def test_garbled_wrapper_preserves_member_protocol(self, folk_population):
-        crowd = SimulatedCrowd.from_population(
-            folk_population, answer_model=standard_answer_model(), seed=5
-        )
-        inner = crowd._members[crowd.available_members()[0]]
-        wrapped = GarbledMember(inner, rate=1.0, seed=3)
-        assert wrapped.member_id == inner.member_id
-        assert wrapped.is_available == inner.is_available
-        assert wrapped.questions_answered == inner.questions_answered
+        # A garbled member is still a member: asking them spends their
+        # patience and counts in the crowd's books, and the replies that
+        # are not garbled are the ones their honest twin gives.
+        def crowd(garbled):
+            return SimulatedCrowd(
+                folk_population,
+                answer_model=standard_answer_model(),
+                patience=6,
+                seed=5,
+                garbled=garbled,
+            )
+
+        garbled, honest = crowd({0: 0.5}), crowd({})
+        member = garbled.member_ids[0]
+        kinds = set()
+        for _ in range(6):
+            ours = garbled.ask_closed(member, RULE)
+            theirs = honest.ask_closed(member, RULE)
+            kinds.add(type(ours))
+            if not isinstance(ours, MalformedAnswer):
+                assert ours.stats == theirs.stats
+        assert kinds == {MalformedAnswer, ClosedAnswer}
+        assert garbled.stats.per_member[member] == 6
+        assert not garbled.is_member_available(member)

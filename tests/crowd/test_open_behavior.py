@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.crowd.member as member_module
+import repro.crowd.crowd as crowd_module
 from repro._util import weighted_choice
 from repro.classic.rulegen import mine_rules
 from repro.core import Itemset, Rule, TransactionDB
-from repro.crowd import HabitPool, OpenAnswerPolicy, OpenQuestion, SimulatedMember
+from repro.crowd import HabitPool, OpenAnswerPolicy, SimulatedCrowd
+from tests.crowd.populations import population_of
 
 
 @pytest.fixture
@@ -106,7 +107,7 @@ class TestChoose:
 
 @pytest.fixture
 def pool_builds(monkeypatch):
-    """Every habit pool a member builds, recorded as it is built."""
+    """Every habit pool the crowd builds, recorded as it is built."""
     builds = []
 
     class CountingPool(HabitPool):
@@ -114,41 +115,43 @@ def pool_builds(monkeypatch):
             builds.append(args)
             super().__init__(*args)
 
-    monkeypatch.setattr(member_module, "HabitPool", CountingPool)
+    monkeypatch.setattr(crowd_module, "HabitPool", CountingPool)
     return builds
+
+
+def crowd_over(*dbs, seed=1):
+    return SimulatedCrowd(
+        population_of(*dbs, ids=[f"u{k + 1}" for k in range(len(dbs))]),
+        open_policy=OpenAnswerPolicy(personal_min_support=0.1),
+        seed=seed,
+    )
 
 
 class TestCache:
     def test_pool_computed_once(self, db, pool_builds):
-        member = SimulatedMember(
-            "u1", db, open_policy=OpenAnswerPolicy(personal_min_support=0.1), seed=1
-        )
+        crowd = crowd_over(db)
         assert pool_builds == []  # lazy: nothing mined before an open question
         for _ in range(3):
-            member.answer_open(OpenQuestion())
+            crowd.ask_open("u1")
         assert len(pool_builds) == 1
 
     def test_distinct_dbs_distinct_pools(self, db):
         # Members sharing one policy still volunteer from their own habits.
         other = TransactionDB([["x", "y"]] * 5)
-        policy = OpenAnswerPolicy(personal_min_support=0.1)
-        mine = SimulatedMember("u1", db, open_policy=policy, seed=1)
-        theirs = SimulatedMember("u2", other, open_policy=policy, seed=1)
-        assert mine.answer_open(OpenQuestion()).rule.body.isdisjoint(["x", "y"])
-        assert theirs.answer_open(OpenQuestion()).rule.body == Itemset(["x", "y"])
+        crowd = crowd_over(db, other)
+        assert crowd.ask_open("u1").rule.body.isdisjoint(["x", "y"])
+        assert crowd.ask_open("u2").rule.body == Itemset(["x", "y"])
 
     def test_pickled_member_rebuilds_its_pool(self, db, pool_builds):
         # The pool never travels in a pickle (this one could not: its
-        # class is local to the fixture); the restored member rebuilds
-        # it and answers exactly like the original.
-        member = SimulatedMember(
-            "u1", db, open_policy=OpenAnswerPolicy(personal_min_support=0.1), seed=3
-        )
-        member.answer_open(OpenQuestion())
-        restored = pickle.loads(pickle.dumps(member))
+        # class is local to the fixture); the restored crowd rebuilds
+        # it and its member answers exactly like the original.
+        crowd = crowd_over(db, seed=3)
+        crowd.ask_open("u1")
+        restored = pickle.loads(pickle.dumps(crowd))
         for _ in range(4):
-            ours = member.answer_open(OpenQuestion())
-            theirs = restored.answer_open(OpenQuestion())
+            ours = crowd.ask_open("u1")
+            theirs = restored.ask_open("u1")
             assert (theirs.rule, theirs.stats) == (ours.rule, ours.stats)
         assert len(pool_builds) == 2
 

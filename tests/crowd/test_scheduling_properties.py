@@ -4,16 +4,18 @@ The dispatcher leans on two round-robin guarantees that must hold for
 *any* pattern of member departures and busy-exclusion:
 
 - :meth:`SimulatedCrowd.next_member` never returns a departed member,
-  and never one the caller excluded;
+  and never one the caller excluded, whatever the crowd size and
+  patience;
 - no available member is starved: while the available set is stable,
   a full round of calls reaches every available member at least once.
 
 And every scheduler takes its turns from the one rotation of
 :mod:`repro.crowd.rotation`: driven through the same random sequence
-of picks, departures, quarantines and patience exhaustion, the object
-crowd (over simulated, garbled and stream members), the columnar
-crowd, a one-partition view of either, and the serving roster pick
-the same member at every step and agree on who is still available.
+of picks, departures, quarantines and patience exhaustion, the one
+simulated crowd (over an explicit population, with garbled members,
+and over a columnar one), the member crowd over stream members, a
+one-partition view of a crowd, and the serving roster pick the same
+member at every step and agree on who is still available.
 
 A partition follows its crowd's departure log, so when it was built,
 and whether it went through a pickle round trip, never changes how it
@@ -33,30 +35,24 @@ from hypothesis import strategies as st
 from repro.core.rule import Rule
 from repro.core.transactions import TransactionDB
 from repro.crowd import (
-    ArrayCrowd,
+    MemberCrowd,
     SimulatedCrowd,
-    SimulatedMember,
     StreamMember,
     standard_answer_model,
 )
 from repro.crowd.rotation import Roster
 from repro.errors import CrowdExhaustedError
-from repro.faults import GarbledMember
+from repro.faults import build_adversarial_crowd
 from repro.serve import WorkerRoster
 from repro.synth import ArrayPopulation, folk_remedies_model
+from tests.crowd.populations import population_of
 
 
-def make_crowd(patiences):
-    members = [
-        SimulatedMember(
-            member_id=f"u{index}",
-            db=TransactionDB([["tea", "honey"]]),
-            patience=patience,
-            seed=index,
-        )
-        for index, patience in enumerate(patiences)
-    ]
-    return SimulatedCrowd(members, seed=0)
+def make_crowd(shape):
+    """A crowd of ``n`` members who each answer ``patience`` questions."""
+    n, patience = shape
+    db = TransactionDB([["tea", "honey"]])
+    return SimulatedCrowd(population_of(*[db] * n), patience=patience, seed=0)
 
 
 # Each element drives one scheduling round: whether to actually ask the
@@ -67,10 +63,10 @@ rounds = st.lists(
     min_size=1,
     max_size=60,
 )
-patiences = st.lists(
+#: (crowd size, patience); ``None`` is unbounded patience.
+patiences = st.tuples(
+    st.integers(min_value=1, max_value=8),
     st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
-    min_size=1,
-    max_size=8,
 )
 
 
@@ -124,7 +120,7 @@ class TestNextMemberProperties:
         assert seen == expected
 
     def test_everyone_left_still_raises(self):
-        crowd = make_crowd([1])
+        crowd = make_crowd((1, 1))
         from repro.core.rule import Rule
 
         crowd.ask_closed("u0", Rule(["tea"], ["honey"]))
@@ -181,26 +177,26 @@ class _RosterDriver:
         self.depart = self.exhaust = roster.depart
 
 
-def _simulated_members(wrap=lambda member, index: member):
-    return [
-        wrap(
-            SimulatedMember(
-                member_id=m.member_id,
-                db=m.db,
-                answer_model=standard_answer_model(),
-                patience=PATIENCE,
-                seed=index,
-            ),
-            index,
-        )
-        for index, m in enumerate(_POPULATION)
-    ]
+def _simulated_crowd(population=_POPULATION):
+    return SimulatedCrowd(
+        population, answer_model=standard_answer_model(), patience=PATIENCE, seed=5
+    )
+
+
+def _garbled_crowd():
+    crowd, _roles = build_adversarial_crowd(
+        _POPULATION,
+        (("garbled", 1.0),),
+        answer_model=standard_answer_model(),
+        patience=PATIENCE,
+        seed=0,
+        garbled_rate=0.5,
+    )
+    return crowd
 
 
 def _array_crowd():
-    return ArrayCrowd(
-        _ARRAY_POPULATION, answer_model=standard_answer_model(), patience=PATIENCE, seed=5
-    )
+    return _simulated_crowd(_ARRAY_POPULATION)
 
 
 def _partition_driver(crowd):
@@ -208,21 +204,21 @@ def _partition_driver(crowd):
     return _CrowdDriver(crowd, partition)
 
 
+def _stream_crowd(gone_before=()):
+    """Stream members who answer ``PATIENCE`` questions; ``gone_before``
+    leave before the crowd exists."""
+    members = [StreamMember(m.member_id, ["often"] * PATIENCE) for m in _POPULATION]
+    for index in gone_before:
+        members[index].leave()
+    return MemberCrowd(members)
+
+
 SCHEDULERS = {
-    "simulated": lambda: _CrowdDriver(SimulatedCrowd(_simulated_members(), seed=0)),
-    "garbled": lambda: _CrowdDriver(
-        SimulatedCrowd(
-            _simulated_members(lambda m, k: GarbledMember(m, rate=0.5, seed=k)), seed=0
-        )
-    ),
-    "stream": lambda: _CrowdDriver(
-        SimulatedCrowd(
-            [StreamMember(m.member_id, ["often"] * PATIENCE) for m in _POPULATION],
-            seed=0,
-        )
-    ),
+    "simulated": lambda: _CrowdDriver(_simulated_crowd()),
+    "garbled": lambda: _CrowdDriver(_garbled_crowd()),
+    "stream": lambda: _CrowdDriver(_stream_crowd()),
     "array": lambda: _CrowdDriver(_array_crowd()),
-    "partition": lambda: _partition_driver(SimulatedCrowd(_simulated_members(), seed=0)),
+    "partition": lambda: _partition_driver(_simulated_crowd()),
     "array-partition": lambda: _partition_driver(_array_crowd()),
     "roster": lambda: _RosterDriver(WorkerRoster(_IDS)),
 }
@@ -290,13 +286,14 @@ class TestOneRotation:
             is_available = True
 
         with pytest.raises(TypeError):
-            SimulatedCrowd([Hookless()])
+            MemberCrowd([Hookless()])
 
 
 #: The schedulers that own their members (partitions are views).
 CROWDS = {
-    "simulated": lambda: SimulatedCrowd(_simulated_members(), seed=0),
+    "simulated": _simulated_crowd,
     "array": _array_crowd,
+    "stream": _stream_crowd,
     "roster": lambda: WorkerRoster(_IDS),
 }
 
@@ -348,17 +345,14 @@ class TestOneRoster:
 
 
 #: Member indices that leave before the first partition is built (the
-#: object crowd's members leave before the crowd itself exists).
+#: stream crowd's members leave before the crowd itself exists).
 GONE_BEFORE = st.frozensets(st.integers(0, N_MEMBERS - 1), max_size=N_MEMBERS - 1)
 
 
 def _crowd_with_early_leavers(kind, gone_before):
-    if kind == "simulated":
-        members = _simulated_members()
-        for index in gone_before:
-            members[index].leave()
-        return SimulatedCrowd(members, seed=0)
-    crowd = _array_crowd()
+    if kind == "stream":
+        return _stream_crowd(gone_before)
+    crowd = _simulated_crowd() if kind == "simulated" else _array_crowd()
     for index in sorted(gone_before):
         crowd.crash(_IDS[index])
     return crowd
@@ -391,7 +385,7 @@ def _drive_views(worlds, ops):
 class TestPartitionViews:
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["simulated", "array"]),
+        kind=st.sampled_from(["simulated", "array", "stream"]),
         shards=st.integers(1, 3),
         gone_before=GONE_BEFORE,
         facts=OPS,
@@ -413,7 +407,7 @@ class TestPartitionViews:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        kind=st.sampled_from(["simulated", "array"]),
+        kind=st.sampled_from(["simulated", "array", "stream"]),
         shards=st.integers(1, 3),
         gone_before=GONE_BEFORE,
         before=OPS,

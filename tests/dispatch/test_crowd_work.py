@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.core import Rule
-from repro.crowd import ArrayCrowd, ExactAnswerModel, SimulatedCrowd
+from repro.crowd import ExactAnswerModel, SimulatedCrowd
 from repro.crowd.rotation import Rotation
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
@@ -67,7 +67,7 @@ def population():
 
 
 CROWDS = {
-    "array": lambda population: ArrayCrowd(
+    "array": lambda population: SimulatedCrowd(
         population, answer_model=ExactAnswerModel(), patience=1, seed=5
     ),
     "simulated": lambda population: SimulatedCrowd.from_population(
@@ -98,7 +98,7 @@ class TestSetupWork:
         )
 
     def sharded(self, population):
-        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), patience=1, seed=5)
+        crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), patience=1, seed=5)
         miner = closed_miner(crowd, population.domain.items, budget=120)
         return Dispatcher(
             miner,
@@ -165,7 +165,7 @@ class TestRetryProbes:
     def test_reassignment_stops_at_the_first_free_member(
         self, monkeypatch, population, shards
     ):
-        crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
+        crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), seed=5)
         miner = closed_miner(crowd, population.domain.items, budget=400)
         dispatcher = Dispatcher(
             miner,

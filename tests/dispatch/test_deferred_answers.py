@@ -1,18 +1,20 @@
-"""Answers simulated at first read: the columnar crowd's deferred closed answers.
+"""Answers simulated at first read: the simulated crowd's deferred closed answers.
 
-An asynchronous closed question to an ``ArrayCrowd`` comes back as a
+An asynchronous closed question to the simulated crowd comes back as a
 recipe whose ``(support, confidence)`` is simulated when the miner
 first reads it — past its malformed, rejected and stale gates — so
 answers the session throws away are never simulated. The contract
-(``repro/crowd/array_crowd.py``): every observable stays byte-identical
-to simulating at issue, because each member's answers are simulated in
-issue order. Pinned here:
+(``repro/crowd/crowd.py``): every observable stays byte-identical to
+simulating at issue, because each member's answers are simulated in
+issue order, and a model whose draws are shared across members (the
+collusion ring's) is simulated at issue. Pinned here:
 
-- a dispatched ``ArrayCrowd`` session equals the same session over the
-  eager ``SimulatedCrowd`` built on ``population.materialize()`` — log,
-  knowledge base and dispatch books — with a drawing answer model and
-  members asked again after an answer of theirs was discarded unread,
-  sharded or not, and with closed questions filling whole windows;
+- a dispatched session over an ``ArrayPopulation`` equals the same
+  session over its ``materialize()`` — log, knowledge base and
+  dispatch books — with a drawing answer model and members asked again
+  after an answer of theirs was discarded unread, sharded or not, with
+  closed questions filling whole windows, and with every adversary
+  role under quarantine;
 - the work saved is counted: a session of the ``sharded_closed`` shape
   simulates exactly its completed answers;
 - a checkpoint taken with unread answers queued resumes byte-identically.
@@ -26,7 +28,6 @@ import pytest
 
 from repro.core import Rule
 from repro.crowd import (
-    ArrayCrowd,
     NoisyAnswerModel,
     SimulatedCrowd,
     standard_answer_model,
@@ -35,10 +36,12 @@ from repro.crowd.questions import ClosedAnswer, DeferredClosedAnswer
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import ExperimentConfig, build_world
+from repro.faults import build_adversarial_crowd
 from repro.miner import CrowdMiner, CrowdMinerConfig, FixedRatioPolicy
 from repro.storage import capture_session, restore_session
 from repro.synth import ArrayPopulation, folk_remedies_model
 
+from tests.crowd.test_array_crowd import ROLE_MIXES
 from tests.dispatch.test_equivalence import kb_fingerprint, log_fingerprint
 
 THRESHOLDS = Thresholds(0.10, 0.5)
@@ -80,7 +83,7 @@ def dispatched(crowd, shards, window, budget=240, **options):
 def count_catch_ups(monkeypatch):
     """Count unread answers simulated because a later draw came first."""
     caught_up = [0]
-    catch_up = ArrayCrowd._catch_up
+    catch_up = SimulatedCrowd._catch_up
 
     def counted(self, index, through=None):
         queue = self._unread.get(index, ())
@@ -88,7 +91,7 @@ def count_catch_ups(monkeypatch):
         caught_up[0] += ahead
         catch_up(self, index, through)
 
-    monkeypatch.setattr(ArrayCrowd, "_catch_up", counted)
+    monkeypatch.setattr(SimulatedCrowd, "_catch_up", counted)
     return caught_up
 
 
@@ -122,7 +125,7 @@ class TestDispatchedEquivalence:
         caught_up = count_catch_ups(monkeypatch)
         options = closed_only(population) if seeded else {}
         array_session = dispatched(
-            ArrayCrowd(population, answer_model=answer_model(), seed=5),
+            SimulatedCrowd(population, answer_model=answer_model(), seed=5),
             shards,
             window,
             **options,
@@ -147,12 +150,31 @@ class TestDispatchedEquivalence:
         assert ours.dispatch.stale_discarded + ours.dispatch.timeouts > 0
         assert caught_up[0] > 0
 
+    @pytest.mark.parametrize("mix", ROLE_MIXES.values(), ids=ROLE_MIXES.keys())
+    def test_every_role_dispatches_alike_on_either_population(self, population, mix):
+        sessions = [
+            dispatched(
+                build_adversarial_crowd(
+                    pop, mix, answer_model=standard_answer_model(), seed=5, garbled_rate=0.5
+                )[0],
+                shards=2,
+                window=8,
+                quarantine=True,
+            )
+            for pop in (population, population.materialize())
+        ]
+        ours, theirs = (session.run() for session in sessions)
+        assert log_fingerprint(sessions[0].miner) == log_fingerprint(sessions[1].miner)
+        assert ours.dispatch == theirs.dispatch
+        assert ours.fingerprint() == theirs.fingerprint()
+        assert ours.dispatch.stale_discarded + ours.dispatch.timeouts > 0
+
 
 class TestCrowdLevelOrder:
     def test_later_draws_catch_up_unread_answers_in_issue_order(self, population):
         # Unrounded noise: any change in the order of draws shows.
         rules = random_rules(population.domain.items, 4, seed=21)
-        array_crowd = ArrayCrowd(population, answer_model=NoisyAnswerModel(0.1), seed=5)
+        array_crowd = SimulatedCrowd(population, answer_model=NoisyAnswerModel(0.1), seed=5)
         object_crowd = SimulatedCrowd.from_population(
             population.materialize(), answer_model=NoisyAnswerModel(0.1), seed=5
         )
@@ -173,7 +195,7 @@ class TestCrowdLevelOrder:
         assert array_crowd.ask_open(member).stats == object_crowd.ask_open(member).stats
 
     def test_unread_answer_pickles_as_its_recipe(self, population):
-        crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=5)
+        crowd = SimulatedCrowd(population, answer_model=standard_answer_model(), seed=5)
         member = crowd.member_ids[2]
         (rule,) = random_rules(population.domain.items, 1, seed=22)
         answer = crowd.ask_closed_async(
@@ -209,7 +231,7 @@ class TestSimulationCount:
         model, population, _ = build_world(config, seed=201, ground_truth=False)
         rules = random_rules(model.domain.items, 2_000, seed=11)
         miner = CrowdMiner(
-            ArrayCrowd(population, answer_model=standard_answer_model(), seed=12),
+            SimulatedCrowd(population, answer_model=standard_answer_model(), seed=12),
             CrowdMinerConfig(
                 thresholds=THRESHOLDS,
                 budget=budget,
@@ -244,7 +266,7 @@ class TestCheckpoint:
     def test_resume_with_unread_answers_queued(self, population, shards, window):
         def session():
             return dispatched(
-                ArrayCrowd(population, answer_model=standard_answer_model(), seed=5),
+                SimulatedCrowd(population, answer_model=standard_answer_model(), seed=5),
                 shards,
                 window,
             )

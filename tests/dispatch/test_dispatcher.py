@@ -7,7 +7,6 @@ import weakref
 import pytest
 
 from repro.crowd import (
-    ArrayCrowd,
     ExactAnswerModel,
     SimulatedCrowd,
     standard_answer_model,
@@ -322,7 +321,7 @@ class TestLifetime:
         gc.collect()
         gc.disable()
         try:
-            crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=5)
+            crowd = SimulatedCrowd(population, answer_model=standard_answer_model(), seed=5)
             miner = CrowdMiner(
                 crowd, CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=300)
             )

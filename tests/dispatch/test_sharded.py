@@ -15,7 +15,7 @@ The acceptance bar for ``Dispatcher(..., shards=n)``, in the style of
 
 import pytest
 
-from repro.crowd import ArrayCrowd, ExactAnswerModel, SimulatedCrowd
+from repro.crowd import ExactAnswerModel, SimulatedCrowd
 from repro.dispatch import (
     ConstantLatency,
     DispatchConfig,
@@ -55,7 +55,7 @@ def array_population():
 
 
 def make_array_miner(population, budget=400):
-    crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
+    crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), seed=5)
     config = CrowdMinerConfig(thresholds=THRESHOLDS, seed=6, budget=budget)
     return CrowdMiner(crowd, config)
 

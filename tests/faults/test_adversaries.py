@@ -19,19 +19,19 @@ from repro.crowd import (
     LikertAnswerModel,
     NoisyAnswerModel,
     SimulatedCrowd,
+    garbage_text,
     standard_answer_model,
 )
-from repro.crowd.questions import ClosedQuestion, MalformedAnswer
+from repro.crowd.questions import DeferredClosedAnswer, MalformedAnswer
 from repro.crowd.stream import parse_stats
+from repro.dispatch import LognormalLatency
 from repro.errors import ConfigurationError
 from repro.faults import (
     ADVERSARY_ROLES,
     CollusionRing,
     DriftingAnswerModel,
-    GarbledMember,
     LazyExtremesModel,
     build_adversarial_crowd,
-    garbage_text,
     parse_adversary_mix,
 )
 
@@ -157,24 +157,55 @@ class TestGarbageText:
 
 
 class TestGarbledMember:
-    def _member(self, folk_population, rate):
-        crowd = SimulatedCrowd.from_population(
-            folk_population, answer_model=ExactAnswerModel(), seed=5
+    def _crowd(self, folk_population, rate, answer_model=ExactAnswerModel):
+        """A crowd whose first member is garbled at ``rate``."""
+        return SimulatedCrowd(
+            folk_population, answer_model=answer_model(), seed=5, garbled={0: rate}
         )
-        inner = crowd._members[crowd.available_members()[0]]
-        return GarbledMember(inner, rate=rate, seed=7)
 
     def test_rate_one_always_malformed(self, folk_population):
-        member = self._member(folk_population, 1.0)
+        crowd = self._crowd(folk_population, 1.0)
+        member = crowd.member_ids[0]
         for _ in range(5):
-            answer = member.answer_closed(ClosedQuestion(RULE))
+            answer = crowd.ask_closed(member, RULE)
             assert isinstance(answer, MalformedAnswer)
-            assert answer.member_id == member.member_id
+            assert answer.member_id == member
 
     def test_rate_zero_passes_through(self, folk_population):
-        member = self._member(folk_population, 0.0)
-        answer = member.answer_closed(ClosedQuestion(RULE))
+        crowd = self._crowd(folk_population, 0.0)
+        answer = crowd.ask_closed(crowd.member_ids[0], RULE)
         assert not isinstance(answer, MalformedAnswer)
+
+    def test_garbled_open_answer_still_counts_as_volunteered(self, folk_population):
+        # The member volunteered a rule before the reply was garbled, so
+        # they do not volunteer it again: their open answers never repeat.
+        crowd = self._crowd(folk_population, 0.5, standard_answer_model)
+        honest = self._crowd(folk_population, 0.0, standard_answer_model)
+        member = crowd.member_ids[0]
+        said = [honest.ask_open(member).rule for _ in range(8)]
+        for rule in said:
+            answer = crowd.ask_open(member)
+            if not isinstance(answer, MalformedAnswer):
+                assert answer.rule == rule
+
+    def test_dispatched_question_is_garbled_at_issue(self, folk_population):
+        crowd = self._crowd(folk_population, 1.0, standard_answer_model)
+        member = crowd.member_ids[0]
+        latency, rng = LognormalLatency(60.0, 1.0), np.random.default_rng(1)
+        answer = crowd.ask_closed_async(member, RULE, latency=latency, rng=rng).answer
+        assert isinstance(answer, MalformedAnswer)
+        # The honest answer behind it is still queued, in issue order.
+        assert len(crowd._unread[0]) == 1
+        assert crowd.stats.closed_questions == 1
+
+    def test_shared_draws_are_simulated_at_issue(self, folk_population):
+        crowd, roles = build_adversarial_crowd(
+            folk_population, (("colluder", 0.5), ("spammer", 0.5)), seed=3
+        )
+        latency, rng = LognormalLatency(60.0, 1.0), np.random.default_rng(1)
+        for member_id, role in roles.items():
+            answer = crowd.ask_closed_async(member_id, RULE, latency=latency, rng=rng).answer
+            assert isinstance(answer, DeferredClosedAnswer) == (role != "colluder")
 
 
 class TestParseAdversaryMix:

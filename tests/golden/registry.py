@@ -12,8 +12,8 @@ members' habit pools:
 - ``sync_open/<world>/s<seed>``: the ``sync_open`` benchmark recipe
   (four object-crowd worlds, 250 questions, seeds 1-3), driven by
   ``miner.run()``;
-- ``array/s1``: a synchronous session on the columnar crowd
-  (``ArrayCrowd``), whose open answers build the same habit pools;
+- ``array/s1``: a synchronous session on the crowd over a columnar
+  population, whose open answers build the same habit pools;
 - ``dispatch_w8/s1``: a session dispatched eight questions at a time
   under lognormal latency;
 - ``resume/s1``: a ``sync_open`` session captured mid-session,
@@ -30,17 +30,17 @@ counters) beside its fingerprint:
 - ``sharded_patience/s1``: four shards over a 2,000-member columnar
   crowd with patience 1, so every answer is a departure that every
   lane applies;
-- ``sharded_simulated/s1``: four shards over an object crowd whose
-  patience runs out before the budget does;
+- ``sharded_simulated/s1``: four shards over a crowd on an explicit
+  population whose patience runs out before the budget does;
 - ``sharded_resume/s1``: a patience-1 four-shard session captured at
   an event boundary with questions in flight, restored from the
   checkpoint bytes and run to the end;
 - ``sharded_seeded_object/s1``: a seeded, closed-only session over
-  four shards of eight in flight, on an object crowd built from a
-  30-member columnar population's ``materialize()``, so members are
-  asked more than once;
+  four shards of eight in flight, on the crowd over a 30-member
+  columnar population's ``materialize()``, so members are asked more
+  than once;
 - ``sharded_seeded_array/s1``: the same session over the columnar
-  crowd on that population; its record equals its object twin's;
+  population itself; its record equals its explicit twin's;
 - ``served/s1``: one ``served_durable`` scenario driven in-process
   through a ``ServeSession`` over its ``WorkerRoster``, checkpointed
   every 25 questions to a memory store.
@@ -111,7 +111,7 @@ import scipy
 
 from repro.classic import mine_rules
 from repro.core import Rule
-from repro.crowd import ArrayCrowd, SimulatedCrowd, standard_answer_model
+from repro.crowd import SimulatedCrowd, standard_answer_model
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import ExperimentConfig, build_world
@@ -220,7 +220,7 @@ def array_session(seed: int) -> str:
     _model, population = _world(
         SYNC_WORLD_SEEDS[0], n_members=200, population_backend="array"
     )
-    crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[0])
+    crowd = SimulatedCrowd(population, answer_model=standard_answer_model(), seed=seeds[0])
     miner = CrowdMiner(
         crowd, CrowdMinerConfig(thresholds=THRESHOLDS, budget=BUDGET, seed=seeds[1])
     )
@@ -270,7 +270,7 @@ def sharded_closed(world: int, seed: int) -> dict:
     rules = _seed_rules(
         model.domain.items, SHARDED_SEED_RULES, np.random.default_rng(seeds[0])
     )
-    crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
+    crowd = SimulatedCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
     miner = CrowdMiner(
         crowd,
         CrowdMinerConfig(
@@ -294,7 +294,7 @@ def _sharded_array(world_seed: int, seeds: list[int], **dispatch) -> Dispatcher:
     _model, population = _world(
         world_seed, n_members=SHARDED_MEMBERS, population_backend="array"
     )
-    crowd = ArrayCrowd(
+    crowd = SimulatedCrowd(
         population, answer_model=standard_answer_model(), patience=1, seed=seeds[0]
     )
     miner = CrowdMiner(
@@ -351,7 +351,7 @@ def sharded_seeded(seed: int, crowd_backend: str) -> dict:
             population.materialize(), answer_model=standard_answer_model(), seed=seeds[1]
         )
     else:
-        crowd = ArrayCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
+        crowd = SimulatedCrowd(population, answer_model=standard_answer_model(), seed=seeds[1])
     miner = CrowdMiner(
         crowd,
         CrowdMinerConfig(

@@ -11,8 +11,8 @@ import pytest
 from repro.core import Rule
 from repro.crowd import (
     ExactAnswerModel,
+    MemberCrowd,
     SimulatedCrowd,
-    SimulatedMember,
     SpammerAnswerModel,
     StreamMember,
     standard_answer_model,
@@ -20,6 +20,17 @@ from repro.crowd import (
 from repro.estimation import Thresholds
 from repro.eval import precision_recall
 from repro.miner import CrowdMiner, CrowdMinerConfig, compute_ground_truth
+from tests.crowd.populations import population_of
+
+
+def spammer_crowd(population, every, seed):
+    """Every ``every``-th member spams; the rest answer honestly."""
+    return SimulatedCrowd(
+        population,
+        answer_model=standard_answer_model(),
+        seed=seed,
+        member_models={k: SpammerAnswerModel() for k in range(0, len(population), every)},
+    )
 
 
 class TestMemberChurn:
@@ -35,31 +46,6 @@ class TestMemberChurn:
         assert result.questions_asked <= len(folk_population)
         assert miner.is_done
 
-    def test_mixed_patience(self, folk_population):
-        # Half the crowd answers 2 questions, half is unbounded.
-        members = []
-        for index, pop_member in enumerate(folk_population):
-            members.append(
-                SimulatedMember(
-                    member_id=pop_member.member_id,
-                    db=pop_member.db,
-                    answer_model=ExactAnswerModel(),
-                    patience=2 if index % 2 == 0 else None,
-                    seed=index,
-                )
-            )
-        crowd = SimulatedCrowd(members, seed=7)
-        miner = CrowdMiner(
-            crowd,
-            CrowdMinerConfig(thresholds=Thresholds(0.1, 0.5), budget=400, seed=8),
-        )
-        result = miner.run()
-        assert result.questions_asked > 0
-        # The patient half carried the session.
-        loads = crowd.stats.per_member
-        impatient = [m.member_id for i, m in enumerate(folk_population) if i % 2 == 0]
-        assert all(loads[mid] <= 2 for mid in impatient)
-
 
 class TestStreamExhaustion:
     def test_streams_drying_up_mid_session(self):
@@ -71,7 +57,7 @@ class TestStreamExhaustion:
             "closed: sometimes",
         ]
         members = [StreamMember(f"m{i}", list(script)) for i in range(3)]
-        crowd = SimulatedCrowd(members, seed=1)
+        crowd = MemberCrowd(members)
         miner = CrowdMiner(
             crowd,
             CrowdMinerConfig(
@@ -87,12 +73,7 @@ class TestStreamExhaustion:
 class TestSpamPollution:
     @pytest.mark.parametrize("screen", [False, True])
     def test_screening_never_hurts_much(self, folk_population, folk_truth, screen):
-        def factory(index):
-            return SpammerAnswerModel() if index % 4 == 0 else standard_answer_model()
-
-        crowd = SimulatedCrowd.from_population(
-            folk_population, answer_model_factory=factory, seed=9
-        )
+        crowd = spammer_crowd(folk_population, 4, seed=9)
         miner = CrowdMiner(
             crowd,
             CrowdMinerConfig(
@@ -112,14 +93,9 @@ class TestSpamPollution:
             assert precision >= 0.3
 
     def test_screened_beats_unscreened_precision(self, folk_population, folk_truth):
-        def factory(index):
-            return SpammerAnswerModel() if index % 3 == 0 else standard_answer_model()
-
         outcomes = {}
         for screen in (False, True):
-            crowd = SimulatedCrowd.from_population(
-                folk_population, answer_model_factory=factory, seed=11
-            )
+            crowd = spammer_crowd(folk_population, 3, seed=11)
             miner = CrowdMiner(
                 crowd,
                 CrowdMinerConfig(
@@ -140,14 +116,8 @@ class TestDegenerateCrowds:
     def test_single_member_crowd(self, folk_population):
         member = folk_population.members[0]
         crowd = SimulatedCrowd(
-            [
-                SimulatedMember(
-                    member_id=member.member_id,
-                    db=member.db,
-                    answer_model=ExactAnswerModel(),
-                    seed=1,
-                )
-            ],
+            population_of(member.db, ids=[member.member_id]),
+            answer_model=ExactAnswerModel(),
             seed=2,
         )
         miner = CrowdMiner(
@@ -164,16 +134,10 @@ class TestDegenerateCrowds:
     def test_empty_personal_databases(self):
         from repro.core import TransactionDB
 
-        members = [
-            SimulatedMember(
-                member_id=f"u{i}",
-                db=TransactionDB([[] for _ in range(10)]),
-                answer_model=ExactAnswerModel(),
-                seed=i,
-            )
-            for i in range(3)
-        ]
-        crowd = SimulatedCrowd(members, seed=4)
+        empty = TransactionDB([[] for _ in range(10)])
+        crowd = SimulatedCrowd(
+            population_of(empty, empty, empty), answer_model=ExactAnswerModel(), seed=4
+        )
         miner = CrowdMiner(
             crowd,
             CrowdMinerConfig(

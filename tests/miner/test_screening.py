@@ -57,13 +57,13 @@ class TestScreeningInMiner:
             )
 
     def test_screening_flags_spammers(self, folk_population):
-        def factory(index):
-            if index % 5 == 0:
-                return SpammerAnswerModel()
-            return standard_answer_model()
-
-        crowd = SimulatedCrowd.from_population(
-            folk_population, answer_model_factory=factory, seed=7
+        crowd = SimulatedCrowd(
+            folk_population,
+            answer_model=standard_answer_model(),
+            seed=7,
+            member_models={
+                k: SpammerAnswerModel() for k in range(0, len(folk_population), 5)
+            },
         )
         miner = CrowdMiner(
             crowd,

@@ -60,6 +60,21 @@ def format2_pickle(doc) -> bytes:
     return buffer.getvalue()
 
 
+def missing_class_pickle(doc: dict) -> bytes:
+    """``doc`` pickled with a deleted class as its ``"miner"``.
+
+    Pickles a placeholder class, then renames its reference in the
+    protocol-0 text to ``repro.faults.adversaries.GarbledMember``,
+    which no longer exists.
+    """
+    from repro.crowd import MemberCrowd
+
+    placeholder = pickle.dumps({**doc, "miner": MemberCrowd}, protocol=0)
+    return placeholder.replace(
+        b"crepro.crowd.crowd\nMemberCrowd\n", b"crepro.faults.adversaries\nGarbledMember\n"
+    )
+
+
 CFG = ExperimentConfig(
     name="resume",
     budget=160,
@@ -260,15 +275,17 @@ class TestRestoreEdges:
         # and sample stores kept float pairs), format 8 (before
         # rotations and departure logs held crowd positions), format 9
         # (before the object crowd and the roster held their
-        # quarantined members as positions) and format 10 (before
+        # quarantined members as positions), format 10 (before
         # dispatcher lanes lost their batch stream and the dispatcher
-        # its delivery tokens).
+        # its delivery tokens) and format 11 (before the crowd stopped
+        # pickling member objects and the stamp moved ahead of the
+        # session).
         from repro.storage.checkpoint import CHECKPOINT_FORMAT
         from repro.storage.integrity import seal_payload
 
         miner = make_miner()
         miner.run(max_questions=10)
-        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10):
+        for old in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
             doc = {"format": old, "miner": miner, "dispatch": None}
             assert CHECKPOINT_FORMAT != old
             with pytest.raises(
@@ -281,6 +298,30 @@ class TestRestoreEdges:
         doc = {"format": 2, "miner": miner, "dispatch": None}
         with pytest.raises(StorageError, match="cannot unpickle"):
             restore_session(seal_payload(format2_pickle(doc)))
+
+    @pytest.mark.parametrize("layout", ["stamp-first", "format-11"])
+    def test_payload_naming_a_missing_class_is_refused_with_its_name(self, layout):
+        # A store written before a class was deleted must say what is
+        # missing, not read like a damaged payload.
+        from repro.storage.checkpoint import CHECKPOINT_FORMAT
+        from repro.storage.integrity import seal_payload
+
+        if layout == "stamp-first":
+            payload = pickle.dumps(CHECKPOINT_FORMAT) + missing_class_pickle({})
+        else:
+            payload = missing_class_pickle({"format": 11})
+        with pytest.raises(StorageError, match="AttributeError.*GarbledMember"):
+            restore_session(seal_payload(payload))
+
+    def test_a_later_format_is_refused_before_the_session_is_unpickled(self):
+        from repro.storage.checkpoint import CHECKPOINT_FORMAT
+        from repro.storage.integrity import seal_payload
+
+        payload = pickle.dumps(CHECKPOINT_FORMAT + 1) + missing_class_pickle({})
+        with pytest.raises(
+            StorageError, match=f"unsupported checkpoint format {CHECKPOINT_FORMAT + 1}"
+        ):
+            restore_session(seal_payload(payload))
 
     def test_empty_store_is_a_storage_error(self, tmp_path):
         storage = open_backend(tmp_path / "empty.db", "sqlite")

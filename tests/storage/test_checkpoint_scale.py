@@ -10,7 +10,7 @@ byte-identically, exactly like the single-dispatcher contract in
 """
 
 from repro._util import as_rng
-from repro.crowd import ArrayCrowd, ExactAnswerModel
+from repro.crowd import ExactAnswerModel, SimulatedCrowd
 from repro.dispatch import DispatchConfig, Dispatcher, LognormalLatency
 from repro.estimation import Thresholds
 from repro.eval.runner import (
@@ -29,7 +29,7 @@ def array_miner(n_members, questions=60):
     population = ArrayPopulation(
         model, n_members=n_members, transactions_per_member=80, seed=7
     )
-    crowd = ArrayCrowd(population, answer_model=ExactAnswerModel(), seed=5)
+    crowd = SimulatedCrowd(population, answer_model=ExactAnswerModel(), seed=5)
     return CrowdMiner(
         crowd,
         CrowdMinerConfig(

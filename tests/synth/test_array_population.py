@@ -220,7 +220,12 @@ class TestIdentity:
             assert population.index_of(population.member_id_at(index)) == index
 
     def test_unknown_ids_raise(self, population):
-        for bad in ("u9999", "x0001", "", "u-1", "u01"):
+        # "u00001", "u+001", "u0_01" and full-width digits all parse
+        # with int(); only the canonical form is an id.
+        for bad in (
+            "u9999", "x0001", "", "u-1", "u01",
+            "u00001", "u+001", "u0_01", "u\uff10\uff10\uff10\uff11",
+        ):
             with pytest.raises(KeyError):
                 population.index_of(bad)
 

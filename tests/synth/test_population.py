@@ -1,5 +1,7 @@
 """Tests for population builders."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,13 @@ class TestPopulation:
     def test_len_and_iter(self, folk_population):
         assert len(folk_population) == 25
         assert len(list(folk_population)) == 25
+
+    def test_pickle_keeps_ids_and_databases_only(self, folk_population):
+        restored = pickle.loads(pickle.dumps(folk_population))
+        assert [m.member_id for m in restored] == [m.member_id for m in folk_population]
+        assert [list(m.db) for m in restored] == [list(m.db) for m in folk_population]
+        assert restored.member("u0003").member_id == "u0003"
+        assert all(m.profile is None for m in restored)
 
 
 class TestBuildPopulation:

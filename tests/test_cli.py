@@ -191,6 +191,27 @@ class TestRepairFlags:
         assert "corrupt" in err
         assert "--repair" in err
 
+    def test_resume_names_why_a_store_is_refused(self, corrupt_store, capsys):
+        # A store whose newest checkpoint names a class this build no
+        # longer has: the refusal names the class, not bare damage.
+        import sqlite3
+
+        from repro.storage.integrity import seal_payload
+        from tests.storage.test_checkpoint_resume import missing_class_pickle
+
+        conn = sqlite3.connect(corrupt_store)
+        conn.execute(
+            "UPDATE checkpoints SET payload=? WHERE id=(SELECT MAX(id) FROM checkpoints)",
+            (seal_payload(missing_class_pickle({"format": 11})),),
+        )
+        conn.commit()
+        conn.close()
+        code = main(["mine", "--resume", "--checkpoint", str(corrupt_store)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot unpickle checkpoint payload: AttributeError")
+        assert "GarbledMember" in err
+
     def test_resume_with_repair_recovers(self, corrupt_store, capsys):
         code = main(
             ["mine", "--resume", "--repair", "--checkpoint", str(corrupt_store)]
