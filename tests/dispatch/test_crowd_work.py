@@ -155,7 +155,7 @@ class TestDepartureWork:
         ).run()
         departures = len(crowd) - crowd.available_count()
         assert departures >= 100
-        # Each lane applies each departure once; the object crowd's own
+        # Each lane applies each departure once; the crowd's own
         # rotation drops it once more.
         assert work[0] <= (SHARDS + 1) * departures, (work[0], departures)
 
