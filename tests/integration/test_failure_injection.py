@@ -19,7 +19,7 @@ from repro.crowd import (
 )
 from repro.estimation import Thresholds
 from repro.eval import precision_recall
-from repro.miner import CrowdMiner, CrowdMinerConfig, compute_ground_truth
+from repro.miner import CrowdMiner, CrowdMinerConfig
 from tests.crowd.populations import population_of
 
 
