@@ -98,11 +98,18 @@ def weighted_choice(
     w = np.asarray(weights, dtype=float)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
+    return options[weighted_index(rng, w)]
+
+
+def weighted_index(rng: np.random.Generator, weights: np.ndarray) -> int:
+    """The inverse-CDF step of :func:`weighted_choice`, unchecked.
+
+    ``weights`` must be a non-empty float array, finite and
+    non-negative; a zero total draws a uniform index.
+    """
+    total = weights.sum()
     if total <= 0:
-        index = int(rng.integers(len(options)))
-    else:
-        cdf = (w / total).cumsum()
-        cdf /= cdf[-1]
-        index = int(cdf.searchsorted(rng.random(), side="right"))
-    return options[index]
+        return int(rng.integers(len(weights)))
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))

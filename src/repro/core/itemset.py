@@ -175,5 +175,14 @@ class Itemset:
         """Variadic constructor: ``Itemset.of("tea", "honey")``."""
         return cls(items)
 
+    @classmethod
+    def _of_sorted(cls, items: tuple[str, ...]) -> "Itemset":
+        """The itemset of ``items``, already a sorted tuple of distinct
+        strings: nothing is checked or sorted again."""
+        itemset = cls.__new__(cls)
+        itemset._items = items
+        itemset._hash = hash(items)
+        return itemset
+
 
 _EMPTY = Itemset(())

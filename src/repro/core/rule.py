@@ -76,7 +76,11 @@ class Rule:
     @cached_property
     def body(self) -> Itemset:
         """All items of the rule: ``A ∪ B``. Support is computed over this."""
-        return self._antecedent | self._consequent
+        # Both sides are sorted, checked and disjoint: merging the two
+        # runs is the whole union.
+        return Itemset._of_sorted(
+            tuple(sorted(self._antecedent.items + self._consequent.items))
+        )
 
     @property
     def is_itemset_rule(self) -> bool:

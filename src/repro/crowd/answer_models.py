@@ -12,6 +12,9 @@ Models compose (noise, then coarsening, is the realistic pipeline) and
 every model preserves the structural invariant ``support ≤ confidence``
 so that downstream estimators never see an impossible answer — crowd
 members may be vague, but they are not incoherent about conditionals.
+A composition passes bare ``(support, confidence)`` pairs between its
+stages (:meth:`AnswerModel.report_pair`) and validates one
+:class:`~repro.core.measures.RuleStats` at the end.
 The deliberately incoherent :class:`SpammerAnswerModel` exists to test
 aggregation robustness, and does *not* preserve anything.
 """
@@ -40,16 +43,16 @@ def coherent_stats(support: float, confidence: float) -> RuleStats:
     lies — the interesting attacks are the ones the type system cannot
     reject.
     """
+    return RuleStats(*_coherent(support, confidence))
+
+
+def _coherent(support: float, confidence: float) -> tuple[float, float]:
+    """:func:`coherent_stats` as a bare pair."""
     support = clamp01(support)
     confidence = clamp01(confidence)
     if support > confidence:
         confidence = support
-    return RuleStats(support, confidence)
-
-
-#: Backwards-compatible private alias (the models below predate the
-#: public name).
-_coherent = coherent_stats
+    return support, confidence
 
 
 class AnswerModel:
@@ -83,6 +86,20 @@ class AnswerModel:
         """
         return self.report(stats, rng)
 
+    def report_pair(
+        self, rule, support: float, confidence: float, rng: np.random.Generator
+    ) -> tuple[float, float]:
+        """:meth:`report_rule` on a bare ``(support, confidence)`` pair.
+
+        The step :class:`ComposedAnswerModel` takes per stage. This
+        default wraps the pair in a :class:`RuleStats`, so a model that
+        defines only :meth:`report` or :meth:`report_rule` answers as
+        it always did; the honest models override it with the same
+        arithmetic on floats.
+        """
+        stats = self.report_rule(rule, RuleStats(support, confidence), rng)
+        return stats.support, stats.confidence
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -106,11 +123,16 @@ class NoisyAnswerModel(AnswerModel):
         self.consumes_rng = self.sigma > 0.0
 
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
+        return RuleStats(*self.report_pair(None, stats.support, stats.confidence, rng))
+
+    def report_pair(
+        self, rule, support: float, confidence: float, rng: np.random.Generator
+    ) -> tuple[float, float]:
         if self.sigma == 0.0:
-            return stats
-        support = stats.support + rng.normal(0.0, self.sigma)
-        confidence = stats.confidence + rng.normal(0.0, self.sigma)
-        return _coherent(support, confidence)
+            return support, confidence
+        # One call for both terms: the same two draws, in order.
+        noise_support, noise_confidence = rng.normal(0.0, self.sigma, 2).tolist()
+        return _coherent(support + noise_support, confidence + noise_confidence)
 
     def __repr__(self) -> str:
         return f"NoisyAnswerModel(sigma={self.sigma})"
@@ -145,7 +167,12 @@ class LikertAnswerModel(AnswerModel):
         return best
 
     def report(self, stats: RuleStats, rng: np.random.Generator) -> RuleStats:
-        return _coherent(self._snap(stats.support), self._snap(stats.confidence))
+        return RuleStats(*self.report_pair(None, stats.support, stats.confidence, rng))
+
+    def report_pair(
+        self, rule, support: float, confidence: float, rng: np.random.Generator
+    ) -> tuple[float, float]:
+        return _coherent(self._snap(support), self._snap(confidence))
 
     def __repr__(self) -> str:
         return f"LikertAnswerModel(grid={self.grid.tolist()})"
@@ -173,7 +200,7 @@ class ForgetfulAnswerModel(AnswerModel):
         alpha = self.recall * self.concentration
         beta = (1.0 - self.recall) * self.concentration
         factor = float(rng.beta(max(alpha, 1e-9), max(beta, 1e-9)))
-        return _coherent(stats.support * factor, stats.confidence)
+        return coherent_stats(stats.support * factor, stats.confidence)
 
     def __repr__(self) -> str:
         return f"ForgetfulAnswerModel(recall={self.recall})"
@@ -210,9 +237,15 @@ class ComposedAnswerModel(AnswerModel):
     def report_rule(
         self, rule, stats: RuleStats, rng: np.random.Generator
     ) -> RuleStats:
+        """Every stage in turn on bare pairs; one :class:`RuleStats` at the end."""
+        return RuleStats(*self.report_pair(rule, stats.support, stats.confidence, rng))
+
+    def report_pair(
+        self, rule, support: float, confidence: float, rng: np.random.Generator
+    ) -> tuple[float, float]:
         for stage in self.stages:
-            stats = stage.report_rule(rule, stats, rng)
-        return stats
+            support, confidence = stage.report_pair(rule, support, confidence, rng)
+        return support, confidence
 
     def __repr__(self) -> str:
         return f"ComposedAnswerModel({list(self.stages)!r})"

@@ -25,7 +25,7 @@ from itertools import chain, combinations, compress, count, repeat
 
 import numpy as np
 
-from repro._util import check_fraction, check_nonnegative, check_positive, weighted_choice
+from repro._util import check_fraction, check_nonnegative, check_positive, weighted_index
 from repro.classic.itemsets import itemset_masks, mask_items
 from repro.core.itemset import Itemset
 from repro.core.measures import RuleStats
@@ -74,7 +74,6 @@ def _antecedents(items: tuple) -> Iterator[tuple]:
     return chain.from_iterable(combinations(items, k) for k in range(1, len(items)))
 
 
-_ONE = np.uint64(1)
 #: The bits of one 64-bit mask word.
 _WORD = (1 << 64) - 1
 
@@ -92,10 +91,14 @@ class HabitPool:
     antecedent, the antecedent's mask, the confidence and the
     prominence weight. Names are read only for the rule a member picks.
 
-    Building a pool runs no Python code per rule: every antecedent's
-    mask comes out of one array product, and its count out of the
-    miner's table by one ``searchsorted``. Excluding a known rule maps
-    it to its body's mask and split.
+    Building a pool runs no Python code per rule: each body's items are
+    read off its mask words by lowest-set-bit steps, every antecedent's
+    mask is a sum of those bits, and its count comes out of the miner's
+    table by one ``searchsorted``. Excluding a known rule maps it to
+    its body's mask and split once: the pool never changes, so it keeps
+    the position of every excluded rule it holds, at most one entry
+    per rule in the pool. A rule outside the pool costs its body's mask
+    on every call, and is not kept.
     """
 
     __slots__ = (
@@ -112,6 +115,7 @@ class HabitPool:
         "_antecedent",
         "_confidence",
         "_prominence",
+        "_positions",
     )
 
     def __init__(self, db: TransactionDB, policy: OpenAnswerPolicy) -> None:
@@ -119,44 +123,46 @@ class HabitPool:
             db, policy.personal_min_support, max_size=policy.max_body_size
         )
         n = max(1, len(db))
-        sizes = list(map(int.bit_count, counts))
-        is_body = list(map((1).__lt__, sizes))
-        #: Body masks in mining order, and the reverse map mask -> index.
-        self._bodies = list(compress(counts, is_body))
-        self._body_ids = dict(zip(self._bodies, count()))
-        sizes = np.array(list(compress(sizes, is_body)), dtype=np.int64)
         # Every frequent itemset's mask as 64-bit words, and its count;
         # supports are ``count / n`` in float64, the same doubles the
         # Python division gives.
         words = _mask_words(list(counts), len(names))
         itemset_count = np.fromiter(counts.values(), np.float64, len(counts))
-        body_support = itemset_count[is_body] / n
-        ranks = _rank_matrix(words[is_body], sizes)
+        sizes = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        is_body = sizes > 1
+        #: Body masks in mining order, and the reverse map mask -> index.
+        self._bodies = list(compress(counts, is_body.tolist()))
+        self._body_ids = dict(zip(self._bodies, count()))
+        bodies = np.flatnonzero(is_body)
+        sizes = sizes[bodies]
+        body_support = itemset_count[bodies] / n
         # Every split of every body, in mining order (by body, then as
         # :func:`_antecedents` lists them).
+        width = int(sizes.max(initial=2))
         splits = (1 << sizes) - 2
         split_body = np.repeat(np.arange(len(sizes)), splits)
         first_split = np.cumsum(splits) - splits
-        table, offset, taken, self._split_index = _split_table(ranks.shape[1])
+        table, offset, self._split_index = _split_table(width)
         split = (offset[sizes] - first_split)[split_body] + np.arange(len(split_body))
         # Each antecedent's mask is the sum of its items' bits; it is one
         # of the miner's itemsets (they are downward closed), whose count
         # gives the antecedent's support.
-        antecedents = _antecedent_words(taken[split], ranks, split_body, words.shape[1])
+        antecedents = _subset_words(words[bodies], width)[split_body, table[split]]
         ant_support = itemset_count[_find_rows(words, antecedents)] / n
         confidence = np.minimum(1.0, body_support[split_body] / ant_support)
-        keep = confidence >= policy.personal_min_confidence
+        kept = np.flatnonzero(confidence >= policy.personal_min_confidence)
         #: Item name -> its mask bit, for the frequent items.
         self._bit = {name: 1 << r for r, name in enumerate(names)}
         self._names = names
         self._body_support = body_support
         #: Per body, its first split; per split, its rule's position or -1.
         self._first_split = first_split
-        self._rule_of_split = np.where(keep, np.cumsum(keep) - 1, -1)
-        self._body = split_body[keep]
-        self._mask = table[split[keep]]
-        self._antecedent = antecedents[keep]
-        self._confidence = confidence[keep]
+        self._rule_of_split = np.full(len(split), -1)
+        self._rule_of_split[kept] = np.arange(len(kept))
+        self._body = split_body[kept]
+        self._mask = table[split[kept]]
+        self._antecedent = antecedents[kept]
+        self._confidence = confidence[kept]
         # Python's float power, not numpy's vectorized one: weights must
         # equal (s·c)**κ bit for bit, or the draws would drift. (x**0
         # is 1.)
@@ -166,6 +172,8 @@ class HabitPool:
             np.float64,
             len(products),
         )
+        #: Excluded rule -> its position, for the rules in the pool.
+        self._positions: dict[Rule, int] = {}
 
     def __len__(self) -> int:
         return len(self._body)
@@ -203,19 +211,32 @@ class HabitPool:
         candidates = np.flatnonzero(keep)
         if not len(candidates):
             return None
-        pick = weighted_choice(
-            rng, range(len(candidates)), self._prominence[candidates]
-        )
+        # Weights are finite and non-negative by construction.
+        pick = weighted_index(rng, self._prominence[candidates])
         return self._rule_at(int(candidates[pick]))
 
     def _mask_of(self, items: tuple[str, ...]) -> int | None:
-        """The mask of ``items``, or ``None`` when one is not ranked here."""
-        absent = 1 << len(self._names)
-        mask = sum(map(self._bit.get, items, repeat(absent)))
-        return None if mask >= absent else mask
+        """The mask of ``items``, or ``None`` when one is not ranked here.
+
+        Stops at the first such item: most rules an asker names are
+        not the member's habits.
+        """
+        mask = 0
+        for item in items:
+            bit = self._bit.get(item)
+            if bit is None:
+                return None
+            mask |= bit
+        return mask
 
     def _position(self, rule: Rule) -> int:
-        """The pool position of ``rule``, or -1 when it is not a habit here."""
+        """The pool position of ``rule``, or -1 when it is not a habit here.
+
+        A position found is kept for the pool's later calls.
+        """
+        position = self._positions.get(rule)
+        if position is not None:
+            return position
         body = rule.body.items
         index = self._body_ids.get(self._mask_of(body))
         if index is None:
@@ -225,7 +246,10 @@ class HabitPool:
         split = self._split_index[(1 << len(body)) + local]
         if split < 0:  # an itemset rule: every habit has an antecedent
             return -1
-        return self._rule_of_split.item(self._first_split.item(index) + split)
+        position = self._rule_of_split.item(self._first_split.item(index) + split)
+        if position >= 0:
+            self._positions[rule] = position
+        return position
 
     def _rule_at(self, position: int) -> tuple[Rule, RuleStats]:
         index = self._body.item(position)
@@ -244,31 +268,14 @@ def _mask_words(masks: list[int], n_items: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), width)
 
 
-def _rank_matrix(words: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per mask row, the ranks of its set bits ascending.
-
-    Rows are padded with ``64 * words.shape[1]``, a rank past every
-    item.
-    """
-    per_row = 64 * words.shape[1]
-    ranks = np.full((len(words), int(sizes.max(initial=2))), per_row, dtype=np.uint64)
-    flags = np.unpackbits(words.view(np.uint8), bitorder="little")
-    row, rank = np.divmod(np.flatnonzero(flags), per_row)
-    ranks[row, np.arange(len(row)) - (np.cumsum(sizes) - sizes)[row]] = rank
-    return ranks
-
-
 @cache
-def _split_table(
-    width: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+def _split_table(width: int) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
     """Antecedent masks over body positions, for every body size to ``width``.
 
     Each size's masks are in :func:`_antecedents` order, and
-    ``offset[m]`` is where size ``m``'s start; row ``k`` of the 0/1
-    matrix lists mask ``k``'s bits. The last entry maps ``2**m + mask``
-    back to the mask's place among size ``m``'s, or -1 for a mask that
-    is no antecedent.
+    ``offset[m]`` is where size ``m``'s start. The last entry maps
+    ``2**m + mask`` back to the mask's place among size ``m``'s, or -1
+    for a mask that is no antecedent.
     """
     masks = [
         [sum(1 << p for p in positions) for positions in _antecedents(tuple(range(m)))]
@@ -277,48 +284,53 @@ def _split_table(
     table = np.array(list(chain.from_iterable(masks)), dtype=np.int32)
     offset = np.zeros(width + 1, dtype=np.int64)
     offset[2:] = np.cumsum([0, *map(len, masks)])[:-1]
-    taken = (table[:, None] >> np.arange(width) & 1).astype(np.uint64)
-    for shared in (table, offset, taken):
+    for shared in (table, offset):
         shared.flags.writeable = False  # shared by every pool
     index = [-1] * (2 << width)
     for m, size_masks in enumerate(masks, start=2):
         for k, mask in enumerate(size_masks):
             index[(1 << m) + mask] = k
-    return table, offset, taken, tuple(index)
+    return table, offset, tuple(index)
 
 
-def _antecedent_words(
-    taken: np.ndarray, ranks: np.ndarray, split_body: np.ndarray, width: int
-) -> np.ndarray:
-    """Per split, the antecedent's mask as ``width`` ``uint64`` words.
+def _subset_words(words: np.ndarray, width: int) -> np.ndarray:
+    """Per body, the mask of every subset of its items, as ``uint64`` words.
 
-    ``taken`` marks, per split, which body positions form the
-    antecedent; ``ranks`` holds each body's item ranks by position.
-    Word ``w`` of a mask is the row-wise dot product of the split's
-    ``taken`` row with its body's bits in word ``w``.
+    ``words`` holds each body's mask, of at most ``width`` items. Entry
+    ``[b, local]`` is the subset of body ``b`` whose items, numbered by
+    rank within the body, are the set bits of ``local``, so a split's
+    antecedent is its body's entry at the split's antecedent mask. Each
+    lowest-set-bit step takes every body's next item: the lowest set
+    bit of its lowest word that has one. The table holds ``2**width``
+    masks per body.
     """
-    bits = _ONE << (ranks & 63)
-    word = ranks >> 6
-    return np.stack(
-        [
-            np.einsum("ij,ij->i", taken, np.where(word == w, bits, 0)[split_body])
-            for w in range(width)
-        ],
-        axis=1,
-    )
+    rest = words.copy()
+    subsets = np.zeros((len(words), 1 << width, words.shape[1]), dtype=np.uint64)
+    for k in range(width):
+        low = rest & -rest
+        for word in range(1, words.shape[1]):
+            low[low[:, :word].any(axis=1), word] = 0
+        rest ^= low
+        subsets[:, 1 << k : 2 << k] = subsets[:, : 1 << k] | low[:, None]
+    return subsets
 
 
 def _find_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """The index in ``table`` of each of ``rows`` (every one is there).
 
-    One ``searchsorted`` over the last word. Wider keys are first
-    folded into one, word by word: each key is replaced by its rank
-    among the table's keys, which keeps it below the table's length.
+    One ``searchsorted`` over the last word, asked in ascending order:
+    each search then starts from the last hit, which on the largest
+    pools more than pays for sorting the rows. Wider
+    keys are first folded into one, word by word: each key is replaced
+    by its rank among the table's keys, which keeps it below the
+    table's length.
     """
     key, query = table[:, -1], rows[:, -1]
     for w in range(table.shape[1] - 2, -1, -1):
         high, low = np.unique(key), np.unique(table[:, w])
         key = np.searchsorted(high, key) * len(low) + np.searchsorted(low, table[:, w])
         query = np.searchsorted(high, query) * len(low) + np.searchsorted(low, rows[:, w])
-    order = np.argsort(key)
-    return order[np.searchsorted(key[order], query)]
+    order, asked = np.argsort(key), np.argsort(query)
+    found = np.empty(len(query), dtype=np.int64)
+    found[asked] = order[np.searchsorted(key[order], query[asked])]
+    return found

@@ -120,7 +120,8 @@ class TestKillPoints:
         proc, port = _spawn_server(tmp_path, "--chaos-kill", kill_spec)
         died = asyncio.run(_drive_until_death(port, pool, crowd, create=True))
         assert died, "server finished before the kill-point fired"
-        proc.wait(timeout=30)
+        # Reads and closes both pipes, so neither leaks past the test.
+        proc.communicate(timeout=30)
         # SIGKILL, self-inflicted: no drain, no exit handler, no zero.
         assert proc.returncode == -9
 

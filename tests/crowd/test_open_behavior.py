@@ -245,6 +245,51 @@ class TestPoolEquivalence:
                 break
             exclude.add(got[0])
 
+    @settings(max_examples=150, deadline=None)
+    @given(databases, policies, st.data(), st.integers(0, 2**32 - 1))
+    def test_exclusions_never_carry_between_calls(self, db, policy, data, seed):
+        # One pool asked again and again answers every call exactly like
+        # a pool built for that call alone: the positions it remembers
+        # from earlier exclusions exclude nothing by themselves.
+        rules = list(reference_pool(db, policy))
+        # Rules an asker may name: the member's habits, the same bodies
+        # split the other way (habits or not), the bodies as itemset
+        # rules, and a rule on items the member never saw.
+        universe = sorted(
+            {
+                *rules,
+                *(Rule(rule.consequent, rule.antecedent) for rule in rules),
+                *(Rule.itemset_rule(rule.body) for rule in rules),
+                Rule(["x"], ["y"]),
+            },
+            key=Rule.sort_key,
+        )
+        pool = HabitPool(db, policy)
+        avoid, drawn = set(), None
+        for call in range(6):
+            kind = data.draw(st.sampled_from(["shrinking", "disjoint", "any"]))
+            if kind == "shrinking":
+                pick_from = sorted(avoid, key=Rule.sort_key)
+            elif kind == "disjoint":
+                pick_from = [rule for rule in universe if rule not in avoid]
+            else:
+                pick_from = universe
+            avoid = set(
+                data.draw(st.lists(st.sampled_from(pick_from), unique=True))
+                if pick_from
+                else ()
+            )
+            if drawn is not None and data.draw(st.booleans()):
+                avoid.add(drawn)
+            ours = np.random.default_rng([seed, call])
+            theirs = np.random.default_rng([seed, call])
+            got = pool.choose(Itemset.empty(), avoid, ours)
+            assert got == HabitPool(db, policy).choose(Itemset.empty(), avoid, theirs)
+            assert ours.bit_generator.state == theirs.bit_generator.state
+            drawn = None if got is None else got[0]
+        # The memo holds only rules of the pool, one entry each.
+        assert set(pool._positions) <= set(rules)
+
     def test_fully_excluded_pool_draws_nothing(self, db):
         policy = OpenAnswerPolicy(personal_min_support=0.1)
         rng = np.random.default_rng(5)
